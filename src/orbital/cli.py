@@ -188,7 +188,7 @@ def cmd_project(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         for _ in range(args.i - 1):
             cur, grids = strip_first_steps(cur)
             for g in grids:
-                steps_text.append(_render_grid(g))
+                steps_text.append(render_tableau(g))
                 steps_json.append({"move": "slide", "grid": _grid_json(g)})
             steps_text.append("after the slide, relabelled:")
             steps_text.append(render_tableau(cur))
@@ -214,27 +214,34 @@ def cmd_project(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     return 0
 
 
-def _render_grid(grid) -> str:
-    n = sum(1 for row in grid for e in row if e is not None) + 1
-    w = len(str(n))
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-    def border(cells: int) -> str:
-        return "+" + "+".join(["-" * (w + 2)] * cells) + "+"
 
-    def cell(e) -> str:
-        return f" {'' if e is None else e:>{w}} "
-
-    lines = [border(len(grid[0]))]
-    for k, row in enumerate(grid):
-        lines.append("|" + "|".join(cell(e) for e in row) + "|")
-        nxt = len(grid[k + 1]) if k + 1 < len(grid) else 0
-        lines.append(border(max(len(row), nxt)))
-    return "\n".join(lines)
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin with the bases above: exact for every p below 3.3e24."""
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        y = pow(a, d, p)
+        if y == 1 or y == p - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % p
+            if y == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _resolve_primes(parser: argparse.ArgumentParser, flag: int | None) -> tuple[int, ...]:
     def checked(p: int) -> int:
-        if p < 3 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= 2**64:
+            parser.error(f"modulus {p} is too large: it must be below 2**64")
+        if p < 3 or not _is_prime(p):
             parser.error(f"{p} is not an odd prime")
         return p
 
@@ -250,6 +257,10 @@ def _resolve_primes(parser: argparse.ArgumentParser, flag: int | None) -> tuple[
 
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.nmax < 1:
+        parser.error(f"--nmax must be at least 1, got {args.nmax}")
+    if args.trials < 1:
+        parser.error(f"--trials must be at least 1, got {args.trials}")
     primes = _resolve_primes(parser, args.prime)
     reports = []
     necessity_failures = 0

@@ -113,6 +113,21 @@ class GeneratorReport:
         }
 
 
+def _window_ladder(tau, n: int, window: tuple[int, int], thickness: int, richardson):
+    """Window determinant, l(lambda) over the Richardson tableau's shape,
+    and the ladder of (j, m_j) for j = thickness .. size-thickness."""
+    a, b = window
+    size = b - a + 1
+    det = determinant(cmin_window(tau, n, window, thickness))
+    shape = projected_shape(richardson, a, b)
+    l_lambda = sum(shape.part(k) for k in range(1, thickness + 1)) - thickness
+    ladder = tuple(
+        (j, t_coefficient(det, size - thickness - j))
+        for j in range(thickness, size - thickness + 1)
+    )
+    return det, l_lambda, ladder
+
+
 @lru_cache(maxsize=None)
 def generator_report(d: HypersurfaceDescriptor) -> GeneratorReport:
     """Window determinant, coefficient ladder, and the candidate equation f.
@@ -122,34 +137,28 @@ def generator_report(d: HypersurfaceDescriptor) -> GeneratorReport:
     of t that survives, which must be m_{l(lambda)} or the indexing is
     inconsistent (InconsistentIndexing).
     """
-    tau = d.tau
-    n = d.n
     a, b = d.window
     size = b - a + 1
     i_thick = d.thickness
-    det = determinant(cmin_window(tau, n, d.window, i_thick))
+    det, l_lambda, m_sequence = _window_ladder(
+        d.tau, d.n, d.window, i_thick, d.richardson
+    )
     if det.is_zero:
         raise InconsistentIndexing("window determinant vanished identically")
-    shape = projected_shape(d.richardson, a, b)
-    l_lambda = sum(shape.part(k) for k in range(1, i_thick + 1)) - i_thick
-    m_sequence = tuple(
-        (j, t_coefficient(det, size - i_thick - j))
-        for j in range(i_thick, size - i_thick + 1)
-    )
     lowest = min(
         next((e for v, e in mono if v == T_VAR), 0) for mono in det.terms
     )
-    f = t_coefficient(det, lowest)
     if lowest != size - i_thick - l_lambda:
         raise InconsistentIndexing(
             f"lowest surviving t-power {lowest} but l(lambda)={l_lambda} "
             f"predicts {size - i_thick - l_lambda}"
         )
+    f = m_sequence[l_lambda - i_thick][1]
     return GeneratorReport(
         f=f,
         m_sequence=m_sequence,
         l_lambda=l_lambda,
-        weight=weight_of(f, rank=n - 1),
+        weight=weight_of(f, rank=d.n - 1),
         window=d.window,
         thickness=i_thick,
     )
@@ -164,16 +173,10 @@ def lemma2_threshold(
     The expected pattern is nonzero up to l(lambda) and zero beyond it.
     """
     tau = _as_tau(tau, n)
-    a, b = window
-    size = b - a + 1
-    det = determinant(cmin_window(tau, n, window, thickness))
-    shape = projected_shape(richardson_tableau(tau, n), a, b)
-    l_lambda = sum(shape.part(k) for k in range(1, thickness + 1)) - thickness
-    checks = [
-        (j, t_coefficient(det, size - thickness - j).is_zero)
-        for j in range(thickness, size - thickness + 1)
-    ]
-    return l_lambda, checks
+    _, l_lambda, ladder = _window_ladder(
+        tau, n, window, thickness, richardson_tableau(tau, n)
+    )
+    return l_lambda, [(j, m.is_zero) for j, m in ladder]
 
 
 @dataclass(frozen=True)
@@ -218,5 +221,8 @@ def char_poly(
         )
     )
     codim = d.n * (d.n - 1) // 2 - variety_dim(d.tableau.shape, d.n)
-    assert len(factors) == codim, "factor count must equal the codimension"
+    if len(factors) != codim:
+        raise InconsistentIndexing(
+            f"{len(factors)} factors but the codimension is {codim}"
+        )
     return CharPoly(tuple(factors))

@@ -187,17 +187,20 @@ def validate_syt(rows) -> StandardTableau:
     return StandardTableau(rows)
 
 
-def render_tableau(t: StandardTableau) -> str:
-    """ASCII boxes, one tableau row per content line."""
-    w = len(str(t.n))
+def render_tableau(t) -> str:
+    """ASCII boxes, one tableau row per content line. Also draws the hole
+    grids of strip_first_steps: None is an empty cell that counts toward
+    the width, so a grid lines up with the tableau it came from."""
+    rows = t.rows if isinstance(t, StandardTableau) else t
+    w = len(str(sum(len(row) for row in rows)))
 
     def border(cells: int) -> str:
         return "+" + "+".join(["-" * (w + 2)] * cells) + "+"
 
-    lines = [border(len(t.rows[0]))]
-    for k, row in enumerate(t.rows):
-        lines.append("|" + "|".join(f" {e:>{w}} " for e in row) + "|")
-        nxt = len(t.rows[k + 1]) if k + 1 < len(t.rows) else 0
+    lines = [border(len(rows[0]))]
+    for k, row in enumerate(rows):
+        lines.append("|" + "|".join(f" {'' if e is None else e:>{w}} " for e in row) + "|")
+        nxt = len(rows[k + 1]) if k + 1 < len(rows) else 0
         lines.append(border(max(len(row), nxt)))
     return "\n".join(lines)
 

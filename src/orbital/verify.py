@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
@@ -79,10 +80,10 @@ class FieldMatrix:
         )
 
 
-# -- modular linear algebra on plain lists (hot path) ---------------------------
+# -- linear algebra over GF(p), or the rationals when p is None (hot path) ------
 
 
-def _mat_mul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
+def _mat_mul(a: list[list[int]], b: list[list[int]], p: int | None) -> list[list[int]]:
     n = len(a)
     out = []
     for i in range(n):
@@ -94,43 +95,15 @@ def _mat_mul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
                 bk = b[k]
                 for j in range(n):
                     acc[j] += v * bk[j]
-        out.append([val % p for val in acc])
+        out.append([val % p for val in acc] if p else acc)
     return out
 
 
-def _rank_mod(rows: list[list[int]], p: int) -> int:
-    mat = [row[:] for row in rows]
-    nr = len(mat)
-    nc = len(mat[0]) if nr else 0
-    rank = 0
-    for col in range(nc):
-        piv = None
-        for r in range(rank, nr):
-            if mat[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        prow = [v * inv % p for v in mat[rank]]
-        mat[rank] = prow
-        for r in range(rank + 1, nr):
-            f = mat[r][col] % p
-            if f:
-                row = mat[r]
-                for c in range(col, nc):
-                    row[c] = (row[c] - f * prow[c]) % p
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
-def _rank_exact(rows: list[list]) -> int:
-    from fractions import Fraction
-
-    mat = [[Fraction(v) for v in row] for row in rows]
+def _rank(rows, p: int | None) -> int:
+    if p:
+        mat = [[v % p for v in row] for row in rows]
+    else:
+        mat = [[Fraction(v) for v in row] for row in rows]
     nr = len(mat)
     nc = len(mat[0]) if nr else 0
     rank = 0
@@ -139,16 +112,34 @@ def _rank_exact(rows: list[list]) -> int:
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(rank + 1, nr):
-            f = mat[r][col]
-            if f:
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        tail = mat[rank][col:]
+        inv = pow(tail[0], -1, p) if p else 1 / tail[0]
+        for row in mat[rank + 1 :]:
+            if row[col]:
+                f = row[col] * inv
+                if p:
+                    f %= p
+                    row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
+                else:
+                    row[col:] = [a - f * b for a, b in zip(row[col:], tail)]
         rank += 1
         if rank == nr:
             break
     return rank
+
+
+def _powers(rows, p: int | None) -> list:
+    """[X, X^2, ..., X^m] for the square matrix X = rows, X^m its last
+    nonzero power. Stops at X^n, which is nonzero only when X is not
+    nilpotent; a nilpotent X costs at most n - 1 products."""
+    out = []
+    cur = rows
+    while any(map(any, cur)):
+        out.append(cur)
+        if len(out) == len(rows):
+            break
+        cur = _mat_mul(cur, rows, p)
+    return out
 
 
 def _upper_inverse(b: list[list[int]], p: int) -> list[list[int]]:
@@ -166,8 +157,7 @@ def _upper_inverse(b: list[list[int]], p: int) -> list[list[int]]:
 
 
 def matrix_rank(m: FieldMatrix) -> int:
-    rows = [list(r) for r in m.rows]
-    return _rank_mod(rows, m.prime) if m.prime else _rank_exact(rows)
+    return _rank(m.rows, m.prime)
 
 
 # -- rank bounds and Jordan type -------------------------------------------------
@@ -188,21 +178,10 @@ def jordan_type(x: FieldMatrix) -> Partition:
     n = x.n
     if n == 0:
         return Partition(())
-    cur = [list(r) for r in x.rows]
-    p = x.prime
-    ranks = [n, _rank_mod(cur, p) if p else _rank_exact(cur)]
-    while ranks[-1] > 0:
-        if len(ranks) > n or ranks[-1] == ranks[-2]:
-            raise NotNilpotent(f"rank sequence stabilised at {ranks[-1]}")
-        if p:
-            cur = _mat_mul(cur, [list(r) for r in x.rows], p)
-            ranks.append(_rank_mod(cur, p))
-        else:
-            cur = [
-                [sum(a * b for a, b in zip(row, col)) for col in zip(*x.rows)]
-                for row in cur
-            ]
-            ranks.append(_rank_exact(cur))
+    powers = _powers(x.rows, x.prime)
+    ranks = [n] + [_rank(xk, x.prime) for xk in powers] + [0]
+    if len(powers) == n:
+        raise NotNilpotent(f"rank sequence stabilised at {ranks[-2]}")
     cols = tuple(ranks[k - 1] - ranks[k] for k in range(1, len(ranks)))
     return dual_partition(Partition(cols))
 
@@ -228,26 +207,19 @@ def check_power_rank(x: FieldMatrix, t: StandardTableau) -> list[Violation]:
     if n != t.n:
         raise NotApplicable(f"matrix size {n} vs tableau size {t.n}")
     p = x.prime
+    # the window of X^k is the k-th power of X's window, X being strictly upper
+    powers = _powers(x.rows, p)
     out: list[Violation] = []
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            sub = [list(row[i - 1 : j]) for row in x.rows[i - 1 : j]]
             lam = projected_shape(t, i, j)
-            cur = sub
-            for k in range(1, j - i + 2):
-                r = _rank_mod(cur, p) if p else _rank_exact(cur)
+            for k, xk in enumerate(powers[: j - i + 1], start=1):
+                r = _rank([row[i - 1 : j] for row in xk[i - 1 : j]], p)
                 if r == 0:
                     break
                 bound = rank_bound(lam, k)
                 if r > bound:
                     out.append(Violation(i, j, k, r, bound))
-                if p:
-                    cur = _mat_mul(cur, sub, p)
-                else:
-                    cur = [
-                        [sum(a * b for a, b in zip(row, col)) for col in zip(*sub)]
-                        for row in cur
-                    ]
     return out
 
 
@@ -466,14 +438,10 @@ class RemarkResult(NamedTuple):
     chain_condition: bool
 
 
-def remark_minor(d: HypersurfaceDescriptor) -> tuple[PolyMatrix, int, int]:
-    """Symbolic minor matching the generator on the projected problem.
-
-    Projects the descriptor to its window (so the window spans everything),
-    sets k one less than the column of the last box in the projected
-    Richardson tableau, and r the rank bound of the projected shape at k.
-    Returns (top-right r x r corner of x_R^k, k, r).
-    """
+def _remark_minor(
+    d: HypersurfaceDescriptor,
+) -> tuple[HypersurfaceDescriptor, PolyMatrix, int, int]:
+    """remark_minor, plus the descriptor of the projected problem."""
     a, b = d.window
     dw = classify_hypersurface(project(d.tableau, a, b))
     if dw is None:
@@ -482,7 +450,18 @@ def remark_minor(d: HypersurfaceDescriptor) -> tuple[PolyMatrix, int, int]:
     k = lam.part(dw.thickness) - 1
     r = rank_bound(lam, k)
     corner = generic_richardson_matrix(dw.tau, dw.n).power(k).top_right(r)
-    return corner, k, r
+    return dw, corner, k, r
+
+
+def remark_minor(d: HypersurfaceDescriptor) -> tuple[PolyMatrix, int, int]:
+    """Symbolic minor matching the generator on the projected problem.
+
+    Projects the descriptor to its window (so the window spans everything),
+    sets k one less than the column of the last box in the projected
+    Richardson tableau, and r the rank bound of the projected shape at k.
+    Returns (top-right r x r corner of x_R^k, k, r).
+    """
+    return _remark_minor(d)[1:]
 
 
 def remark_check(
@@ -500,10 +479,7 @@ def remark_check(
     asks that the interior chains of the projected Richardson tableau all
     be shorter, or all longer, than the thickness.
     """
-    corner, k, r = remark_minor(d)
-    a, b = d.window
-    dw = classify_hypersurface(project(d.tableau, a, b))
-    assert dw is not None
+    dw, corner, _, _ = _remark_minor(d)
     f = generator_report(dw).f
     det_m = determinant(corner)
 

@@ -2,15 +2,18 @@
 
 The oracles trade speed for transparency: all_syt builds every standard
 tableau by recursion on the largest entry, leibniz_det expands a
-determinant as a sum over all permutations. Both choke past small sizes,
-which is the point; they exist only to cross-check the fast code.
+determinant as a sum over all permutations, minor_rank looks for the
+largest nonzero minor, and naive_power_rank re-multiplies the powers of
+every window from scratch. They choke past small sizes, which is the
+point; they exist only to cross-check the fast code.
 """
 
 import re
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
+from math import prod
 
-from orbital import MultiPoly, PolyMatrix, StandardTableau
+from orbital import MultiPoly, PolyMatrix, StandardTableau, projected_shape
 
 
 def pytest_runtest_logreport(report):
@@ -82,3 +85,71 @@ def leibniz_det(m: PolyMatrix) -> MultiPoly:
 
 def same_up_to_sign(p: MultiPoly, q: MultiPoly) -> bool:
     return p == q or p == -q
+
+
+def minor_rank(rows, p=None) -> int:
+    """Size of the largest nonzero minor. Each minor is an exact integer
+    Leibniz determinant, reduced mod p unless p is None (the rationals).
+    If every k x k minor vanishes, so does every larger one."""
+
+    def minor(rs, cs) -> int:
+        det = 0
+        for perm in permutations(range(len(rs))):
+            term = prod(rows[r][cs[c]] for r, c in zip(rs, perm))
+            if term:
+                det += perm_sign(perm) * term
+        return det % p if p else det
+
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    rank = 0
+    for k in range(1, min(nr, nc) + 1):
+        if not any(
+            minor(rs, cs)
+            for rs in combinations(range(nr), k)
+            for cs in combinations(range(nc), k)
+        ):
+            break
+        rank = k
+    return rank
+
+
+def naive_mat_mul(a, b, p=None):
+    n = len(a)
+    out = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[v % p for v in row] for row in out] if p else out
+
+
+def naive_jordan_parts(rows, p=None) -> tuple[int, ...]:
+    """Jordan type of a nilpotent matrix: k-th column of the partition is
+    rank(X^(k-1)) - rank(X^k), with every power multiplied out."""
+    n = len(rows)
+    ranks = [n]
+    cur = rows
+    while ranks[-1]:
+        ranks.append(minor_rank(cur, p))
+        cur = naive_mat_mul(cur, rows, p)
+    cols = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+    return tuple(sum(1 for c in cols if c >= i) for i in range(1, cols[0] + 1))
+
+
+def naive_power_rank(rows, t: StandardTableau, p=None) -> list[tuple[int, ...]]:
+    """(i, j, k, rank, bound) for every window [i, j] and power k whose
+    rank exceeds the boxes of t's projected shape beyond column k; each
+    window's powers are multiplied out on their own."""
+    n = len(rows)
+    out = []
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            sub = [list(row[i - 1 : j]) for row in rows[i - 1 : j]]
+            parts = projected_shape(t, i, j).parts
+            cur = sub
+            for k in range(1, j - i + 2):
+                r = minor_rank(cur, p)
+                if r == 0:
+                    break
+                bound = sum(part - k for part in parts if part > k)
+                if r > bound:
+                    out.append((i, j, k, r, bound))
+                cur = naive_mat_mul(cur, sub, p)
+    return out

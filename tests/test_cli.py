@@ -1,6 +1,7 @@
 """End-to-end runs of the orbital CLI through main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -148,6 +149,43 @@ def test_project_text_with_steps(tmp_path, capsys):
     assert "| 1 | 3 |" in out
 
 
+PROJECT_STEPS_GOLDEN = """\
+projection to [2, 10]
+after removing the largest box:
++----+----+----+----+----+----+----+----+----+
+|  1 |  3 |  4 |  5 |  6 |  7 |  8 |  9 | 10 |
++----+----+----+----+----+----+----+----+----+
+|  2 |
++----+
++----+----+----+----+----+----+----+----+----+
+|    |  3 |  4 |  5 |  6 |  7 |  8 |  9 | 10 |
++----+----+----+----+----+----+----+----+----+
+|  2 |
++----+
++----+----+----+----+----+----+----+----+----+
+|  2 |  3 |  4 |  5 |  6 |  7 |  8 |  9 | 10 |
++----+----+----+----+----+----+----+----+----+
+|    |
++----+
+after the slide, relabelled:
++---+---+---+---+---+---+---+---+---+
+| 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 9 |
++---+---+---+---+---+---+---+---+---+
++---+---+---+---+---+---+---+---+---+
+| 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 9 |
++---+---+---+---+---+---+---+---+---+
+"""
+
+
+def test_project_text_steps_golden(tmp_path, capsys):
+    # two-digit labels, one removal and one slide; the hole grids share the
+    # width of the tableau they were cut from
+    path = write_tableau(tmp_path, "t.json", [[1, 3, 4, 5, 6, 7, 8, 9, 10, 11], [2]])
+    code, out, _ = run(capsys, "project", "--tableau", path, "-i", "2", "-j", "10", "--steps")
+    assert code == 0
+    assert out == PROJECT_STEPS_GOLDEN
+
+
 def test_project_json_steps(tmp_path, capsys):
     path = write_tableau(tmp_path, "t.json", [[1, 2], [3, 4], [5, 6]])
     code, out, _ = run(
@@ -213,3 +251,41 @@ def test_verify_rejects_bad_primes(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--nmax", "4", "--trials", "2"])
     assert exc.value.code == 2
+
+
+def test_verify_prime_check_is_fast_and_exact(capsys):
+    # 10**18 + 9 is prime; trial division up to its square root would hang
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "verify", "--nmax", "4", "--trials", "1", "--prime", str(10**18 + 9), "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["primes"] == [10**18 + 9]
+    assert time.perf_counter() - start < 10
+    # a semiprime near 10**18, and a strong pseudoprime to the bases 2, 3, 5, 7
+    for composite in ((10**9 + 7) * (10**9 + 9), 3215031751):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--nmax", "4", "--trials", "1", "--prime", str(composite)])
+        assert exc.value.code == 2
+
+
+def test_verify_rejects_moduli_from_2_64(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--nmax", "4", "--trials", "1", "--prime", str(2**64 + 13)])
+    assert exc.value.code == 2
+    assert "below 2**64" in capsys.readouterr().err
+    monkeypatch.setenv("ORBITAL_PRIME", str(2**64))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--nmax", "4", "--trials", "1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags", [("--trials", "-3"), ("--trials", "0"), ("--nmax", "-2"), ("--nmax", "0")]
+)
+def test_verify_rejects_counts_below_one(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *flags])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert f"{flags[0]} must be at least 1" in err

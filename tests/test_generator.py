@@ -1,10 +1,13 @@
 """Window matrices, the determinant ladder m_j, the generator f, p_V."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbital import (
     BadWindow,
+    InconsistentIndexing,
     WeightVector,
     char_poly,
     classify_hypersurface,
@@ -141,6 +144,14 @@ def test_char_poly_twelve_box():
     )
     assert len(cp.factors) == 66 - 57 == 9
 
+
+
+def test_char_poly_rejects_factor_count_off_codimension():
+    # the Richardson tableau's component is one dimension larger, so the
+    # descriptor's factors overshoot its codimension by one
+    d = classify_hypersurface(tab(*SIX_BOX))
+    with pytest.raises(InconsistentIndexing, match="3 factors but the codimension is 2"):
+        char_poly(replace(d, tableau=d.richardson), generator_report(d))
 
 @st.composite
 def descriptors(draw, max_n=6):

@@ -1,5 +1,7 @@
 """Finite-field probes: ranks, Jordan types, samplers, the conjecture checks."""
 
+import random
+
 import pytest
 
 from orbital import (
@@ -13,6 +15,7 @@ from orbital import (
     check_power_rank,
     classify_hypersurface,
     determinant,
+    find_word_for_tableau,
     generator_report,
     jordan_type,
     matrix_rank,
@@ -25,7 +28,16 @@ from orbital import (
     verify_conjecture,
     x,
 )
-from conftest import FIVE_BOX, NINE_BOX, SIX_BOX, tab
+from conftest import (
+    FIVE_BOX,
+    NINE_BOX,
+    SIX_BOX,
+    all_syt,
+    minor_rank,
+    naive_jordan_parts,
+    naive_power_rank,
+    tab,
+)
 
 
 def nilpotent_blocks(*sizes: int, prime=None) -> FieldMatrix:
@@ -94,6 +106,42 @@ def test_check_power_rank():
     assert violations
     assert all(isinstance(v, Violation) and v.rank > v.bound for v in violations)
 
+
+
+def _probe_matrices(t, rng):
+    """A point of the span of t's word (inside the variety's closure), a
+    sparse and a dense random strictly upper matrix; small integer entries."""
+    n = t.n
+    w = find_word_for_tableau(t)
+    fills = (
+        lambda a, b: w(a + 1) < w(b + 1),
+        lambda a, b: rng.random() < 0.3,
+        lambda a, b: True,
+    )
+    for fill in fills:
+        yield [
+            [rng.randint(-3, 3) if a < b and fill(a, b) else 0 for b in range(n)]
+            for a in range(n)
+        ]
+
+
+@pytest.mark.parametrize("p", [7, None])
+def test_kernel_matches_naive_oracles(p):
+    rng = random.Random(f"kernel:{p}")
+    consistent = violating = 0
+    for n in range(1, 6):
+        for t in all_syt(n):
+            for rows in _probe_matrices(t, rng):
+                m = FieldMatrix(tuple(map(tuple, rows)), p)
+                assert matrix_rank(m) == minor_rank(rows, p)
+                assert jordan_type(m).parts == naive_jordan_parts(rows, p)
+                expected = naive_power_rank(rows, t, p)
+                assert [tuple(v) for v in check_power_rank(m, t)] == expected
+                if expected:
+                    violating += 1
+                else:
+                    consistent += 1
+    assert consistent > 50 and violating > 50
 
 def test_check_power_rank_not_applicable():
     with pytest.raises(NotApplicable):
