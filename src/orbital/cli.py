@@ -262,9 +262,12 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     if args.trials < 1:
         parser.error(f"--trials must be at least 1, got {args.trials}")
     primes = _resolve_primes(parser, args.prime)
+    descriptors = list(iter_descriptors(args.nmax))
+    if not descriptors:
+        parser.error(f"no hypersurface descriptor has n <= {args.nmax}")
     reports = []
     necessity_failures = 0
-    for d in iter_descriptors(args.nmax):
+    for d in descriptors:
         rep = verify_conjecture(d, trials=args.trials, seed=args.seed, primes=primes)
         reports.append((d, rep))
         if not rep.necessity_ok:

@@ -28,7 +28,8 @@ class RaggedShape(TableauError):
 
 
 class SizeMismatch(OrbitalError):
-    """A partition's size disagrees with the ambient matrix size."""
+    """Two partitions that must agree do not, or a partition's size
+    disagrees with the ambient matrix size."""
 
 
 class NotRichardson(OrbitalError):
@@ -38,7 +39,7 @@ class NotRichardson(OrbitalError):
 # -- word search -------------------------------------------------------------
 
 class BoundExceeded(OrbitalError):
-    """Tableau too large for the exhaustive word search."""
+    """Tableau too large for the exhaustive lex-min word search."""
 
 
 # -- projections -------------------------------------------------------------
@@ -76,7 +77,9 @@ class BadWindow(OrbitalError):
 
 
 class InconsistentIndexing(OrbitalError):
-    """Lowest surviving t-coefficient disagrees with the predicted index."""
+    """A computed index disagrees with the one the construction predicts,
+    such as the lowest surviving t-power of a window determinant or the
+    column of a new box in row insertion."""
 
 
 # -- classification and sampling ---------------------------------------------

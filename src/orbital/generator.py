@@ -20,7 +20,6 @@ from functools import lru_cache
 from .errors import BadWindow, InconsistentIndexing
 from .hypersurface import HypersurfaceDescriptor
 from .polyalg import (
-    T_VAR,
     MultiPoly,
     PolyMatrix,
     WeightVector,
@@ -114,8 +113,9 @@ class GeneratorReport:
 
 
 def _window_ladder(tau, n: int, window: tuple[int, int], thickness: int, richardson):
-    """Window determinant, l(lambda) over the Richardson tableau's shape,
-    and the ladder of (j, m_j) for j = thickness .. size-thickness."""
+    """l(lambda) over the Richardson tableau's shape, and the ladder of
+    (j, m_j) for j = thickness .. size-thickness. The ladder covers every
+    power of t in the window determinant, t^0 .. t^(size-2*thickness)."""
     a, b = window
     size = b - a + 1
     det = determinant(cmin_window(tau, n, window, thickness))
@@ -125,7 +125,7 @@ def _window_ladder(tau, n: int, window: tuple[int, int], thickness: int, richard
         (j, t_coefficient(det, size - thickness - j))
         for j in range(thickness, size - thickness + 1)
     )
-    return det, l_lambda, ladder
+    return l_lambda, ladder
 
 
 @lru_cache(maxsize=None)
@@ -140,14 +140,13 @@ def generator_report(d: HypersurfaceDescriptor) -> GeneratorReport:
     a, b = d.window
     size = b - a + 1
     i_thick = d.thickness
-    det, l_lambda, m_sequence = _window_ladder(
+    l_lambda, m_sequence = _window_ladder(
         d.tau, d.n, d.window, i_thick, d.richardson
     )
-    if det.is_zero:
+    nonzero = [j for j, m in m_sequence if not m.is_zero]
+    if not nonzero:
         raise InconsistentIndexing("window determinant vanished identically")
-    lowest = min(
-        next((e for v, e in mono if v == T_VAR), 0) for mono in det.terms
-    )
+    lowest = size - i_thick - max(nonzero)
     if lowest != size - i_thick - l_lambda:
         raise InconsistentIndexing(
             f"lowest surviving t-power {lowest} but l(lambda)={l_lambda} "
@@ -173,7 +172,7 @@ def lemma2_threshold(
     The expected pattern is nonzero up to l(lambda) and zero beyond it.
     """
     tau = _as_tau(tau, n)
-    _, l_lambda, ladder = _window_ladder(
+    l_lambda, ladder = _window_ladder(
         tau, n, window, thickness, richardson_tableau(tau, n)
     )
     return l_lambda, [(j, m.is_zero) for j, m in ladder]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import BadRange, TooSmall
+from .errors import BadRange, InconsistentIndexing, TooSmall
 from .tableaux import Partition, StandardTableau, validate_syt
 
 Grid = tuple[tuple[int | None, ...], ...]
@@ -25,7 +25,10 @@ def remove_largest(t: StandardTableau) -> StandardTableau:
         raise TooSmall("cannot remove from a single-box tableau")
     r, c = t.position(t.n)
     rows = [list(row) for row in t.rows]
-    assert rows[r - 1][-1] == t.n and c == len(rows[r - 1])
+    if c != len(rows[r - 1]):
+        raise InconsistentIndexing(
+            f"largest label {t.n} sits in column {c}, not at its row's end"
+        )
     rows[r - 1].pop()
     if not rows[r - 1]:
         rows.pop(r - 1)
@@ -63,7 +66,10 @@ def strip_first_steps(t: StandardTableau) -> tuple[StandardTableau, list[Grid]]:
         rows[r][c] = None
         snap()
     # hole has reached an outer corner, necessarily the end of its row
-    assert c == len(rows[r]) - 1
+    if c != len(rows[r]) - 1:
+        raise InconsistentIndexing(
+            f"slide stopped in column {c + 1}, not at its row's end"
+        )
     rows[r].pop()
     if not rows[r]:
         rows.pop(r)

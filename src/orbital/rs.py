@@ -1,23 +1,28 @@
-"""Robinson-Schensted correspondence and the inverse word search.
+"""Robinson-Schensted correspondence, its inverse, and the word search.
 
 rs_pair implements classical row insertion: the word w(1), ..., w(n) is
 inserted left to right, bumping along rows; the insertion tableau collects
 the values and the recording tableau collects the order in which boxes
-appear. The pair (insertion, recording) determines w uniquely.
+appear. The pair (insertion, recording) determines w uniquely, and
+rs_inverse recovers it by reverse row insertion in O(n^2).
 
-find_word_for_tableau inverts the recording side: it returns the
-lexicographically smallest permutation whose recording tableau is T. That
-word picks out a concrete dense subset of the orbital variety labelled by T,
-which the finite-field sampling layer conjugates into position.
+The involution w = rs_inverse(T, T) has insertion and recording tableau
+both equal to T, so it is a word for T under either convention. Its span of
+positions (a, b) with w(a) < w(b) meets the orbital variety labelled by T
+densely, which is what the finite-field sampling layer conjugates into
+position.
+
+find_word_for_tableau answers a different question: the lexicographically
+smallest permutation whose recording tableau is T. It is an exhaustive
+search, capped at WORD_SEARCH_BOUND boxes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import BoundExceeded
+from .errors import BoundExceeded, InconsistentIndexing, SizeMismatch
 from .tableaux import StandardTableau
 
 WORD_SEARCH_BOUND = 8
@@ -76,27 +81,52 @@ def rs_pair(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
         if r > len(rec):
             rec.append([])
         rec[r - 1].append(step)
-        assert len(rec[r - 1]) == c
+        if len(rec[r - 1]) != c:
+            raise InconsistentIndexing(
+                f"step {step} recorded in column {len(rec[r - 1])}, inserted in column {c}"
+            )
     return (
         StandardTableau(tuple(tuple(row) for row in ins)),
         StandardTableau(tuple(tuple(row) for row in rec)),
     )
 
 
-@lru_cache(maxsize=None)
-def find_word_for_tableau(t: StandardTableau, bound: int = WORD_SEARCH_BOUND) -> Permutation:
+def rs_inverse(p: StandardTableau, q: StandardTableau) -> Permutation:
+    """The word with insertion tableau p and recording tableau q.
+
+    Reverse row insertion: for step = n down to 1, the box q labels step
+    ends its row; pop that box's value out of p and bump it up through the
+    rows above, each time displacing the largest entry smaller than it.
+    The value leaving the first row is w(step). Raises SizeMismatch when
+    the shapes differ.
+    """
+    if p.shape != q.shape:
+        raise SizeMismatch(f"insertion shape {p.shape} vs recording shape {q.shape}")
+    rows = [list(row) for row in p.rows]
+    images = [0] * p.n
+    for step in range(p.n, 0, -1):
+        r, _ = q.position(step)
+        value = rows[r - 1].pop()
+        for row in reversed(rows[: r - 1]):
+            idx = bisect_left(row, value) - 1
+            value, row[idx] = row[idx], value
+        images[step - 1] = value
+    return Permutation(tuple(images))
+
+
+def find_word_for_tableau(t: StandardTableau) -> Permutation:
     """Lexicographically smallest w whose recording tableau is t.
 
     Depth-first search over prefixes: at step k every unused value is tried
     in increasing order, and a branch survives only if inserting the value
     creates the new box exactly where t holds the label k. The first
-    complete word found is therefore the lex-smallest. The recording
-    constraint prunes hard enough that n <= 8 resolves instantly; larger
-    tableaux raise BoundExceeded rather than risk a blowup.
+    complete word found is therefore the lex-smallest. The search grows
+    about threefold per box, so tableaux with more than WORD_SEARCH_BOUND
+    boxes raise BoundExceeded; rs_inverse gives some word for any size.
     """
     n = t.n
-    if n > bound:
-        raise BoundExceeded(f"word search capped at n <= {bound}, got {n}")
+    if n > WORD_SEARCH_BOUND:
+        raise BoundExceeded(f"word search capped at n <= {WORD_SEARCH_BOUND}, got {n}")
     rows: list[list[int]] = []
     used = [False] * (n + 1)
     word: list[int] = []

@@ -8,8 +8,9 @@ span (non-degeneracy), and points of the hypersurface f = 0 inside the
 span look like the component (matching Jordan type and window rank
 bounds, a sufficiency surrogate).
 
-Points of the component come from the Robinson-Schensted word: with
-B(w) = T the span of positions (a, b) with w(a) < w(b) meets the
+Points of the component come from a Robinson-Schensted word: for the
+involution w = rs_inverse(T, T), whose insertion and recording tableaux
+are both T, the span of positions (a, b) with w(a) < w(b) meets the
 component densely, and conjugating a random such point by a random
 invertible upper triangular matrix lands in general position.
 """
@@ -30,9 +31,9 @@ from .errors import (
 )
 from .generator import generator_report, generic_richardson_matrix
 from .hypersurface import HypersurfaceDescriptor, classify_hypersurface
-from .polyalg import PolyMatrix, _var_key, determinant, poly_eval, weight_of
+from .polyalg import PolyMatrix, _var_key, _var_str, determinant, poly_eval, weight_of
 from .projections import project, projected_shape
-from .rs import find_word_for_tableau
+from .rs import rs_inverse
 from .tableaux import Partition, StandardTableau, chains, dual_partition
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1
@@ -231,12 +232,13 @@ def sample_variety_point(
 ) -> FieldMatrix:
     """Random point of the orbital variety labelled by t, over GF(prime).
 
-    Takes the lexicographically smallest word w with recording tableau t,
-    fills the positions (a, b) with w(a) < w(b) uniformly, and conjugates
-    by a random invertible upper triangular matrix. The result is strictly
-    upper triangular with Jordan type at most shape(t), equal generically.
+    Takes the involution w = rs_inverse(t, t), whose insertion and
+    recording tableaux are both t, fills the positions (a, b) with
+    w(a) < w(b) uniformly, and conjugates by a random invertible upper
+    triangular matrix. The result is strictly upper triangular with Jordan
+    type at most shape(t), equal generically.
     """
-    w = find_word_for_tableau(t)
+    w = rs_inverse(t, t)
     n = t.n
     rng = random.Random(f"variety:{seed}:{prime}")
     u = [[0] * n for _ in range(n)]
@@ -273,9 +275,14 @@ def sample_hypersurface_point(
     variable: f is multilinear, so any variable whose linear coefficient
     is nonzero at the draw can absorb the constraint. Draws where every
     coefficient degenerates are rejected; fifty straight rejections raise
-    DegenerateSample.
+    DegenerateSample. A variable of degree above one in f raises
+    NotApplicable.
     """
     f = generator_report(d).f
+    for mono in f.terms:
+        for v, e in mono:
+            if e != 1:
+                raise NotApplicable(f"f is not multilinear: {_var_str(v)} has degree {e}")
     free = _free_positions(d)
     fvars = f.variables()
     rng = random.Random(f"hyper:{seed}:{prime}")
@@ -287,12 +294,11 @@ def sample_hypersurface_point(
             for mono, c in f.terms.items():
                 coeff = c % prime
                 hit = False
-                for v, e in mono:
+                for v, _ in mono:
                     if v == var:
-                        assert e == 1, "window determinants are multilinear"
                         hit = True
                     else:
-                        coeff = coeff * pow(vals[v], e, prime) % prime
+                        coeff = coeff * vals[v] % prime
                 if hit:
                     g = (g + coeff) % prime
                 else:

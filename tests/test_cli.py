@@ -289,3 +289,14 @@ def test_verify_rejects_counts_below_one(capsys, flags):
     assert exc.value.code == 2
     _, err = capsys.readouterr()
     assert f"{flags[0]} must be at least 1" in err
+
+
+@pytest.mark.parametrize("nmax", ["1", "3"])
+def test_verify_rejects_nmax_without_descriptors(capsys, nmax):
+    # the smallest hypersurface descriptor has n = 4
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--nmax", nmax])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"no hypersurface descriptor has n <= {nmax}" in err

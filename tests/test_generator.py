@@ -8,13 +8,16 @@ from hypothesis import given, settings, strategies as st
 from orbital import (
     BadWindow,
     InconsistentIndexing,
+    MultiPoly,
     WeightVector,
     char_poly,
     classify_hypersurface,
     cmin_window,
+    determinant,
     generator_report,
     generic_richardson_matrix,
     hypersurface_descendants,
+    iter_descriptors,
     lemma2_threshold,
     richardson_tableau,
     t_poly,
@@ -109,6 +112,27 @@ def test_generator_report_five_box():
 def test_generator_report_is_cached():
     d = classify_hypersurface(tab(*SIX_BOX))
     assert generator_report(d) is generator_report(d)
+
+
+def test_ladder_covers_every_power_of_t():
+    # the lowest surviving t-power is read off the ladder; check it, and
+    # that the ladder holds every term, against the expanded determinant
+    for d in iter_descriptors(8):
+        a, b = d.window
+        det = determinant(cmin_window(d.tau, d.n, d.window, d.thickness))
+        lowest = min(next((e for v, e in mono if v == "t"), 0) for mono in det.terms)
+        rep = generator_report(d)
+        assert sum(len(m.terms) for _, m in rep.m_sequence) == len(det.terms)
+        assert lowest == b - a + 1 - d.thickness - rep.l_lambda
+
+
+def test_generator_report_inconsistent_indexing(monkeypatch):
+    d = classify_hypersurface(tab(*SIX_BOX))
+    with pytest.raises(InconsistentIndexing, match="lowest surviving t-power 2 but"):
+        generator_report(replace(d, richardson=d.tableau))
+    monkeypatch.setattr("orbital.generator.determinant", lambda _: MultiPoly.zero())
+    with pytest.raises(InconsistentIndexing, match="vanished identically"):
+        generator_report.__wrapped__(d)
 
 
 def test_lemma2_threshold_golden():

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from orbital import (
     BadRange,
+    InconsistentIndexing,
+    StandardTableau,
     TooSmall,
     project,
     projected_shape,
@@ -25,6 +27,12 @@ def test_remove_largest_golden():
 def test_remove_largest_too_small():
     with pytest.raises(TooSmall):
         remove_largest(tab((1,)))
+
+
+def test_remove_largest_checks_the_largest_box_ends_its_row():
+    # StandardTableau does not validate; remove_largest still refuses
+    with pytest.raises(InconsistentIndexing, match="largest label 3 sits in column 2"):
+        remove_largest(StandardTableau(((1, 3, 2),)))
 
 
 def test_strip_first_golden():

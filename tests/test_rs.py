@@ -1,4 +1,4 @@
-"""Row insertion, the insertion/recording pair, and the inverse search."""
+"""Row insertion, the insertion/recording pair, its inverse, and the word search."""
 
 from itertools import permutations
 
@@ -8,11 +8,13 @@ from hypothesis import given, strategies as st
 from orbital import (
     BoundExceeded,
     Permutation,
+    SizeMismatch,
     find_word_for_tableau,
+    rs_inverse,
     rs_pair,
     tau_invariant,
 )
-from conftest import SIX_BOX, all_syt, tab
+from conftest import NINE_BOX, SIX_BOX, all_syt, tab
 
 
 def test_permutation_basics():
@@ -92,9 +94,36 @@ def test_find_word_is_lex_minimal():
 
 
 def test_find_word_bound():
-    t = tab((1, 2, 3), (4,))
+    # the exhaustive search stops at eight boxes; rs_inverse has no cap
+    t = tab(*NINE_BOX)
     with pytest.raises(BoundExceeded):
-        find_word_for_tableau(t, bound=3)
+        find_word_for_tableau(t)
+    assert rs_pair(rs_inverse(t, t)) == (t, t)
+
+
+def test_rs_inverse_inverts_rs_pair():
+    for n in range(1, 8):
+        for images in permutations(range(1, n + 1)):
+            w = Permutation(images)
+            assert rs_inverse(*rs_pair(w)) == w
+
+
+def test_rs_inverse_involution_has_both_tableaux():
+    for n in range(1, 9):
+        for t in all_syt(n):
+            assert rs_pair(rs_inverse(t, t)) == (t, t)
+
+
+def test_rs_inverse_golden():
+    p, q = tab((1, 3, 5), (2, 4, 6)), tab(*SIX_BOX)
+    assert str(rs_inverse(p, q)) == "[2 4 1 6 3 5]"
+
+
+def test_rs_inverse_rejects_shape_mismatch():
+    with pytest.raises(SizeMismatch):
+        rs_inverse(tab((1, 2), (3,)), tab((1,), (2,), (3,)))
+    with pytest.raises(SizeMismatch):
+        rs_inverse(tab((1, 2)), tab((1, 2, 3)))
 
 
 def test_recording_tableau_reads_off_descents():

@@ -1,6 +1,7 @@
 """Finite-field probes: ranks, Jordan types, samplers, the conjecture checks."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +18,7 @@ from orbital import (
     determinant,
     find_word_for_tableau,
     generator_report,
+    iter_descriptors,
     jordan_type,
     matrix_rank,
     poly_eval,
@@ -162,6 +164,25 @@ def test_sample_variety_point_properties():
     assert sample_variety_point(t, 1).rows != sample_variety_point(t, 2).rows
 
 
+def test_sample_variety_point_on_every_small_tableau():
+    # generic points of V_T have Jordan type shape(T) and meet every window
+    # bound; a word with the wrong tableau convention fails this on most T
+    for n in range(1, 8):
+        for t in all_syt(n):
+            for seed in range(2):
+                pt = sample_variety_point(t, seed)
+                assert check_power_rank(pt, t) == []
+                assert jordan_type(pt) == t.shape
+
+
+def test_sample_hypersurface_point_needs_multilinear_f(monkeypatch):
+    d = classify_hypersurface(tab(*FIVE_BOX))
+    fake = SimpleNamespace(f=x(1, 2) * x(1, 2) + x(1, 3))
+    monkeypatch.setattr("orbital.verify.generator_report", lambda _: fake)
+    with pytest.raises(NotApplicable, match="x12 has degree 2"):
+        sample_hypersurface_point(d, 0)
+
+
 def test_sample_hypersurface_point_properties():
     d = classify_hypersurface(tab(*SIX_BOX))
     f = generator_report(d).f
@@ -203,6 +224,14 @@ def test_verify_conjecture_custom_prime():
     rep = verify_conjecture(d, trials=4, seed=1, primes=(1000003,))
     assert rep.primes == (1000003,)
     assert rep.necessity_ok
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_verify_conjecture_past_eight_boxes(n):
+    sized = [d for d in iter_descriptors(n) if d.n == n]
+    for d in (sized[0], sized[-1]):
+        rep = verify_conjecture(d, trials=2)
+        assert rep.necessity_ok, rep.failures
 
 
 def test_remark_minor_nine_box():
