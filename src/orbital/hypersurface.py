@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .errors import ClassificationError, NotApplicable, NotRichardson, TableauError
+from .errors import (
+    ClassificationError,
+    InconsistentIndexing,
+    NotApplicable,
+    NotRichardson,
+    TableauError,
+)
 from .tableaux import (
     Chain,
     StandardTableau,
@@ -74,7 +80,10 @@ def _dropped_tableau(t_r: StandardTableau, chain: Chain) -> StandardTableau | No
     """Move the chain's largest box down one row, or None if not standard."""
     box = chain.hi
     r = t_r.row_of(box)
-    assert r == chain.length, "chain tail must sit in the row of its length"
+    if r != chain.length:
+        raise InconsistentIndexing(
+            f"chain tail {box} sits in row {r}, not in row {chain.length}"
+        )
     rows = [list(row) for row in t_r.rows]
     rows[r - 1].remove(box)
     if r == len(rows):

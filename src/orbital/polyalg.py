@@ -378,24 +378,26 @@ def weight_of(p: MultiPoly, rank: int | None = None) -> WeightVector:
     if rank is None:
         cols = [v[1] for v in p.variables() if v != T_VAR]
         rank = max(cols, default=1) - 1
-    wt: tuple[int, ...] | None = None
-    for mono in p.terms:
-        coords = [0] * rank
-        for var, e in mono:
-            if var == T_VAR:
-                continue
-            i, j = var  # type: ignore[misc]
-            if not 1 <= i < j <= rank + 1:
-                raise ValueError(f"variable {_var_str(var)} outside rank {rank}")
-            for a in range(i, j):
-                coords[a - 1] += e
-        vec = tuple(coords)
-        if wt is None:
-            wt = vec
-        elif wt != vec:
+    monos = iter(p.terms)
+    wt = _mono_weight(next(monos), rank)
+    for mono in monos:
+        vec = _mono_weight(mono, rank)
+        if wt != vec:
             raise NotHomogeneousWeight(f"monomial weights differ: {wt} vs {vec}")
-    assert wt is not None
     return WeightVector(wt)
+
+
+def _mono_weight(mono: Monomial, rank: int) -> tuple[int, ...]:
+    coords = [0] * rank
+    for var, e in mono:
+        if var == T_VAR:
+            continue
+        i, j = var  # type: ignore[misc]
+        if not 1 <= i < j <= rank + 1:
+            raise ValueError(f"variable {_var_str(var)} outside rank {rank}")
+        for a in range(i, j):
+            coords[a - 1] += e
+    return tuple(coords)
 
 
 # -- symbolic matrices ------------------------------------------------------------

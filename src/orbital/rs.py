@@ -152,6 +152,8 @@ def find_word_for_tableau(t: StandardTableau) -> Permutation:
             rows[:] = snapshot
         return False
 
-    found = attempt(1)
-    assert found, "every standard tableau is a recording tableau"
+    if not attempt(1):
+        raise InconsistentIndexing(
+            f"no word has recording tableau {t.rows}; is it standard?"
+        )
     return Permutation(tuple(word))

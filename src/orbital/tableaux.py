@@ -114,7 +114,7 @@ class StandardTableau:
     def n(self) -> int:
         return sum(len(r) for r in self.rows)
 
-    @property
+    @cached_property
     def shape(self) -> Partition:
         return Partition(tuple(len(r) for r in self.rows))
 

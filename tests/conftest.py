@@ -3,9 +3,10 @@
 The oracles trade speed for transparency: all_syt builds every standard
 tableau by recursion on the largest entry, leibniz_det expands a
 determinant as a sum over all permutations, minor_rank looks for the
-largest nonzero minor, and naive_power_rank re-multiplies the powers of
-every window from scratch. They choke past small sizes, which is the
-point; they exist only to cross-check the fast code.
+largest nonzero minor, naive_power_rank re-multiplies the powers of
+every window from scratch, and sliced_power_rank ranks every window of
+every power on its own. They choke past small sizes, which is the point;
+they exist only to cross-check the fast code.
 """
 
 import re
@@ -13,7 +14,14 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import prod
 
-from orbital import MultiPoly, PolyMatrix, StandardTableau, projected_shape
+from orbital import (
+    FieldMatrix,
+    MultiPoly,
+    PolyMatrix,
+    StandardTableau,
+    matrix_rank,
+    projected_shape,
+)
 
 
 def pytest_runtest_logreport(report):
@@ -152,4 +160,27 @@ def naive_power_rank(rows, t: StandardTableau, p=None) -> list[tuple[int, ...]]:
                 if r > bound:
                     out.append((i, j, k, r, bound))
                 cur = naive_mat_mul(cur, sub, p)
+    return out
+
+
+def sliced_power_rank(rows, t: StandardTableau, p=None) -> list[tuple[int, ...]]:
+    """naive_power_rank's list, from the powers of the whole strictly upper
+    matrix: each window [i, j] of each X^k is sliced out and ranked on its
+    own with matrix_rank, one elimination per window and power."""
+    n = len(rows)
+    powers = [rows]
+    while len(powers) < n:
+        powers.append(naive_mat_mul(powers[-1], rows, p))
+    out = []
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            parts = projected_shape(t, i, j).parts
+            for k, xk in enumerate(powers[: j - i + 1], start=1):
+                corner = tuple(tuple(row[i - 1 : j]) for row in xk[i - 1 : j])
+                r = matrix_rank(FieldMatrix(corner, p))
+                if r == 0:
+                    break
+                bound = sum(part - k for part in parts if part > k)
+                if r > bound:
+                    out.append((i, j, k, r, bound))
     return out

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orbital import (
+    Chain,
+    InconsistentIndexing,
     NotApplicable,
     classify_hypersurface,
     hypersurface_descendants,
@@ -38,6 +40,14 @@ def test_unique_descendant_golden():
     assert d.descriptor_id == "n=8 tau={2,3,7} drop=5"
     assert variety_dim(d.richardson.shape, 8) == 24
     assert variety_dim(d.tableau.shape, 8) == 23
+
+
+def test_chain_tail_off_its_row_is_typed_error(monkeypatch):
+    # box 2 sits in row 1 of EIGHT_RICH, so a chain {1,2} of length 2
+    # contradicts the Richardson layout
+    monkeypatch.setattr("orbital.hypersurface.chains", lambda _: [Chain(1, 2)])
+    with pytest.raises(InconsistentIndexing, match="chain tail 2 sits in row 1, not in row 2"):
+        hypersurface_descendants(tab(*EIGHT_RICH))
 
 
 def test_descriptor_json():

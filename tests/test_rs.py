@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from orbital import (
     BoundExceeded,
+    InconsistentIndexing,
     Permutation,
     SizeMismatch,
     find_word_for_tableau,
@@ -99,6 +100,13 @@ def test_find_word_bound():
     with pytest.raises(BoundExceeded):
         find_word_for_tableau(t)
     assert rs_pair(rs_inverse(t, t)) == (t, t)
+
+
+def test_find_word_rejects_unvalidated_tableau():
+    # every standard tableau is a recording tableau; a row that decreases
+    # is not, and the search runs dry instead of returning a word
+    with pytest.raises(InconsistentIndexing, match="no word has recording tableau"):
+        find_word_for_tableau(tab((2, 1)))
 
 
 def test_rs_inverse_inverts_rs_pair():

@@ -38,6 +38,7 @@ from conftest import (
     minor_rank,
     naive_jordan_parts,
     naive_power_rank,
+    sliced_power_rank,
     tab,
 )
 
@@ -144,6 +145,37 @@ def test_kernel_matches_naive_oracles(p):
                 else:
                     consistent += 1
     assert consistent > 50 and violating > 50
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, None])
+def test_check_power_rank_matches_sliced_oracle(p):
+    # a variety point (consistent over GF(p), its integer lift mostly not
+    # over the rationals), then a sparse and a dense random strictly upper
+    # matrix, for every tableau with n <= 7
+    rng = random.Random(f"sliced:{p}")
+    consistent = violating = 0
+    for n in range(1, 8):
+        for t in all_syt(n):
+            points = [
+                sample_variety_point(t, seed=n).rows,
+                *(
+                    [
+                        [rng.randint(-3, 3) if a < b and rng.random() < fill else 0 for b in range(n)]
+                        for a in range(n)
+                    ]
+                    for fill in (0.3, 1.0)
+                ),
+            ]
+            for rows in points:
+                expected = sliced_power_rank(rows, t, p)
+                m = FieldMatrix(tuple(map(tuple, rows)), p)
+                assert [tuple(v) for v in check_power_rank(m, t)] == expected
+                if expected:
+                    violating += 1
+                else:
+                    consistent += 1
+    assert consistent > 50 and violating > 50
+
 
 def test_check_power_rank_not_applicable():
     with pytest.raises(NotApplicable):
