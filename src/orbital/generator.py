@@ -128,7 +128,7 @@ def _window_ladder(tau, n: int, window: tuple[int, int], thickness: int, richard
     return l_lambda, ladder
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def generator_report(d: HypersurfaceDescriptor) -> GeneratorReport:
     """Window determinant, coefficient ladder, and the candidate equation f.
 

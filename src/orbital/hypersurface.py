@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
@@ -55,7 +56,7 @@ class HypersurfaceDescriptor:
     def n(self) -> int:
         return self.richardson.n
 
-    @property
+    @cached_property
     def tau(self) -> TauSet:
         return tau_invariant(self.richardson)
 

@@ -255,6 +255,17 @@ class TauSet:
         """Whether alpha_u + ... + alpha_v lies in the span of the set."""
         return all(i in self.indices for i in range(u, v + 1))
 
+    @cached_property
+    def free_positions(self) -> tuple[tuple[int, int], ...]:
+        """The strictly upper positions (a, b) outside the positive roots:
+        the coordinates of the linear span m_tau."""
+        return tuple(
+            (a, b)
+            for a in range(1, self.n)
+            for b in range(a + 1, self.n + 1)
+            if not self.contains_root(a, b - 1)
+        )
+
     def __str__(self) -> str:
         return "{" + ", ".join(str(i) for i in self.sorted()) + "}"
 

@@ -21,18 +21,13 @@ import random
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
-from .errors import (
-    ClassificationError,
-    DegenerateSample,
-    NotApplicable,
-    NotHomogeneousWeight,
-    NotNilpotent,
-)
+from .errors import ClassificationError, DegenerateSample, NotApplicable, NotNilpotent
 from .generator import generator_report, generic_richardson_matrix
 from .hypersurface import HypersurfaceDescriptor, classify_hypersurface
-from .polyalg import PolyMatrix, _var_key, _var_str, determinant, poly_eval, weight_of
+from .polyalg import PolyMatrix, _var_str, determinant, poly_eval
 from .projections import project, projected_shape
 from .rs import rs_inverse
 from .tableaux import Partition, StandardTableau, chains, dual_partition
@@ -80,6 +75,20 @@ class FieldMatrix:
             for r in range(self.n)
             for c in range(0, min(r + 1, self.n))
         )
+
+    @cached_property
+    def _powers(self) -> list:
+        """[X, X^2, ..., X^m] for X = self, X^m its last nonzero power.
+        Stops at X^n, which is nonzero only when X is not nilpotent; a
+        nilpotent X costs at most n - 1 products, once per matrix."""
+        out = []
+        cur = self.rows
+        while any(map(any, cur)):
+            out.append(cur)
+            if len(out) == self.n:
+                break
+            cur = _mat_mul(cur, self.rows, self.prime)
+        return out
 
 
 # -- linear algebra over GF(p), or the rationals when p is None (hot path) ------
@@ -130,20 +139,6 @@ def _rank(rows, p: int | None) -> int:
     return rank
 
 
-def _powers(rows, p: int | None) -> list:
-    """[X, X^2, ..., X^m] for the square matrix X = rows, X^m its last
-    nonzero power. Stops at X^n, which is nonzero only when X is not
-    nilpotent; a nilpotent X costs at most n - 1 products."""
-    out = []
-    cur = rows
-    while any(map(any, cur)):
-        out.append(cur)
-        if len(out) == len(rows):
-            break
-        cur = _mat_mul(cur, rows, p)
-    return out
-
-
 def _upper_inverse(b: list[list[int]], p: int) -> list[list[int]]:
     """Inverse of an invertible upper triangular matrix mod p."""
     n = len(b)
@@ -180,7 +175,7 @@ def jordan_type(x: FieldMatrix) -> Partition:
     n = x.n
     if n == 0:
         return Partition(())
-    powers = _powers(x.rows, x.prime)
+    powers = x._powers
     ranks = [n] + [_rank(xk, x.prime) for xk in powers] + [0]
     if len(powers) == n:
         raise NotNilpotent(f"rank sequence stabilised at {ranks[-2]}")
@@ -244,7 +239,8 @@ def check_power_rank(x: FieldMatrix, t: StandardTableau) -> list[Violation]:
     [i, j]. Returns all violations (empty list = consistent with t),
     ordered by i, then j, then k.
 
-    The powers X^k are computed once, and one echelon sweep per power
+    The powers X^k are computed once per matrix (FieldMatrix._powers,
+    shared with jordan_type), and one echelon sweep per power
     gives the rank of every window at once (_window_ranks): the rows of
     X^k go in bottom-up, and after rows i..n the rank of [i, j] is the
     number of pivots <= j. Strict upper triangularity makes this exact:
@@ -261,7 +257,7 @@ def check_power_rank(x: FieldMatrix, t: StandardTableau) -> list[Violation]:
     if n != t.n:
         raise NotApplicable(f"matrix size {n} vs tableau size {t.n}")
     p = x.prime
-    ranks = [_window_ranks(xk, p) for xk in _powers(x.rows, p)]
+    ranks = [_window_ranks(xk, p) for xk in x._powers]
     out: list[Violation] = []
     for i in range(1, n + 1):
         for j in range(i, n + 1):
@@ -309,17 +305,6 @@ def sample_variety_point(
     return FieldMatrix(tuple(tuple(r) for r in x), prime)
 
 
-def _free_positions(d: HypersurfaceDescriptor) -> list[tuple[int, int]]:
-    tau = d.tau
-    n = d.n
-    return [
-        (a, b)
-        for a in range(1, n)
-        for b in range(a + 1, n + 1)
-        if not tau.contains_root(a, b - 1)
-    ]
-
-
 def sample_hypersurface_point(
     d: HypersurfaceDescriptor, seed, prime: int = DEFAULT_PRIME
 ) -> FieldMatrix:
@@ -337,36 +322,22 @@ def sample_hypersurface_point(
         for v, e in mono:
             if e != 1:
                 raise NotApplicable(f"f is not multilinear: {_var_str(v)} has degree {e}")
-    free = _free_positions(d)
+    free = d.tau.free_positions
     fvars = f.variables()
     rng = random.Random(f"hyper:{seed}:{prime}")
     for _ in range(50):
         vals = {pos: rng.randrange(prime) for pos in free}
-        solved = False
         for var in fvars:
-            g = h = 0
-            for mono, c in f.terms.items():
-                coeff = c % prime
-                hit = False
-                for v, _ in mono:
-                    if v == var:
-                        hit = True
-                    else:
-                        coeff = coeff * vals[v] % prime
-                if hit:
-                    g = (g + coeff) % prime
-                else:
-                    h = (h + coeff) % prime
+            # f = g * var + h, multilinear in var
+            h = poly_eval(f, {**vals, var: 0}, prime=prime)
+            g = (poly_eval(f, {**vals, var: 1}, prime=prime) - h) % prime
             if g:
                 vals[var] = -h * pow(g, -1, prime) % prime
-                solved = True
-                break
-        if solved:
-            n = d.n
-            rows = [[0] * n for _ in range(n)]
-            for (a, b), v in vals.items():
-                rows[a - 1][b - 1] = v
-            return FieldMatrix(tuple(tuple(r) for r in rows), prime)
+                n = d.n
+                rows = [[0] * n for _ in range(n)]
+                for (a, b), v in vals.items():
+                    rows[a - 1][b - 1] = v
+                return FieldMatrix(tuple(tuple(r) for r in rows), prime)
     raise DegenerateSample(
         f"no solvable coordinate for {d.descriptor_id} after 50 draws"
     )
@@ -430,7 +401,7 @@ def verify_conjecture(
     fvars = f.variables()
     tau = d.tau
     zero_positions = [(u, v + 1) for u, v in tau.positive_roots()]
-    free = _free_positions(d)
+    free = tau.free_positions
     shape = d.tableau.shape
     failures: list[Failure] = []
     ok_counts = {"vanish": 0, "nonzero": 0, "jordan": 0, "rank": 0}
@@ -523,20 +494,16 @@ def remark_minor(d: HypersurfaceDescriptor) -> tuple[PolyMatrix, int, int]:
     return _remark_minor(d)[1:]
 
 
-def remark_check(
-    d: HypersurfaceDescriptor,
-    evaluations: int = 20,
-    seed=0,
-    prime: int = DEFAULT_PRIME,
-) -> RemarkResult:
+def remark_check(d: HypersurfaceDescriptor, *, seed=0) -> RemarkResult:
     """Does det of the power minor reproduce f, and does the chain pattern
     predict it?
 
-    Equality is decided up to one global sign: the weights and total
-    degrees must agree, and the two polynomials must agree with a
-    consistent sign at `evaluations` random points. The chain condition
-    asks that the interior chains of the projected Richardson tableau all
-    be shorter, or all longer, than the thickness.
+    Equality is decided exactly, up to one global sign: det(M) == f or
+    det(M) == -f as polynomials. f is never zero, because generator_report
+    raises when the window determinant vanishes. The chain condition asks
+    that the interior chains of the projected Richardson tableau all be
+    shorter, or all longer, than the thickness. `seed` is accepted and
+    ignored: the check draws no random numbers.
     """
     dw, corner, _, _ = _remark_minor(d)
     f = generator_report(dw).f
@@ -547,42 +514,6 @@ def remark_check(
     chain_condition = all(c.length < i_thick for c in interior) or all(
         c.length > i_thick for c in interior
     )
-
-    equal = False
-    if not det_m.is_zero and det_m.total_degree() == f.total_degree():
-        try:
-            same_weight = weight_of(det_m, rank=dw.n - 1) == weight_of(
-                f, rank=dw.n - 1
-            )
-        except NotHomogeneousWeight:
-            same_weight = False
-        if same_weight:
-            rng = random.Random(f"remark:{seed}:{prime}")
-            variables = sorted(
-                set(det_m.variables()) | set(f.variables()), key=_var_key
-            )
-            sign = 0
-            equal = True
-            for _ in range(evaluations):
-                pt = {v: rng.randrange(prime) for v in variables}
-                u = poly_eval(det_m, pt, prime=prime)
-                v = poly_eval(f, pt, prime=prime)
-                if v == 0:
-                    if u != 0:
-                        equal = False
-                        break
-                    continue
-                ratio = u * pow(v, -1, prime) % prime
-                if ratio == 1:
-                    s = 1
-                elif ratio == prime - 1:
-                    s = -1
-                else:
-                    equal = False
-                    break
-                if sign == 0:
-                    sign = s
-                elif sign != s:
-                    equal = False
-                    break
-    return RemarkResult(detm_equals_f=equal, chain_condition=chain_condition)
+    return RemarkResult(
+        detm_equals_f=det_m == f or det_m == -f, chain_condition=chain_condition
+    )

@@ -114,6 +114,14 @@ def test_generator_report_is_cached():
     assert generator_report(d) is generator_report(d)
 
 
+def test_generator_report_cache_is_bounded():
+    descriptors = list(iter_descriptors(8))[:129]
+    assert len(set(descriptors)) == 129
+    for d in descriptors:
+        generator_report(d)
+    assert generator_report.cache_info().currsize <= 128
+
+
 def test_ladder_covers_every_power_of_t():
     # the lowest surviving t-power is read off the ladder; check it, and
     # that the ladder holds every term, against the expanded determinant

@@ -40,6 +40,8 @@ def test_unique_descendant_golden():
     assert d.descriptor_id == "n=8 tau={2,3,7} drop=5"
     assert variety_dim(d.richardson.shape, 8) == 24
     assert variety_dim(d.tableau.shape, 8) == 23
+    # computed once per descriptor
+    assert d.tau is d.tau
 
 
 def test_chain_tail_off_its_row_is_typed_error(monkeypatch):

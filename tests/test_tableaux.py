@@ -152,6 +152,21 @@ def test_tau_set_runs_and_roots():
     assert tau.to_json() == [1, 4, 5, 7, 9, 10]
 
 
+def test_free_positions_complement_the_positive_roots():
+    # every strictly upper position (a, b) is either forced to zero by a
+    # positive root (a, b - 1) or free, never both
+    for n in range(1, 8):
+        upper = {(a, b) for a in range(1, n) for b in range(a + 1, n + 1)}
+        for bits in range(1 << (n - 1)):
+            tau = TauSet(frozenset(i for i in range(1, n) if bits >> (i - 1) & 1), n)
+            free = tau.free_positions
+            roots = {(u, v + 1) for u, v in tau.positive_roots()}
+            assert len(set(free)) == len(free)
+            assert set(free).isdisjoint(roots)
+            assert set(free) | roots == upper
+            assert tau.free_positions is free
+
+
 def test_tau_set_rejects_out_of_range():
     with pytest.raises(ValueError):
         TauSet(frozenset({5}), 5)

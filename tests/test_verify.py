@@ -22,6 +22,7 @@ from orbital import (
     jordan_type,
     matrix_rank,
     poly_eval,
+    project,
     rank_bound,
     remark_check,
     remark_minor,
@@ -35,9 +36,11 @@ from conftest import (
     NINE_BOX,
     SIX_BOX,
     all_syt,
+    leibniz_det,
     minor_rank,
     naive_jordan_parts,
     naive_power_rank,
+    same_up_to_sign,
     sliced_power_rank,
     tab,
 )
@@ -177,6 +180,26 @@ def test_check_power_rank_matches_sliced_oracle(p):
     assert consistent > 50 and violating > 50
 
 
+def test_powers_are_multiplied_once_per_matrix(monkeypatch):
+    import orbital.verify
+
+    products = 0
+    real = orbital.verify._mat_mul
+
+    def counting(a, b, p):
+        nonlocal products
+        products += 1
+        return real(a, b, p)
+
+    monkeypatch.setattr(orbital.verify, "_mat_mul", counting)
+    m = nilpotent_blocks(4, 2, prime=7)
+    jordan_type(m)
+    # X^2, X^3 and the product that finds X^4 = 0
+    assert products == 3
+    assert check_power_rank(m, tab((1, 2, 3, 4), (5, 6))) == []
+    assert products == 3
+
+
 def test_check_power_rank_not_applicable():
     with pytest.raises(NotApplicable):
         check_power_rank(FieldMatrix(((1, 0), (0, 0)), 7), tab((1, 2)))
@@ -284,3 +307,17 @@ def test_remark_check_golden():
     assert (yes5.detm_equals_f, yes5.chain_condition) == (True, True)
     no = remark_check(classify_hypersurface(tab(*NINE_BOX)))
     assert (no.detm_equals_f, no.chain_condition) == (False, False)
+
+
+def test_remark_check_matches_leibniz_oracle():
+    # both signs occur, so dropping either comparison fails this
+    signs = {"+f": 0, "-f": 0, "neither": 0}
+    for d in iter_descriptors(8):
+        corner, _, _ = remark_minor(d)
+        dw = classify_hypersurface(project(d.tableau, *d.window))
+        f = generator_report(dw).f
+        det_m = leibniz_det(corner)
+        expected = same_up_to_sign(det_m, f)
+        assert remark_check(d).detm_equals_f == expected, d.descriptor_id
+        signs["+f" if det_m == f else "-f" if det_m == -f else "neither"] += 1
+    assert signs == {"+f": 132, "-f": 64, "neither": 2}
