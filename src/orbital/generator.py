@@ -10,6 +10,17 @@ determinant expands as sum of m_j t^(size-I-j), and the candidate equation
 f is the last surviving coefficient m_{l(lambda)}, where
 l(lambda) = lambda_1 + ... + lambda_I - I over the shape lambda of the
 Richardson tableau projected to the window.
+
+The determinant is never expanded by cofactors here. Corner entry (r, c)
+vanishes below the diagonal, so a Leibniz term is a bijection sigma from
+the rows to the columns with sigma(r) >= r: a system of I vertex-disjoint
+increasing paths r -> sigma(r) -> ... from a .. a+I-1 to b-I+1 .. b, with
+t on every vertex no path passes through (the setting of the
+Lindstrom-Gessel-Viennot lemma). Each x_{rc} sits in a single entry, so
+the monomial of a term names every (r, sigma(r)) off the diagonal, and the
+rows it skips are exactly the fixed points. Distinct systems therefore
+give distinct monomials: no two terms cancel, every coefficient is the
+sign +-1 of its bijection, and every m_j is multilinear.
 """
 
 from __future__ import annotations
@@ -20,17 +31,37 @@ from functools import lru_cache
 from .errors import BadWindow, InconsistentIndexing
 from .hypersurface import HypersurfaceDescriptor
 from .polyalg import (
+    Monomial,
     MultiPoly,
     PolyMatrix,
     WeightVector,
-    determinant,
-    t_coefficient,
     t_poly,
     weight_of,
     x,
 )
 from .projections import projected_shape
 from .tableaux import TauSet, _as_tau, richardson_tableau, variety_dim
+
+
+def _free(tau: TauSet, r: int, c: int) -> bool:
+    """Whether x_{rc} is a coordinate of m_tau: r < c and the root
+    alpha_r + ... + alpha_{c-1} is not supported inside a run of tau."""
+    return r < c and not tau.contains_root(r, c - 1)
+
+
+def _corner(tau, n: int, window: tuple[int, int], thickness: int):
+    """tau as a TauSet and the window bounds (a, b), once the window and
+    thickness are checked to leave a corner of side size - thickness."""
+    tau = _as_tau(tau, n)
+    a, b = window
+    if not 1 <= a <= b <= n:
+        raise BadWindow(f"window [{a}, {b}] outside 1..{n}")
+    size = b - a + 1
+    if thickness < 1 or size - 2 * thickness < 0:
+        raise BadWindow(
+            f"thickness {thickness} too large for window of size {size}"
+        )
+    return tau, a, b
 
 
 def generic_richardson_matrix(tau, n: int) -> PolyMatrix:
@@ -46,7 +77,7 @@ def generic_richardson_matrix(tau, n: int) -> PolyMatrix:
     for k in range(1, n + 1):
         row = []
         for l in range(1, n + 1):
-            if k < l and not tau.contains_root(k, l - 1):
+            if _free(tau, k, l):
                 row.append(x(k, l))
             else:
                 row.append(zero)
@@ -63,15 +94,7 @@ def cmin_window(tau, n: int, window: tuple[int, int], thickness: int) -> PolyMat
     t, positions below them vanish, and positions above hold x_{rc} when
     free under tau.
     """
-    tau = _as_tau(tau, n)
-    a, b = window
-    if not 1 <= a <= b <= n:
-        raise BadWindow(f"window [{a}, {b}] outside 1..{n}")
-    size = b - a + 1
-    if thickness < 1 or size - 2 * thickness < 0:
-        raise BadWindow(
-            f"thickness {thickness} too large for window of size {size}"
-        )
+    tau, a, b = _corner(tau, n, window, thickness)
     zero = MultiPoly.zero()
     t = t_poly()
     rows = []
@@ -80,7 +103,7 @@ def cmin_window(tau, n: int, window: tuple[int, int], thickness: int) -> PolyMat
         for c in range(a + thickness, b + 1):
             if r == c:
                 row.append(t)
-            elif r < c and not tau.contains_root(r, c - 1):
+            elif _free(tau, r, c):
                 row.append(x(r, c))
             else:
                 row.append(zero)
@@ -112,17 +135,67 @@ class GeneratorReport:
         }
 
 
+def _path_systems(
+    tau, n: int, window: tuple[int, int], thickness: int
+) -> list[dict[Monomial, int]]:
+    """The terms of cmin_window's determinant, bucketed by power of t.
+
+    Bucket k maps each monomial of the coefficient of t^k, with t
+    stripped, to its sign. A depth-first walk places rows a .. b-I in
+    order, each in an unused column c >= r of a+I .. b: column r holds t,
+    a free position c > r holds x_{rc}. Used columns are a bitmask, and
+    each step flips the sign once per used column to the right of the new
+    one, so the sign is (-1)^(inversions of sigma). Column r is out of
+    reach of every later row, so when row r finds it unused it must take
+    t there. Rows are visited in order, so the monomials come out
+    canonical; no two coincide (see the module docstring), so the buckets
+    are the exact coefficients.
+    """
+    tau, a, b = _corner(tau, n, window, thickness)
+    first, last = a + thickness, b - thickness
+    # column c is bit c - first; per row, the x_{rc} it may take
+    moves = [
+        [(c - first, ((r, c), 1)) for c in range(max(r + 1, first), b + 1)
+         if _free(tau, r, c)]
+        for r in range(a, last + 1)
+    ]
+    buckets: list[dict[Monomial, int]] = [{} for _ in range(last - first + 2)]
+    picked: list = []
+
+    def walk(r: int, used: int, sign: int, ts: int) -> None:
+        if r > last:
+            buckets[ts][tuple(picked)] = sign
+            return
+        q = r - first
+        if q >= 0 and not used >> q & 1:
+            if (used >> q).bit_count() & 1:
+                sign = -sign
+            walk(r + 1, used | 1 << q, sign, ts + 1)
+            return
+        for q, var in moves[r - a]:
+            if used >> q & 1:
+                continue
+            picked.append(var)
+            walk(r + 1, used | 1 << q,
+                 -sign if (used >> q).bit_count() & 1 else sign, ts)
+            picked.pop()
+
+    walk(a, 0, 1, 0)
+    return buckets
+
+
 def _window_ladder(tau, n: int, window: tuple[int, int], thickness: int, richardson):
     """l(lambda) over the Richardson tableau's shape, and the ladder of
     (j, m_j) for j = thickness .. size-thickness. The ladder covers every
-    power of t in the window determinant, t^0 .. t^(size-2*thickness)."""
+    power of t in the window determinant, t^0 .. t^(size-2*thickness);
+    m_j is the bucket of t^(size-thickness-j) from the path-system walk."""
+    buckets = _path_systems(tau, n, window, thickness)
     a, b = window
     size = b - a + 1
-    det = determinant(cmin_window(tau, n, window, thickness))
     shape = projected_shape(richardson, a, b)
     l_lambda = sum(shape.part(k) for k in range(1, thickness + 1)) - thickness
     ladder = tuple(
-        (j, t_coefficient(det, size - thickness - j))
+        (j, MultiPoly._raw(buckets[size - thickness - j]))
         for j in range(thickness, size - thickness + 1)
     )
     return l_lambda, ladder

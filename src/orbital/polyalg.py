@@ -487,7 +487,9 @@ def determinant(m: PolyMatrix) -> MultiPoly:
     Each sub-determinant is keyed by the tuple of surviving original row
     and column indices, so cofactors shared between branches are computed
     once. Expansion picks the sparsest row or column of the submatrix.
-    Signs follow the Leibniz convention throughout.
+    Signs follow the Leibniz convention throughout. Its users are
+    remark_check, whose power minors do cancel, and the tests, where it is
+    the oracle for the generator's path-system expansion.
     """
     if m.nrows != m.ncols:
         raise NotSquare(f"determinant of a {m.nrows}x{m.ncols} matrix")

@@ -1,5 +1,6 @@
 """Window matrices, the determinant ladder m_j, the generator f, p_V."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from orbital import (
     BadWindow,
     InconsistentIndexing,
-    MultiPoly,
     WeightVector,
     char_poly,
     classify_hypersurface,
@@ -20,6 +20,7 @@ from orbital import (
     iter_descriptors,
     lemma2_threshold,
     richardson_tableau,
+    t_coefficient,
     t_poly,
     variety_dim,
     weight_of,
@@ -138,9 +139,41 @@ def test_generator_report_inconsistent_indexing(monkeypatch):
     d = classify_hypersurface(tab(*SIX_BOX))
     with pytest.raises(InconsistentIndexing, match="lowest surviving t-power 2 but"):
         generator_report(replace(d, richardson=d.tableau))
-    monkeypatch.setattr("orbital.generator.determinant", lambda _: MultiPoly.zero())
+    monkeypatch.setattr("orbital.generator._path_systems", lambda *_: [{}] * 5)
     with pytest.raises(InconsistentIndexing, match="vanished identically"):
         generator_report.__wrapped__(d)
+
+
+def test_ladder_matches_cofactor_expansion():
+    # the path-system walk against the memoized cofactor expansion, rung
+    # by rung, for every descriptor with n <= 9; every term has
+    # coefficient +-1 and exponents 1, so nothing cancels and each m_j is
+    # multilinear
+    count = 0
+    for d in iter_descriptors(9):
+        a, b = d.window
+        size = b - a + 1
+        det = determinant(cmin_window(d.tau, d.n, d.window, d.thickness))
+        for j, m in generator_report(d).m_sequence:
+            assert m == t_coefficient(det, size - d.thickness - j)
+            assert all(c in (1, -1) for c in m.terms.values())
+            assert all(e == 1 for mono in m.terms for _, e in mono)
+        count += 1
+    assert count == 503
+
+
+@pytest.mark.parametrize(
+    "window, thickness, message",
+    [
+        ((1, 6), 0, "thickness 0 too large for window of size 6"),
+        ((1, 6), 4, "thickness 4 too large for window of size 6"),
+        ((0, 6), 1, "window [0, 6] outside 1..6"),
+        ((5, 3), 1, "window [5, 3] outside 1..6"),
+    ],
+)
+def test_lemma2_threshold_rejects_bad_windows(window, thickness, message):
+    with pytest.raises(BadWindow, match=re.escape(message)):
+        lemma2_threshold({2, 4}, 6, window, thickness)
 
 
 def test_lemma2_threshold_golden():
