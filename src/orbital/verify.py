@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .errors import ClassificationError, DegenerateSample, NotApplicable, NotNilpotent
 from .generator import generator_report, generic_richardson_matrix
 from .hypersurface import HypersurfaceDescriptor, classify_hypersurface
-from .polyalg import PolyMatrix, _var_str, determinant, poly_eval
+from .polyalg import PolyMatrix, determinant, poly_eval
 from .projections import project, projected_shape
 from .rs import rs_inverse
 from .tableaux import Partition, StandardTableau, chains, dual_partition
@@ -90,8 +90,20 @@ class FieldMatrix:
             cur = _mat_mul(cur, self.rows, self.prime)
         return out
 
+    @cached_property
+    def _sweeps(self) -> list:
+        """The _window_ranks table of each power in _powers, so that
+        jordan_type and check_power_rank eliminate each power once."""
+        return [_window_ranks(xk, self.prime) for xk in self._powers]
+
 
 # -- linear algebra over GF(p), or the rationals when p is None (hot path) ------
+#
+# _window_ranks is the only elimination. Its table gives matrix_rank the rank
+# of any square matrix, jordan_type the rank of each power, and
+# check_power_rank the rank of every window of each power; only that last
+# reading needs the matrix strictly upper. FieldMatrix._sweeps holds one table
+# per power, so jordan_type and check_power_rank share it.
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]], p: int | None) -> list[list[int]]:
@@ -110,35 +122,6 @@ def _mat_mul(a: list[list[int]], b: list[list[int]], p: int | None) -> list[list
     return out
 
 
-def _rank(rows, p: int | None) -> int:
-    if p:
-        mat = [[v % p for v in row] for row in rows]
-    else:
-        mat = [[Fraction(v) for v in row] for row in rows]
-    nr = len(mat)
-    nc = len(mat[0]) if nr else 0
-    rank = 0
-    for col in range(nc):
-        piv = next((r for r in range(rank, nr) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        tail = mat[rank][col:]
-        inv = pow(tail[0], -1, p) if p else 1 / tail[0]
-        for row in mat[rank + 1 :]:
-            if row[col]:
-                f = row[col] * inv
-                if p:
-                    f %= p
-                    row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
-                else:
-                    row[col:] = [a - f * b for a, b in zip(row[col:], tail)]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
 def _upper_inverse(b: list[list[int]], p: int) -> list[list[int]]:
     """Inverse of an invertible upper triangular matrix mod p."""
     n = len(b)
@@ -154,7 +137,8 @@ def _upper_inverse(b: list[list[int]], p: int) -> list[list[int]]:
 
 
 def matrix_rank(m: FieldMatrix) -> int:
-    return _rank(m.rows, m.prime)
+    ranks = _window_ranks(m.rows, m.prime)
+    return ranks[0][-1] if ranks else 0
 
 
 # -- rank bounds and Jordan type -------------------------------------------------
@@ -171,13 +155,16 @@ def rank_bound(lam: Partition, k: int) -> int:
 def jordan_type(x: FieldMatrix) -> Partition:
     """Partition of the nilpotent x: dual parts are the kernel-dimension
     increments of successive powers. Raises NotNilpotent if the rank
-    sequence bottoms out above zero."""
+    sequence bottoms out above zero.
+
+    The rank of X^k is entry [1, n] of its cached sweep (FieldMatrix._sweeps),
+    which counts every pivot and so needs no triangularity; check_power_rank
+    reads the same tables."""
     n = x.n
     if n == 0:
         return Partition(())
-    powers = x._powers
-    ranks = [n] + [_rank(xk, x.prime) for xk in powers] + [0]
-    if len(powers) == n:
+    ranks = [n] + [rk[0][-1] for rk in x._sweeps] + [0]
+    if len(x._powers) == n:
         raise NotNilpotent(f"rank sequence stabilised at {ranks[-2]}")
     cols = tuple(ranks[k - 1] - ranks[k] for k in range(1, len(ranks)))
     return dual_partition(Partition(cols))
@@ -192,24 +179,22 @@ class Violation(NamedTuple):
 
 
 def _window_ranks(xk, p: int | None) -> list[list[int]]:
-    """ranks[i - 1][j - 1] is the rank of the window [i, j] of the strictly
-    upper square matrix xk, for every 1 <= i <= j <= n.
+    """ranks[i - 1][j - 1] is the number of pivots <= j once rows i..n of
+    the square matrix xk are in, for every 1 <= i, j <= n.
 
     Inserts the rows bottom-up (row n first) into an echelon basis whose
     vectors have distinct leading columns, each scaled to lead with 1.
-    Once rows i..n are in, the rank of [i, j] is the number of pivots <= j.
+    ranks[0][n - 1] counts every pivot: the rank of any square xk. Reading
+    ranks[i - 1][j - 1] as the rank of the window [i, j] needs xk strictly
+    upper (check_power_rank says why).
     """
     n = len(xk)
     basis: dict[int, list] = {}  # 0-indexed pivot column -> the vector from it on
     pivots: list[int] = []  # 1-indexed pivot columns, sorted
     ranks: list[list[int]] = []
-    for i in range(n, 0, -1):
-        if p:
-            row = [v % p for v in xk[i - 1]]
-        else:
-            row = [Fraction(v) for v in xk[i - 1]]
-        # row i vanishes in columns 1..i
-        for c in range(i, n):
+    for xrow in reversed(xk):
+        row = [v % p for v in xrow] if p else [Fraction(v) for v in xrow]
+        for c in range(n):
             v = row[c]
             if not v:
                 continue
@@ -239,11 +224,11 @@ def check_power_rank(x: FieldMatrix, t: StandardTableau) -> list[Violation]:
     [i, j]. Returns all violations (empty list = consistent with t),
     ordered by i, then j, then k.
 
-    The powers X^k are computed once per matrix (FieldMatrix._powers,
-    shared with jordan_type), and one echelon sweep per power
-    gives the rank of every window at once (_window_ranks): the rows of
-    X^k go in bottom-up, and after rows i..n the rank of [i, j] is the
-    number of pivots <= j. Strict upper triangularity makes this exact:
+    The powers X^k and one echelon sweep of each are computed once per
+    matrix and shared with jordan_type (FieldMatrix._powers and _sweeps).
+    A sweep gives the rank of every window at once (_window_ranks): the
+    rows of X^k go in bottom-up, and after rows i..n the rank of [i, j] is
+    the number of pivots <= j. Strict upper triangularity makes this exact:
     the corner of X^k on [i, j] is the k-th power of X's corner; rows
     below j vanish in columns <= j and column i vanishes in rows >= i, so
     the corner has the rank of rows i..n cut to columns <= j; and that
@@ -256,8 +241,7 @@ def check_power_rank(x: FieldMatrix, t: StandardTableau) -> list[Violation]:
     n = x.n
     if n != t.n:
         raise NotApplicable(f"matrix size {n} vs tableau size {t.n}")
-    p = x.prime
-    ranks = [_window_ranks(xk, p) for xk in x._powers]
+    ranks = x._sweeps
     out: list[Violation] = []
     for i in range(1, n + 1):
         for j in range(i, n + 1):
@@ -314,14 +298,9 @@ def sample_hypersurface_point(
     variable: f is multilinear, so any variable whose linear coefficient
     is nonzero at the draw can absorb the constraint. Draws where every
     coefficient degenerates are rejected; fifty straight rejections raise
-    DegenerateSample. A variable of degree above one in f raises
-    NotApplicable.
+    DegenerateSample.
     """
     f = generator_report(d).f
-    for mono in f.terms:
-        for v, e in mono:
-            if e != 1:
-                raise NotApplicable(f"f is not multilinear: {_var_str(v)} has degree {e}")
     free = d.tau.free_positions
     fvars = f.variables()
     rng = random.Random(f"hyper:{seed}:{prime}")

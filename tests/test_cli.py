@@ -1,5 +1,6 @@
 """End-to-end runs of the orbital CLI through main(argv)."""
 
+import hashlib
 import json
 import time
 
@@ -230,6 +231,17 @@ def test_verify_json(capsys):
     assert blob["necessity_failures"] == 0
     assert len(blob["reports"]) == 2
     assert all(r["f_vanishes_on_v"] == 2 for r in blob["reports"])
+
+
+def test_verify_json_report_is_pinned(capsys):
+    # seeded reports are byte-identical across versions; this digest covers
+    # the sample stream and every probe outcome of all 198 descriptors with
+    # n <= 8
+    code, out, _ = run(capsys, "verify", "--nmax", "8", "--trials", "3", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "78450fd645be41addc5a2f60a003437be990d2954ce7b0a60e1b0e81406dec64"
+    )
 
 
 def test_verify_prime_resolution(capsys, monkeypatch):

@@ -1,7 +1,6 @@
 """Finite-field probes: ranks, Jordan types, samplers, the conjecture checks."""
 
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -39,6 +38,7 @@ from conftest import (
     leibniz_det,
     minor_rank,
     naive_jordan_parts,
+    naive_mat_mul,
     naive_power_rank,
     same_up_to_sign,
     sliced_power_rank,
@@ -200,6 +200,77 @@ def test_powers_are_multiplied_once_per_matrix(monkeypatch):
     assert products == 3
 
 
+def test_each_power_is_swept_once(monkeypatch):
+    import orbital.verify
+
+    sweeps = 0
+    real = orbital.verify._window_ranks
+
+    def counting(xk, p):
+        nonlocal sweeps
+        sweeps += 1
+        return real(xk, p)
+
+    monkeypatch.setattr(orbital.verify, "_window_ranks", counting)
+    m = nilpotent_blocks(4, 2, prime=7)
+    t = tab((1, 2, 3, 4), (5, 6))
+    assert jordan_type(m).parts == (4, 2)
+    assert check_power_rank(m, t) == []
+    assert check_power_rank(m, t) == []
+    # X, X^2 and X^3, one sweep each
+    assert sweeps == len(m._powers) == 3
+
+
+def _unimodular(n, rng):
+    """A random integer matrix of determinant 1 and its inverse, as a
+    product of elementary row additions."""
+    g = [[int(r == c) for c in range(n)] for r in range(n)]
+    g_inv = [row[:] for row in g]
+    for _ in range(3 * n if n > 1 else 0):
+        a, b = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        e = [[int(r == s) for s in range(n)] for r in range(n)]
+        e_inv = [row[:] for row in e]
+        e[b][a], e_inv[b][a] = c, -c
+        g, g_inv = naive_mat_mul(e, g), naive_mat_mul(g_inv, e_inv)
+    return g, g_inv
+
+
+@pytest.mark.parametrize("p", [7, None])
+def test_rank_and_jordan_type_of_general_matrices(p):
+    # matrix_rank and jordan_type read the echelon sweep of any square
+    # matrix, not only of strictly upper ones
+    rng = random.Random(f"general:{p}")
+    empty = FieldMatrix((), p)
+    assert matrix_rank(empty) == 0
+    assert jordan_type(empty).parts == ()
+    for n in range(1, 5):
+        for _ in range(30):
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            m = FieldMatrix(tuple(map(tuple, rows)), p)
+            assert matrix_rank(m) == minor_rank(rows, p)
+            power = rows
+            for _ in range(n - 1):
+                power = naive_mat_mul(power, rows, p)
+            if any(map(any, power)):
+                with pytest.raises(NotNilpotent):
+                    jordan_type(m)
+            else:
+                assert jordan_type(m).parts == naive_jordan_parts(rows, p)
+    # nilpotent but not triangular: Jordan blocks conjugated by g
+    lower = 0
+    for sizes in [(1,), (2,), (1, 1), (3,), (2, 1), (4,), (3, 1), (2, 2), (2, 1, 1)]:
+        n = sum(sizes)
+        for _ in range(5):
+            g, g_inv = _unimodular(n, rng)
+            rows = naive_mat_mul(naive_mat_mul(g, nilpotent_blocks(*sizes).rows), g_inv)
+            lower += any(rows[r][c] for r in range(n) for c in range(r))
+            m = FieldMatrix(tuple(map(tuple, rows)), p)
+            assert jordan_type(m).parts == naive_jordan_parts(rows, p) == sizes
+            assert matrix_rank(m) == minor_rank(rows, p) == n - len(sizes)
+    assert lower > 30
+
+
 def test_check_power_rank_not_applicable():
     with pytest.raises(NotApplicable):
         check_power_rank(FieldMatrix(((1, 0), (0, 0)), 7), tab((1, 2)))
@@ -228,14 +299,6 @@ def test_sample_variety_point_on_every_small_tableau():
                 pt = sample_variety_point(t, seed)
                 assert check_power_rank(pt, t) == []
                 assert jordan_type(pt) == t.shape
-
-
-def test_sample_hypersurface_point_needs_multilinear_f(monkeypatch):
-    d = classify_hypersurface(tab(*FIVE_BOX))
-    fake = SimpleNamespace(f=x(1, 2) * x(1, 2) + x(1, 3))
-    monkeypatch.setattr("orbital.verify.generator_report", lambda _: fake)
-    with pytest.raises(NotApplicable, match="x12 has degree 2"):
-        sample_hypersurface_point(d, 0)
 
 
 def test_sample_hypersurface_point_properties():
