@@ -7,6 +7,14 @@ of its right and lower neighbours until it reaches an outer corner, and
 the surviving labels shift down by one. project(t, i, j) applies n-j
 removals then i-1 strips, and the result describes how matrices supported
 on the variety behave after cutting to rows and columns i..j.
+
+projected_shape needs only the shape, and reads it from a table built
+once per tableau: with w = rs_inverse(t, t), the shape of project(t, i, j)
+is the Robinson-Schensted shape of the factor w(i), ..., w(j), because
+deleting the largest letter of a word deletes its box from the insertion
+tableau and deleting the smallest runs jeu de taquin on it (Sagan, The
+Symmetric Group, section 3.9), and w is an involution, so cutting values
+to [i, j] cuts positions to [i, j].
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import BadRange, InconsistentIndexing, TooSmall
+from .rs import _row_insert, rs_inverse
 from .tableaux import Partition, StandardTableau, validate_syt
 
 Grid = tuple[tuple[int | None, ...], ...]
@@ -80,7 +89,6 @@ def strip_first(t: StandardTableau) -> StandardTableau:
     return strip_first_steps(t)[0]
 
 
-@lru_cache(maxsize=None)
 def project(t: StandardTableau, i: int, j: int) -> StandardTableau:
     """Restrict t to the window [i, j]: drop boxes above j, strip below i.
 
@@ -97,6 +105,43 @@ def project(t: StandardTableau, i: int, j: int) -> StandardTableau:
     return out
 
 
+@lru_cache(maxsize=None)
+def _partition(parts: tuple[int, ...]) -> Partition:
+    """One shared Partition per parts tuple, so shape tables hold
+    references; there are only p(1) + ... + p(n) shapes of up to n boxes."""
+    return Partition(parts)
+
+
+@lru_cache(maxsize=128)
+def _window_shapes(t: StandardTableau) -> tuple[tuple[Partition, ...], ...]:
+    """table[i - 1][j - i] is the shape of project(t, i, j).
+
+    Row i row-inserts w(i), w(i + 1), ..., w(n) for w = rs_inverse(t, t)
+    and records the shape after each letter (module docstring).
+    """
+    w = rs_inverse(t, t).images
+    table = []
+    for start in range(len(w)):
+        rows: list[list[int]] = []
+        parts: list[int] = []
+        shapes = []
+        for v in w[start:]:
+            r, _ = _row_insert(rows, v)
+            if r > len(parts):
+                parts.append(1)
+            else:
+                parts[r - 1] += 1
+            shapes.append(_partition(tuple(parts)))
+        table.append(tuple(shapes))
+    return tuple(table)
+
+
 def projected_shape(t: StandardTableau, i: int, j: int) -> Partition:
-    """Shape of the window restriction; bounds ranks of matrix corners."""
-    return project(t, i, j).shape
+    """Shape of the window restriction; bounds ranks of matrix corners.
+
+    Equal to project(t, i, j).shape, read from t's table of
+    Robinson-Schensted factor shapes instead of sliding.
+    """
+    if not 1 <= i <= j <= t.n:
+        raise BadRange(f"need 1 <= i <= j <= {t.n}, got i={i}, j={j}")
+    return _window_shapes(t)[i - 1][j - i]

@@ -110,7 +110,7 @@ class StandardTableau:
 
     rows: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(len(r) for r in self.rows)
 

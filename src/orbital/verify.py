@@ -18,10 +18,9 @@ invertible upper triangular matrix lands in general position.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import ClassificationError, DegenerateSample, NotApplicable, NotNilpotent
@@ -53,6 +52,15 @@ class FieldMatrix:
         object.__setattr__(self, "rows", rows)
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
+
+    @classmethod
+    def _reduced(cls, rows: list[list[int]], prime: int) -> "FieldMatrix":
+        """The samplers' constructor: rows already square and reduced mod
+        prime, so __post_init__'s second reduction and check are skipped."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(m, "prime", prime)
+        return m
 
     @property
     def n(self) -> int:
@@ -107,7 +115,17 @@ class FieldMatrix:
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]], p: int | None) -> list[list[int]]:
+    """a @ b, mod p unless p is None. Each row of b is added from its
+    first nonzero column on, so triangular factors cost about n^3 / 6
+    multiplies and a strictly upper X^k times X skips the band where
+    X^(k+1) vanishes."""
     n = len(a)
+    lead = []
+    for row in b:
+        j = 0
+        while j < n and not row[j]:
+            j += 1
+        lead.append(j)
     out = []
     for i in range(n):
         ai = a[i]
@@ -116,7 +134,7 @@ def _mat_mul(a: list[list[int]], b: list[list[int]], p: int | None) -> list[list
             v = ai[k]
             if v:
                 bk = b[k]
-                for j in range(n):
+                for j in range(lead[k], n):
                     acc[j] += v * bk[j]
         out.append([val % p for val in acc] if p else acc)
     return out
@@ -178,7 +196,7 @@ class Violation(NamedTuple):
     bound: int
 
 
-def _window_ranks(xk, p: int | None) -> list[list[int]]:
+def _window_ranks(xk, p: int | None) -> list[tuple[int, ...]]:
     """ranks[i - 1][j - 1] is the number of pivots <= j once rows i..n of
     the square matrix xk are in, for every 1 <= i, j <= n.
 
@@ -186,12 +204,13 @@ def _window_ranks(xk, p: int | None) -> list[list[int]]:
     vectors have distinct leading columns, each scaled to lead with 1.
     ranks[0][n - 1] counts every pivot: the rank of any square xk. Reading
     ranks[i - 1][j - 1] as the rank of the window [i, j] needs xk strictly
-    upper (check_power_rank says why).
+    upper (check_power_rank says why). Rows that add no pivot share the
+    previous row's tuple.
     """
     n = len(xk)
     basis: dict[int, list] = {}  # 0-indexed pivot column -> the vector from it on
-    pivots: list[int] = []  # 1-indexed pivot columns, sorted
-    ranks: list[list[int]] = []
+    counts = (0,) * n  # counts[j - 1]: pivots in columns <= j so far
+    ranks: list[tuple[int, ...]] = []
     for xrow in reversed(xk):
         row = [v % p for v in xrow] if p else [Fraction(v) for v in xrow]
         for c in range(n):
@@ -205,13 +224,13 @@ def _window_ranks(xk, p: int | None) -> list[list[int]]:
                     basis[c] = [a * inv % p for a in row[c:]]
                 else:
                     basis[c] = [a * inv for a in row[c:]]
-                insort(pivots, c + 1)
+                counts = counts[:c] + tuple(k + 1 for k in counts[c:])
                 break
             if p:
                 row[c:] = [(a - v * b) % p for a, b in zip(row[c:], tail)]
             else:
                 row[c:] = [a - v * b for a, b in zip(row[c:], tail)]
-        ranks.append([bisect_right(pivots, j) for j in range(1, n + 1)])
+        ranks.append(counts)
     ranks.reverse()
     return ranks
 
@@ -261,6 +280,17 @@ def check_power_rank(x: FieldMatrix, t: StandardTableau) -> list[Violation]:
 # -- samplers --------------------------------------------------------------------
 
 
+@lru_cache(maxsize=128)
+def _word_span(t: StandardTableau) -> tuple[tuple[int, int], ...]:
+    """The 0-indexed positions (a, b), a < b, with w(a) < w(b) for the
+    involution w = rs_inverse(t, t), row by row: one word per tableau."""
+    w = rs_inverse(t, t).images
+    n = len(w)
+    return tuple(
+        (a, b) for a in range(n - 1) for b in range(a + 1, n) if w[a] < w[b]
+    )
+
+
 def sample_variety_point(
     t: StandardTableau, seed, prime: int = DEFAULT_PRIME
 ) -> FieldMatrix:
@@ -269,24 +299,24 @@ def sample_variety_point(
     Takes the involution w = rs_inverse(t, t), whose insertion and
     recording tableaux are both t, fills the positions (a, b) with
     w(a) < w(b) uniformly, and conjugates by a random invertible upper
-    triangular matrix. The result is strictly upper triangular with Jordan
-    type at most shape(t), equal generically.
+    triangular matrix B. The result is strictly upper triangular with
+    Jordan type at most shape(t), equal generically. B, the filled U and
+    B^-1 are all upper triangular, so both products of B U B^-1 take
+    about n^3 / 6 multiplies (_mat_mul skips the zeros below each row's
+    diagonal).
     """
-    w = rs_inverse(t, t)
     n = t.n
     rng = random.Random(f"variety:{seed}:{prime}")
     u = [[0] * n for _ in range(n)]
-    for a in range(1, n):
-        for b in range(a + 1, n + 1):
-            if w(a) < w(b):
-                u[a - 1][b - 1] = rng.randrange(prime)
+    for a, b in _word_span(t):
+        u[a][b] = rng.randrange(prime)
     bmat = [[0] * n for _ in range(n)]
     for i in range(n):
         bmat[i][i] = rng.randrange(1, prime)
         for j in range(i + 1, n):
             bmat[i][j] = rng.randrange(prime)
     x = _mat_mul(_mat_mul(bmat, u, prime), _upper_inverse(bmat, prime), prime)
-    return FieldMatrix(tuple(tuple(r) for r in x), prime)
+    return FieldMatrix._reduced(x, prime)
 
 
 def sample_hypersurface_point(
@@ -316,7 +346,7 @@ def sample_hypersurface_point(
                 rows = [[0] * n for _ in range(n)]
                 for (a, b), v in vals.items():
                     rows[a - 1][b - 1] = v
-                return FieldMatrix(tuple(tuple(r) for r in rows), prime)
+                return FieldMatrix._reduced(rows, prime)
     raise DegenerateSample(
         f"no solvable coordinate for {d.descriptor_id} after 50 draws"
     )

@@ -4,11 +4,13 @@ The oracles trade speed for transparency: all_syt builds every standard
 tableau by recursion on the largest entry, leibniz_det expands a
 determinant as a sum over all permutations, minor_rank looks for the
 largest nonzero minor, naive_power_rank re-multiplies the powers of
-every window from scratch, and sliced_power_rank ranks every window of
-every power on its own. They choke past small sizes, which is the point;
-they exist only to cross-check the fast code.
+every window from scratch, sliced_power_rank ranks every window of
+every power on its own, and naive_variety_point conjugates with dense
+products and a Gauss-Jordan inverse. They choke past small sizes, which is
+the point; they exist only to cross-check the fast code.
 """
 
+import random
 import re
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -21,6 +23,7 @@ from orbital import (
     StandardTableau,
     matrix_rank,
     projected_shape,
+    rs_inverse,
 )
 
 
@@ -184,3 +187,41 @@ def sliced_power_rank(rows, t: StandardTableau, p=None) -> list[tuple[int, ...]]
                 if r > bound:
                     out.append((i, j, k, r, bound))
     return out
+
+
+def naive_inverse(rows, p):
+    """Inverse mod p by Gauss-Jordan elimination on [rows | identity]."""
+    n = len(rows)
+    aug = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(rows)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] % p)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = pow(aug[col][col], -1, p)
+        aug[col] = [v * inv % p for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] % p:
+                f = aug[r][col]
+                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def naive_variety_point(t: StandardTableau, seed, prime):
+    """sample_variety_point's rows, replaying its draws: U on the span of a
+    freshly computed w = rs_inverse(t, t), then B, then B U B^-1 from dense
+    products."""
+    w = rs_inverse(t, t)
+    n = t.n
+    rng = random.Random(f"variety:{seed}:{prime}")
+    u = [[0] * n for _ in range(n)]
+    for a in range(1, n):
+        for b in range(a + 1, n + 1):
+            if w(a) < w(b):
+                u[a - 1][b - 1] = rng.randrange(prime)
+    bmat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        bmat[i][i] = rng.randrange(1, prime)
+        for j in range(i + 1, n):
+            bmat[i][j] = rng.randrange(prime)
+    return naive_mat_mul(
+        naive_mat_mul(bmat, u, prime), naive_inverse(bmat, prime), prime
+    )

@@ -78,6 +78,30 @@ def test_project_bad_range():
         project(t, 1, 4)
 
 
+def test_projected_shape_matches_project_on_every_window():
+    # the RS-factor table against jeu de taquin, every window of every
+    # tableau with n <= 7
+    windows = 0
+    for n in range(1, 8):
+        for t in all_syt(n):
+            for i in range(1, n + 1):
+                for j in range(i, n + 1):
+                    assert projected_shape(t, i, j) == project(t, i, j).shape
+                    windows += 1
+    assert windows == 8613
+
+
+@pytest.mark.parametrize("i, j", [(0, 2), (1, 4), (3, 2)])
+def test_projected_shape_bad_range(i, j):
+    t = tab((1, 2), (3,))
+    message = f"need 1 <= i <= j <= 3, got i={i}, j={j}"
+    with pytest.raises(BadRange) as shape_err:
+        projected_shape(t, i, j)
+    with pytest.raises(BadRange) as project_err:
+        project(t, i, j)
+    assert str(shape_err.value) == str(project_err.value) == message
+
+
 @given(st.data())
 def test_project_output_is_standard_with_window_size(data):
     n = data.draw(st.integers(min_value=2, max_value=6))

@@ -40,6 +40,7 @@ from conftest import (
     naive_jordan_parts,
     naive_mat_mul,
     naive_power_rank,
+    naive_variety_point,
     same_up_to_sign,
     sliced_power_rank,
     tab,
@@ -72,6 +73,11 @@ def test_field_matrix_reduces_and_slices():
     assert FieldMatrix(((0, 5), (0, 0)), 7).is_strictly_upper()
     sub = m.submatrix(2, 2)
     assert sub.rows == ((3,),)
+    # the public constructor reduces and checks squareness; only the
+    # samplers skip both
+    assert FieldMatrix(((0, -1), (0, 9)), 7).rows == ((0, 6), (0, 2))
+    with pytest.raises(ValueError, match="square"):
+        FieldMatrix(((0, 1), (0,)), 7)
 
 
 def test_matrix_rank():
@@ -301,6 +307,18 @@ def test_sample_variety_point_on_every_small_tableau():
                 assert jordan_type(pt) == t.shape
 
 
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, 7])
+def test_sample_variety_point_matches_dense_oracle(prime):
+    # the band-skipping products, the cached word span and the constructor
+    # that skips reduction, against dense products of the same draws
+    for n in range(1, 8):
+        for t in all_syt(n):
+            for seed in range(2):
+                pt = sample_variety_point(t, seed, prime)
+                assert pt.rows == tuple(map(tuple, naive_variety_point(t, seed, prime)))
+                assert FieldMatrix(pt.rows, prime) == pt
+
+
 def test_sample_hypersurface_point_properties():
     d = classify_hypersurface(tab(*SIX_BOX))
     f = generator_report(d).f
@@ -317,6 +335,7 @@ def test_sample_hypersurface_point_properties():
         # tau-linear conditions hold by construction
         for a, b in tau.positive_roots():
             assert pt.entry(a, b + 1) == 0
+        assert FieldMatrix(pt.rows, DEFAULT_PRIME) == pt
     assert (
         sample_hypersurface_point(d, 4).rows
         == sample_hypersurface_point(d, 4).rows
