@@ -482,62 +482,34 @@ class PolyMatrix:
 
 
 def determinant(m: PolyMatrix) -> MultiPoly:
-    """Exact symbolic determinant by memoized cofactor expansion.
+    """Exact symbolic determinant by Laplace expansion along rows in order.
 
-    Each sub-determinant is keyed by the tuple of surviving original row
-    and column indices, so cofactors shared between branches are computed
-    once. Expansion picks the sparsest row or column of the submatrix.
-    Signs follow the Leibniz convention throughout. Its users are
-    remark_check, whose power minors do cancel, and the tests, where it is
-    the oracle for the generator's path-system expansion.
+    The row to expand is n minus the number of unused columns, so each
+    sub-determinant is memoized on the bitmask of its unused columns. The
+    sign starts at + and flips at each unused column passed. Terms are
+    summed exactly and may cancel, as remark_check's power minors do; the
+    tests use it as the oracle for the generator's path systems, which
+    never cancel.
     """
     if m.nrows != m.ncols:
         raise NotSquare(f"determinant of a {m.nrows}x{m.ncols} matrix")
     n = m.nrows
-    if n == 0:
-        return MultiPoly.const(1)
     ent = m.entries
-    nz = [[not e.is_zero for e in row] for row in ent]
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], MultiPoly] = {}
+    memo: dict[int, MultiPoly] = {0: MultiPoly.const(1)}
 
-    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> MultiPoly:
-        if len(rows) == 1:
-            return ent[rows[0]][cols[0]]
-        key = (rows, cols)
-        hit = memo.get(key)
+    def det(unused: int) -> MultiPoly:
+        hit = memo.get(unused)
         if hit is not None:
             return hit
-        best_count = len(rows) + 1
-        best_is_row, best_pos = True, 0
-        for p, r in enumerate(rows):
-            cnt = sum(1 for c in cols if nz[r][c])
-            if cnt < best_count:
-                best_is_row, best_pos, best_count = True, p, cnt
-        for q, c in enumerate(cols):
-            cnt = sum(1 for r in rows if nz[r][c])
-            if cnt < best_count:
-                best_is_row, best_pos, best_count = False, q, cnt
-        acc = MultiPoly.zero()
-        if best_count:
-            if best_is_row:
-                r = rows[best_pos]
-                sub_rows = rows[:best_pos] + rows[best_pos + 1 :]
-                for q, c in enumerate(cols):
-                    if not nz[r][c]:
-                        continue
-                    minor = det(sub_rows, cols[:q] + cols[q + 1 :])
-                    term = ent[r][c] * minor
-                    acc = acc - term if (best_pos + q) % 2 else acc + term
-            else:
-                c = cols[best_pos]
-                sub_cols = cols[:best_pos] + cols[best_pos + 1 :]
-                for p, r in enumerate(rows):
-                    if not nz[r][c]:
-                        continue
-                    minor = det(rows[:p] + rows[p + 1 :], sub_cols)
-                    term = ent[r][c] * minor
-                    acc = acc - term if (p + best_pos) % 2 else acc + term
-        memo[key] = acc
+        row = ent[n - unused.bit_count()]
+        acc, sign = MultiPoly.zero(), 1
+        for c in range(n):
+            if unused >> c & 1:
+                if not row[c].is_zero:
+                    term = row[c] * det(unused ^ 1 << c)
+                    acc = acc + term if sign > 0 else acc - term
+                sign = -sign
+        memo[unused] = acc
         return acc
 
-    return det(tuple(range(n)), tuple(range(n)))
+    return det((1 << n) - 1)

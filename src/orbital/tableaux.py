@@ -140,9 +140,15 @@ class StandardTableau:
     def from_json(cls, obj: dict) -> "StandardTableau":
         if not isinstance(obj, dict) or "rows" not in obj:
             raise TableauError("tableau JSON needs a 'rows' key")
-        t = validate_syt(obj["rows"])
-        if "n" in obj and obj["n"] != t.n:
-            raise TableauError(f"declared n={obj['n']} but found {t.n} boxes")
+        rows = obj["rows"]
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(type(e) is int for e in row)
+            for row in rows
+        ):
+            raise TableauError("'rows' must be a list of lists of integers")
+        t = validate_syt(rows)
+        if "n" in obj and (type(obj["n"]) is not int or obj["n"] != t.n):
+            raise TableauError(f"declared n={obj['n']!r} but found {t.n} boxes")
         return t
 
     def __str__(self) -> str:

@@ -140,20 +140,6 @@ def _mat_mul(a: list[list[int]], b: list[list[int]], p: int | None) -> list[list
     return out
 
 
-def _upper_inverse(b: list[list[int]], p: int) -> list[list[int]]:
-    """Inverse of an invertible upper triangular matrix mod p."""
-    n = len(b)
-    inv = [[0] * n for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        inv[i][i] = pow(b[i][i], -1, p)
-        for j in range(i + 1, n):
-            s = 0
-            for k in range(i + 1, j + 1):
-                s += b[i][k] * inv[k][j]
-            inv[i][j] = -inv[i][i] * s % p
-    return inv
-
-
 def matrix_rank(m: FieldMatrix) -> int:
     ranks = _window_ranks(m.rows, m.prime)
     return ranks[0][-1] if ranks else 0
@@ -300,10 +286,12 @@ def sample_variety_point(
     recording tableaux are both t, fills the positions (a, b) with
     w(a) < w(b) uniformly, and conjugates by a random invertible upper
     triangular matrix B. The result is strictly upper triangular with
-    Jordan type at most shape(t), equal generically. B, the filled U and
-    B^-1 are all upper triangular, so both products of B U B^-1 take
-    about n^3 / 6 multiplies (_mat_mul skips the zeros below each row's
-    diagonal).
+    Jordan type at most shape(t), equal generically. X = B U B^-1 is the
+    unique solution of X B = C with C = B U, and both C and X are
+    strictly upper, so X is solved row by row by back-substitution:
+    X[i][j] = (C[i][j] - sum over i < k < j of X[i][k] B[k][j]) / B[j][j].
+    Forming C and solving take about n^3 / 6 multiplies each (_mat_mul
+    skips the zeros below each row's diagonal).
     """
     n = t.n
     rng = random.Random(f"variety:{seed}:{prime}")
@@ -315,7 +303,14 @@ def sample_variety_point(
         bmat[i][i] = rng.randrange(1, prime)
         for j in range(i + 1, n):
             bmat[i][j] = rng.randrange(prime)
-    x = _mat_mul(_mat_mul(bmat, u, prime), _upper_inverse(bmat, prime), prime)
+    inv = [pow(bmat[j][j], -1, prime) for j in range(n)]
+    x = _mat_mul(bmat, u, prime)
+    for i, row in enumerate(x):
+        for j in range(i + 1, n):
+            s = row[j]
+            for k in range(i + 1, j):
+                s -= row[k] * bmat[k][j]
+            row[j] = s * inv[j] % prime
     return FieldMatrix._reduced(x, prime)
 
 

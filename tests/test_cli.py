@@ -139,6 +139,31 @@ def test_tableau_file_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hypersurfaces", "--tableau", str(worse)])
     assert exc.value.code == 2
+    # rows that are not lists of integers, a declared n that is not the
+    # integer box count, or bytes that are not UTF-8 are rejected: not
+    # rounded, read as booleans, split from strings, or left to a traceback
+    malformed = [
+        {"rows": [["a"]]},
+        {"rows": {"x": 1}},
+        {"rows": [[1.7, 2]]},
+        {"rows": [[True, 2]]},
+        {"rows": [[1, 2], "34"]},
+        {"rows": [[1]], "n": True},
+        {"rows": [[1]], "n": "1"},
+    ]
+    paths = [tmp_path / f"malformed{k}.json" for k in range(len(malformed) + 1)]
+    for path, obj in zip(paths, malformed):
+        path.write_text(json.dumps(obj))
+    paths[-1].write_bytes(b"\xf0\x28\x8c\x28")
+    for path in paths:
+        for argv in (
+            ["hypersurfaces", "--tableau", str(path)],
+            ["project", "--tableau", str(path), "-i", "1", "-j", "1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "malformed tableau file" in capsys.readouterr().err
 
 
 def test_project_text_with_steps(tmp_path, capsys):
@@ -211,9 +236,13 @@ def test_project_mixed_moves(tmp_path, capsys):
 
 def test_project_bad_window_exits_2(tmp_path, capsys):
     path = write_tableau(tmp_path, "t.json", [[1, 2], [3, 4], [5, 6]])
-    with pytest.raises(SystemExit) as exc:
-        main(["project", "--tableau", path, "-i", "4", "-j", "2"])
-    assert exc.value.code == 2
+    for i, j in ((4, 2), (0, 2), (1, 7)):
+        with pytest.raises(SystemExit) as exc:
+            main(["project", "--tableau", path, "-i", str(i), "-j", str(j)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"orbital: error: need 1 <= i <= j <= 6, got i={i}, j={j}\n"
+        )
 
 
 def test_verify_text(capsys):

@@ -13,9 +13,12 @@ from orbital import (
     PolyMatrix,
     WeightVector,
     ZeroPolynomial,
+    cmin_window,
     determinant,
     format_poly,
+    iter_descriptors,
     poly_eval,
+    remark_minor,
     t_coefficient,
     t_poly,
     weight_of,
@@ -168,3 +171,17 @@ def test_determinant_matches_leibniz_3x3(entries):
 def test_determinant_matches_leibniz_4x4(entries):
     m = PolyMatrix(tuple(tuple(entries[4 * r : 4 * r + 4]) for r in range(4)))
     assert determinant(m) == leibniz_det(m)
+
+
+def test_determinant_matches_leibniz_on_program_matrices():
+    # the matrices the program expands: the window matrix of every
+    # descriptor with n <= 8, whose terms never cancel, and its remark
+    # power minor, whose terms may cancel
+    count = 0
+    for d in iter_descriptors(8):
+        window = cmin_window(d.tau, d.n, d.window, d.thickness)
+        corner = remark_minor(d)[0]
+        assert determinant(window) == leibniz_det(window)
+        assert determinant(corner) == leibniz_det(corner)
+        count += 1
+    assert count == 198
