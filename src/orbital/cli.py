@@ -62,6 +62,8 @@ def _load_tableau(parser: argparse.ArgumentParser, path: str) -> StandardTableau
         return StandardTableau.from_json(data)
     except FileNotFoundError:
         parser.error(f"no such file: {path}")
+    except OSError as exc:
+        parser.error(f"cannot read {path}: {exc.strerror}")
     except (ValueError, TableauError) as exc:
         parser.error(f"malformed tableau file {path}: {exc}")
 
@@ -129,6 +131,8 @@ def _descriptor_json(d: HypersurfaceDescriptor, with_generator: bool) -> dict:
 
 def cmd_hypersurfaces(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.tableau is not None:
+        if args.n is not None:
+            parser.error("--n goes with --tau; a --tableau file sets its own size")
         t = _load_tableau(parser, args.tableau)
         d = classify_hypersurface(t)
         if d is None:

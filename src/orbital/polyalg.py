@@ -14,7 +14,6 @@ this package) therefore have a single well-defined weight vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -267,31 +266,22 @@ def format_poly(p: MultiPoly) -> str:
 # -- evaluation and slicing -----------------------------------------------------
 
 
-def poly_eval(
-    p: MultiPoly,
-    assignment: Mapping[VarId, int | Fraction],
-    prime: int | None = None,
-) -> int | Fraction:
-    """Evaluate exactly, over the rationals or modulo a prime.
+def poly_eval(p: MultiPoly, assignment: Mapping[VarId, int], prime: int) -> int:
+    """The value of p at the integer assignment, in GF(prime): an int in
+    [0, prime).
 
     Every variable of p must be present in the assignment; anything
     missing raises MissingVariable rather than silently defaulting.
     """
-    total: int | Fraction = 0
+    total = 0
     for mono, coeff in p.terms.items():
-        val: int | Fraction = coeff
+        val = coeff
         for var, e in mono:
             if var not in assignment:
                 raise MissingVariable(f"no value for {_var_str(var)}")
-            base = assignment[var]
-            if prime is not None:
-                val = val * pow(int(base), e, prime) % prime
-            else:
-                val = val * base**e
-        total = total + val
-    if prime is not None:
-        return int(total) % prime
-    return total
+            val = val * pow(assignment[var], e, prime) % prime
+        total += val
+    return total % prime
 
 
 def t_coefficient(p: MultiPoly, k: int) -> MultiPoly:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -37,18 +36,13 @@ SECOND_PRIME = 2147483629  # largest prime below it
 
 @dataclass(frozen=True)
 class FieldMatrix:
-    """Square matrix over GF(prime), or exact rationals when prime is None."""
+    """Square matrix over GF(prime); the entries are stored reduced."""
 
     rows: tuple[tuple[int, ...], ...]
-    prime: int | None = DEFAULT_PRIME
+    prime: int = DEFAULT_PRIME
 
     def __post_init__(self) -> None:
-        if self.prime is None:
-            rows = tuple(tuple(row) for row in self.rows)
-        else:
-            rows = tuple(
-                tuple(int(e) % self.prime for e in row) for row in self.rows
-            )
+        rows = tuple(tuple(int(e) % self.prime for e in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
@@ -69,13 +63,6 @@ class FieldMatrix:
     def entry(self, i: int, j: int) -> int:
         """1-indexed access."""
         return self.rows[i - 1][j - 1]
-
-    def submatrix(self, i: int, j: int) -> "FieldMatrix":
-        """Principal corner on rows and columns i..j, 1-indexed."""
-        return FieldMatrix(
-            tuple(tuple(row[i - 1 : j]) for row in self.rows[i - 1 : j]),
-            self.prime,
-        )
 
     def is_strictly_upper(self) -> bool:
         return all(
@@ -105,7 +92,7 @@ class FieldMatrix:
         return [_window_ranks(xk, self.prime) for xk in self._powers]
 
 
-# -- linear algebra over GF(p), or the rationals when p is None (hot path) ------
+# -- linear algebra over GF(p) (hot path) -----------------------------------------
 #
 # _window_ranks is the only elimination. Its table gives matrix_rank the rank
 # of any square matrix, jordan_type the rank of each power, and
@@ -114,11 +101,10 @@ class FieldMatrix:
 # per power, so jordan_type and check_power_rank share it.
 
 
-def _mat_mul(a: list[list[int]], b: list[list[int]], p: int | None) -> list[list[int]]:
-    """a @ b, mod p unless p is None. Each row of b is added from its
-    first nonzero column on, so triangular factors cost about n^3 / 6
-    multiplies and a strictly upper X^k times X skips the band where
-    X^(k+1) vanishes."""
+def _mat_mul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
+    """a @ b, reduced mod p. Each row of b is added from its first nonzero
+    column on, so triangular factors cost about n^3 / 6 multiplies and a
+    strictly upper X^k times X skips the band where X^(k+1) vanishes."""
     n = len(a)
     lead = []
     for row in b:
@@ -136,7 +122,7 @@ def _mat_mul(a: list[list[int]], b: list[list[int]], p: int | None) -> list[list
                 bk = b[k]
                 for j in range(lead[k], n):
                     acc[j] += v * bk[j]
-        out.append([val % p for val in acc] if p else acc)
+        out.append([val % p for val in acc])
     return out
 
 
@@ -182,9 +168,10 @@ class Violation(NamedTuple):
     bound: int
 
 
-def _window_ranks(xk, p: int | None) -> list[tuple[int, ...]]:
+def _window_ranks(xk, p: int) -> list[tuple[int, ...]]:
     """ranks[i - 1][j - 1] is the number of pivots <= j once rows i..n of
-    the square matrix xk are in, for every 1 <= i, j <= n.
+    the square matrix xk are in, for every 1 <= i, j <= n. The entries of
+    xk must already be reduced mod p, as FieldMatrix and _mat_mul keep them.
 
     Inserts the rows bottom-up (row n first) into an echelon basis whose
     vectors have distinct leading columns, each scaled to lead with 1.
@@ -198,24 +185,18 @@ def _window_ranks(xk, p: int | None) -> list[tuple[int, ...]]:
     counts = (0,) * n  # counts[j - 1]: pivots in columns <= j so far
     ranks: list[tuple[int, ...]] = []
     for xrow in reversed(xk):
-        row = [v % p for v in xrow] if p else [Fraction(v) for v in xrow]
+        row = list(xrow)
         for c in range(n):
             v = row[c]
             if not v:
                 continue
             tail = basis.get(c)
             if tail is None:
-                inv = pow(v, -1, p) if p else 1 / v
-                if p:
-                    basis[c] = [a * inv % p for a in row[c:]]
-                else:
-                    basis[c] = [a * inv for a in row[c:]]
+                inv = pow(v, -1, p)
+                basis[c] = [a * inv % p for a in row[c:]]
                 counts = counts[:c] + tuple(k + 1 for k in counts[c:])
                 break
-            if p:
-                row[c:] = [(a - v * b) % p for a, b in zip(row[c:], tail)]
-            else:
-                row[c:] = [a - v * b for a, b in zip(row[c:], tail)]
+            row[c:] = [(a - v * b) % p for a, b in zip(row[c:], tail)]
         ranks.append(counts)
     ranks.reverse()
     return ranks

@@ -98,10 +98,10 @@ def same_up_to_sign(p: MultiPoly, q: MultiPoly) -> bool:
     return p == q or p == -q
 
 
-def minor_rank(rows, p=None) -> int:
-    """Size of the largest nonzero minor. Each minor is an exact integer
-    Leibniz determinant, reduced mod p unless p is None (the rationals).
-    If every k x k minor vanishes, so does every larger one."""
+def minor_rank(rows, p) -> int:
+    """Size of the largest minor nonzero mod p. Each minor is an exact
+    integer Leibniz determinant, then reduced mod p. If every k x k minor
+    vanishes, so does every larger one."""
 
     def minor(rs, cs) -> int:
         det = 0
@@ -109,7 +109,7 @@ def minor_rank(rows, p=None) -> int:
             term = prod(rows[r][cs[c]] for r, c in zip(rs, perm))
             if term:
                 det += perm_sign(perm) * term
-        return det % p if p else det
+        return det % p
 
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
@@ -131,7 +131,7 @@ def naive_mat_mul(a, b, p=None):
     return [[v % p for v in row] for row in out] if p else out
 
 
-def naive_jordan_parts(rows, p=None) -> tuple[int, ...]:
+def naive_jordan_parts(rows, p) -> tuple[int, ...]:
     """Jordan type of a nilpotent matrix: k-th column of the partition is
     rank(X^(k-1)) - rank(X^k), with every power multiplied out."""
     n = len(rows)
@@ -144,7 +144,7 @@ def naive_jordan_parts(rows, p=None) -> tuple[int, ...]:
     return tuple(sum(1 for c in cols if c >= i) for i in range(1, cols[0] + 1))
 
 
-def naive_power_rank(rows, t: StandardTableau, p=None) -> list[tuple[int, ...]]:
+def naive_power_rank(rows, t: StandardTableau, p) -> list[tuple[int, ...]]:
     """(i, j, k, rank, bound) for every window [i, j] and power k whose
     rank exceeds the boxes of t's projected shape beyond column k; each
     window's powers are multiplied out on their own."""
@@ -166,7 +166,7 @@ def naive_power_rank(rows, t: StandardTableau, p=None) -> list[tuple[int, ...]]:
     return out
 
 
-def sliced_power_rank(rows, t: StandardTableau, p=None) -> list[tuple[int, ...]]:
+def sliced_power_rank(rows, t: StandardTableau, p) -> list[tuple[int, ...]]:
     """naive_power_rank's list, from the powers of the whole strictly upper
     matrix: each window [i, j] of each X^k is sliced out and ranked on its
     own with matrix_rank, one elimination per window and power."""

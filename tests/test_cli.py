@@ -103,6 +103,17 @@ def test_hypersurfaces_requires_n_with_tau(capsys):
     assert exc.value.code == 2
 
 
+def test_hypersurfaces_rejects_n_with_tableau(tmp_path, capsys):
+    # --n sizes a --tau enumeration; a tableau file has its own size, so
+    # the pair is a usage error even when the two agree
+    path = write_tableau(tmp_path, "t.json", [[1, 2, 4], [3, 5, 6]])
+    for n in ("6", "9"):
+        with pytest.raises(SystemExit) as exc:
+            main(["hypersurfaces", "--tableau", path, "--n", n])
+        assert exc.value.code == 2
+        assert "--n goes with --tau" in capsys.readouterr().err
+
+
 def test_classify_descendant(tmp_path, capsys):
     path = write_tableau(tmp_path, "t.json", [[1, 2, 6, 7], [3, 5, 8], [4]])
     code, out, _ = run(capsys, "hypersurfaces", "--tableau", path, "--json")
@@ -164,6 +175,15 @@ def test_tableau_file_errors_exit_2(tmp_path, capsys):
                 main(argv)
             assert exc.value.code == 2
             assert "malformed tableau file" in capsys.readouterr().err
+    # a path that exists but cannot be read as a file
+    for argv in (
+        ["hypersurfaces", "--tableau", str(tmp_path)],
+        ["project", "--tableau", str(tmp_path), "-i", "1", "-j", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"cannot read {tmp_path}" in capsys.readouterr().err
 
 
 def test_project_text_with_steps(tmp_path, capsys):

@@ -1,7 +1,5 @@
 """Sparse exact polynomials, weights, matrices, symbolic determinants."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -82,11 +80,15 @@ def test_json_round_trip():
 
 def test_poly_eval_exact_modular_and_missing():
     p = x(1, 2) * x(2, 3) - 2
-    assert poly_eval(p, {(1, 2): 3, (2, 3): 4}) == 10
+    # 3 * 4 - 2 = 10, and 3 mod 7; values congruent mod 7 give the same
     assert poly_eval(p, {(1, 2): 3, (2, 3): 4}, prime=7) == 3
-    assert poly_eval(p, {(1, 2): Fraction(1, 2), (2, 3): 4}) == 0
+    assert poly_eval(p, {(1, 2): -4, (2, 3): 11}, prime=7) == 3
+    # zero over the integers, and zero only mod 7 (3 * 3 - 2 = 7)
+    assert poly_eval(p, {(1, 2): 1, (2, 3): 2}, prime=7) == 0
+    assert poly_eval(p, {(1, 2): 3, (2, 3): 3}, prime=7) == 0
+    assert poly_eval(p, {(1, 2): 3, (2, 3): 3}, prime=11) == 7
     with pytest.raises(MissingVariable):
-        poly_eval(p, {(1, 2): 3})
+        poly_eval(p, {(1, 2): 3}, prime=7)
 
 
 def test_t_coefficient():

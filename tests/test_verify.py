@@ -47,7 +47,7 @@ from conftest import (
 )
 
 
-def nilpotent_blocks(*sizes: int, prime=None) -> FieldMatrix:
+def nilpotent_blocks(*sizes: int, prime=7) -> FieldMatrix:
     n = sum(sizes)
     rows = [[0] * n for _ in range(n)]
     at = 0
@@ -71,8 +71,6 @@ def test_field_matrix_reduces_and_slices():
     assert m.n == 2
     assert not m.is_strictly_upper()
     assert FieldMatrix(((0, 5), (0, 0)), 7).is_strictly_upper()
-    sub = m.submatrix(2, 2)
-    assert sub.rows == ((3,),)
     # the public constructor reduces and checks squareness; only the
     # samplers skip both
     assert FieldMatrix(((0, -1), (0, 9)), 7).rows == ((0, 6), (0, 2))
@@ -85,7 +83,6 @@ def test_matrix_rank():
     assert matrix_rank(FieldMatrix(((1, 2), (2, 5)), 5)) == 2
     # rank can drop mod p but not exactly
     assert matrix_rank(FieldMatrix(((1, 2), (2, 9)), 5)) == 1
-    assert matrix_rank(FieldMatrix(((1, 2), (2, 9)), None)) == 2
     assert matrix_rank(FieldMatrix(((0, 0), (0, 0)), 5)) == 0
 
 
@@ -101,7 +98,7 @@ def test_rank_bound():
 
 def test_jordan_type():
     assert jordan_type(nilpotent_blocks(3, 2, prime=7)).parts == (3, 2)
-    assert jordan_type(nilpotent_blocks(4, prime=None)).parts == (4,)
+    assert jordan_type(nilpotent_blocks(4, prime=DEFAULT_PRIME)).parts == (4,)
     zero = FieldMatrix(((0, 0), (0, 0)), 7)
     assert jordan_type(zero).parts == (1, 1)
     with pytest.raises(NotNilpotent):
@@ -137,7 +134,7 @@ def _probe_matrices(t, rng):
         ]
 
 
-@pytest.mark.parametrize("p", [7, None])
+@pytest.mark.parametrize("p", [7, DEFAULT_PRIME])
 def test_kernel_matches_naive_oracles(p):
     rng = random.Random(f"kernel:{p}")
     consistent = violating = 0
@@ -156,11 +153,11 @@ def test_kernel_matches_naive_oracles(p):
     assert consistent > 50 and violating > 50
 
 
-@pytest.mark.parametrize("p", [DEFAULT_PRIME, None])
+@pytest.mark.parametrize("p", [7, DEFAULT_PRIME])
 def test_check_power_rank_matches_sliced_oracle(p):
-    # a variety point (consistent over GF(p), its integer lift mostly not
-    # over the rationals), then a sparse and a dense random strictly upper
-    # matrix, for every tableau with n <= 7
+    # a variety point drawn over GF(DEFAULT_PRIME) (consistent when p is
+    # that prime), then a sparse and a dense random strictly upper matrix,
+    # for every tableau with n <= 7
     rng = random.Random(f"sliced:{p}")
     consistent = violating = 0
     for n in range(1, 8):
@@ -242,7 +239,7 @@ def _unimodular(n, rng):
     return g, g_inv
 
 
-@pytest.mark.parametrize("p", [7, None])
+@pytest.mark.parametrize("p", [7, DEFAULT_PRIME])
 def test_rank_and_jordan_type_of_general_matrices(p):
     # matrix_rank and jordan_type read the echelon sweep of any square
     # matrix, not only of strictly upper ones
