@@ -23,7 +23,7 @@ import json
 import os
 import sys
 
-from .errors import BadRange, OrbitalError, TableauError
+from .errors import BadProbeInput, BadRange, OrbitalError, TableauError
 from .generator import char_poly, generator_report
 from .hypersurface import (
     HypersurfaceDescriptor,
@@ -41,7 +41,7 @@ from .tableaux import (
     tau_invariant,
     variety_dim,
 )
-from .verify import DEFAULT_PRIME, SECOND_PRIME, verify_conjecture
+from .verify import DEFAULT_PRIME, SECOND_PRIME, check_modulus, verify_conjecture
 
 SCHEMA = "orbital/v1"
 
@@ -216,36 +216,12 @@ def cmd_project(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     return 0
 
 
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(p: int) -> bool:
-    """Miller-Rabin with the bases above: exact for every p below 3.3e24."""
-    if p < 2 or any(p % a == 0 for a in _WITNESSES):
-        return p in _WITNESSES
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _WITNESSES:
-        y = pow(a, d, p)
-        if y == 1 or y == p - 1:
-            continue
-        for _ in range(s - 1):
-            y = y * y % p
-            if y == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _resolve_primes(parser: argparse.ArgumentParser, flag: int | None) -> tuple[int, ...]:
     def checked(p: int) -> int:
-        if p >= 2**64:
-            parser.error(f"modulus {p} is too large: it must be below 2**64")
-        if p < 3 or not _is_prime(p):
-            parser.error(f"{p} is not an odd prime")
-        return p
+        try:
+            return check_modulus(p)
+        except BadProbeInput as exc:
+            parser.error(str(exc))
 
     if flag is not None:
         return (checked(flag),)

@@ -98,3 +98,8 @@ class NotNilpotent(OrbitalError):
 
 class DegenerateSample(OrbitalError):
     """Repeated sampling failed to produce a usable point."""
+
+
+class BadProbeInput(OrbitalError):
+    """verify_conjecture asked for fewer than one trial, for no prime, or
+    for a modulus that is not an odd prime below 2**64."""

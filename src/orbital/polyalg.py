@@ -279,7 +279,7 @@ def poly_eval(p: MultiPoly, assignment: Mapping[VarId, int], prime: int) -> int:
         for var, e in mono:
             if var not in assignment:
                 raise MissingVariable(f"no value for {_var_str(var)}")
-            val = val * pow(assignment[var], e, prime) % prime
+            val = val * (assignment[var] if e == 1 else pow(assignment[var], e, prime)) % prime
         total += val
     return total % prime
 

@@ -20,9 +20,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
+from operator import gt, mul
 from typing import NamedTuple
 
-from .errors import ClassificationError, DegenerateSample, NotApplicable, NotNilpotent
+from .errors import (
+    BadProbeInput,
+    ClassificationError,
+    DegenerateSample,
+    NotApplicable,
+    NotNilpotent,
+)
 from .generator import generator_report, generic_richardson_matrix
 from .hypersurface import HypersurfaceDescriptor, classify_hypersurface
 from .polyalg import PolyMatrix, determinant, poly_eval
@@ -65,31 +73,40 @@ class FieldMatrix:
         return self.rows[i - 1][j - 1]
 
     def is_strictly_upper(self) -> bool:
-        return all(
-            not self.rows[r][c]
-            for r in range(self.n)
-            for c in range(0, min(r + 1, self.n))
-        )
-
-    @cached_property
-    def _powers(self) -> list:
-        """[X, X^2, ..., X^m] for X = self, X^m its last nonzero power.
-        Stops at X^n, which is nonzero only when X is not nilpotent; a
-        nilpotent X costs at most n - 1 products, once per matrix."""
-        out = []
-        cur = self.rows
-        while any(map(any, cur)):
-            out.append(cur)
-            if len(out) == self.n:
-                break
-            cur = _mat_mul(cur, self.rows, self.prime)
-        return out
+        return not any(any(row[: r + 1]) for r, row in enumerate(self.rows))
 
     @cached_property
     def _sweeps(self) -> list:
-        """The _window_ranks table of each power in _powers, so that
-        jordan_type and check_power_rank eliminate each power once."""
-        return [_window_ranks(xk, self.prime) for xk in self._powers]
+        """The _window_ranks table of each nonzero power X, X^2, ..., X^m.
+
+        Stops at X^n, which is nonzero only when X is not nilpotent. The
+        echelon basis of one power is carried to the next instead of
+        forming X^(k+1): rows i..n of X^(k+1) are rows i..n of X^k times
+        X, so the basis vectors that came in with rows i..n of X^k, times
+        X, span the same space as rows i..n of X^(k+1). Each such product
+        keeps its row index and goes in bottom-up. The leading columns of
+        an echelon basis depend only on the space it spans, so every table
+        is the one the rows of X^(k+1) would give, and a power costs
+        rank(X^k) vector-matrix products and one insertion.
+        """
+        n, p = self.n, self.prime
+        cols = list(zip(*self.rows))
+        # column j of a strictly upper X vanishes from row j on, so the
+        # product of a vector that vanishes before column c is 0 up to c
+        upper = self.is_strictly_upper()
+        pairs = [(i, row) for i, row in enumerate(self.rows) if any(row)]
+        pairs.reverse()
+        tables = []
+        while pairs and len(tables) < n:
+            table, basis = _window_ranks(pairs, n, p)
+            tables.append(table)
+            pairs = []
+            for i, c, vec in basis:
+                skip = c + 1 if upper else 0
+                image = [0] * skip + [sum(map(mul, vec, col)) % p for col in cols[skip:]]
+                if any(image):
+                    pairs.append((i, image))
+        return tables
 
 
 # -- linear algebra over GF(p) (hot path) -----------------------------------------
@@ -98,37 +115,57 @@ class FieldMatrix:
 # of any square matrix, jordan_type the rank of each power, and
 # check_power_rank the rank of every window of each power; only that last
 # reading needs the matrix strictly upper. FieldMatrix._sweeps holds one table
-# per power, so jordan_type and check_power_rank share it.
+# per nonzero power, built by carrying the echelon basis of X^k through one
+# more factor of X, so jordan_type and check_power_rank share it and no power
+# is ever formed as a matrix.
 
 
-def _mat_mul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
-    """a @ b, reduced mod p. Each row of b is added from its first nonzero
-    column on, so triangular factors cost about n^3 / 6 multiplies and a
-    strictly upper X^k times X skips the band where X^(k+1) vanishes."""
-    n = len(a)
-    lead = []
-    for row in b:
-        j = 0
-        while j < n and not row[j]:
-            j += 1
-        lead.append(j)
-    out = []
-    for i in range(n):
-        ai = a[i]
-        acc = [0] * n
-        for k in range(n):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                for j in range(lead[k], n):
-                    acc[j] += v * bk[j]
-        out.append([val % p for val in acc])
-    return out
+def _window_ranks(pairs, n: int, p: int) -> tuple[list, list]:
+    """Inserts the (row index, vector) pairs, in decreasing row index, into
+    an echelon basis of vectors of length n over GF(p), whose entries must
+    already be reduced mod p. Returns (ranks, basis).
+
+    ranks[i][j] (0-indexed) is the number of pivots in columns <= j once
+    every vector with row index >= i is in, for every 0 <= i, j < n; rows
+    that add no pivot share the previous row's tuple. basis lists (row
+    index, pivot column, vector) for each vector that added a pivot, in
+    insertion order, the vector reduced against the earlier ones and so
+    zero before its pivot column. len(basis) = ranks[0][n - 1] is the rank
+    of the vectors. Reading ranks[i][j] as the rank of the window
+    [i + 1, j + 1] of X^k needs X strictly upper (check_power_rank says
+    why). Zero vectors are skipped.
+
+    Elimination is fraction-free: a row whose leading entry v meets the
+    basis vector with leading entry e becomes e * row - v * vector, so no
+    inverse mod p is ever taken and no vector is rescaled.
+    """
+    pivots: dict[int, list[int]] = {}  # pivot column -> its basis vector
+    basis = []
+    counts = (0,) * n  # counts[j]: pivots in columns <= j so far
+    ranks = [counts] * n
+    for i, row in pairs:
+        if not any(row):
+            continue
+        for c in range(n):
+            v = row[c]
+            if not v:
+                continue
+            vec = pivots.get(c)
+            if vec is None:
+                pivots[c] = row
+                basis.append((i, c, row))
+                counts = counts[:c] + tuple(k + 1 for k in counts[c:])
+                ranks[: i + 1] = [counts] * (i + 1)
+                break
+            e = vec[c]
+            row = [(a * e - v * b) % p for a, b in zip(row, vec)]
+    return ranks, basis
 
 
 def matrix_rank(m: FieldMatrix) -> int:
-    ranks = _window_ranks(m.rows, m.prime)
-    return ranks[0][-1] if ranks else 0
+    pairs = list(enumerate(m.rows))
+    pairs.reverse()
+    return len(_window_ranks(pairs, m.n, m.prime)[1])
 
 
 # -- rank bounds and Jordan type -------------------------------------------------
@@ -142,19 +179,47 @@ def rank_bound(lam: Partition, k: int) -> int:
     return sum(p - k for p in lam.parts if p > k)
 
 
+@lru_cache(maxsize=None)
+def _shape_bounds(lam: Partition, n: int) -> tuple[int, ...]:
+    """rank_bound(lam, k) for k = 1, ..., n - 1."""
+    return tuple(rank_bound(lam, k) for k in range(1, n))
+
+
+@lru_cache(maxsize=None)
+def _bound_row(row: tuple[int, ...]) -> tuple[int, ...]:
+    """One shared tuple per row of bounds: tableaux share most of them."""
+    return row
+
+
+@lru_cache(maxsize=128)
+def _rank_bounds(t: StandardTableau) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """bounds[k - 1][i - 1][j - 1] = rank_bound(projected_shape(t, i, j), k)
+    for 1 <= k < n and i <= j, and 0 for j < i, laid out like the tables of
+    FieldMatrix._sweeps. A strictly upper X^n vanishes, so n - 1 powers
+    cover every table of such an X, and its rank tables hold 0 where j < i.
+    """
+    n = t.n
+    by_row = []  # by_row[i - 1][k - 1]: the bound row of window row i, power k
+    for i in range(1, n + 1):
+        per_shape = [_shape_bounds(projected_shape(t, i, j), n) for j in range(i, n + 1)]
+        by_row.append([_bound_row((0,) * (i - 1) + row) for row in zip(*per_shape)])
+    return tuple(zip(*by_row))
+
+
 def jordan_type(x: FieldMatrix) -> Partition:
     """Partition of the nilpotent x: dual parts are the kernel-dimension
-    increments of successive powers. Raises NotNilpotent if the rank
-    sequence bottoms out above zero.
+    increments of successive powers. Raises NotNilpotent if X^n is nonzero.
 
-    The rank of X^k is entry [1, n] of its cached sweep (FieldMatrix._sweeps),
+    The rank of X^k is entry [1, n] of its table in FieldMatrix._sweeps,
     which counts every pivot and so needs no triangularity; check_power_rank
-    reads the same tables."""
+    reads the same tables. The sweeps stop at X^n, so a matrix that is not
+    nilpotent costs at most n insertions."""
     n = x.n
     if n == 0:
         return Partition(())
-    ranks = [n] + [rk[0][-1] for rk in x._sweeps] + [0]
-    if len(x._powers) == n:
+    sweeps = x._sweeps
+    ranks = [n] + [rk[0][-1] for rk in sweeps] + [0]
+    if len(sweeps) == n:
         raise NotNilpotent(f"rank sequence stabilised at {ranks[-2]}")
     cols = tuple(ranks[k - 1] - ranks[k] for k in range(1, len(ranks)))
     return dual_partition(Partition(cols))
@@ -168,40 +233,6 @@ class Violation(NamedTuple):
     bound: int
 
 
-def _window_ranks(xk, p: int) -> list[tuple[int, ...]]:
-    """ranks[i - 1][j - 1] is the number of pivots <= j once rows i..n of
-    the square matrix xk are in, for every 1 <= i, j <= n. The entries of
-    xk must already be reduced mod p, as FieldMatrix and _mat_mul keep them.
-
-    Inserts the rows bottom-up (row n first) into an echelon basis whose
-    vectors have distinct leading columns, each scaled to lead with 1.
-    ranks[0][n - 1] counts every pivot: the rank of any square xk. Reading
-    ranks[i - 1][j - 1] as the rank of the window [i, j] needs xk strictly
-    upper (check_power_rank says why). Rows that add no pivot share the
-    previous row's tuple.
-    """
-    n = len(xk)
-    basis: dict[int, list] = {}  # 0-indexed pivot column -> the vector from it on
-    counts = (0,) * n  # counts[j - 1]: pivots in columns <= j so far
-    ranks: list[tuple[int, ...]] = []
-    for xrow in reversed(xk):
-        row = list(xrow)
-        for c in range(n):
-            v = row[c]
-            if not v:
-                continue
-            tail = basis.get(c)
-            if tail is None:
-                inv = pow(v, -1, p)
-                basis[c] = [a * inv % p for a in row[c:]]
-                counts = counts[:c] + tuple(k + 1 for k in counts[c:])
-                break
-            row[c:] = [(a - v * b) % p for a, b in zip(row[c:], tail)]
-        ranks.append(counts)
-    ranks.reverse()
-    return ranks
-
-
 def check_power_rank(x: FieldMatrix, t: StandardTableau) -> list[Violation]:
     """Every window power-rank inequality for x against the tableau t.
 
@@ -210,17 +241,17 @@ def check_power_rank(x: FieldMatrix, t: StandardTableau) -> list[Violation]:
     [i, j]. Returns all violations (empty list = consistent with t),
     ordered by i, then j, then k.
 
-    The powers X^k and one echelon sweep of each are computed once per
-    matrix and shared with jordan_type (FieldMatrix._powers and _sweeps).
-    A sweep gives the rank of every window at once (_window_ranks): the
-    rows of X^k go in bottom-up, and after rows i..n the rank of [i, j] is
-    the number of pivots <= j. Strict upper triangularity makes this exact:
-    the corner of X^k on [i, j] is the k-th power of X's corner; rows
-    below j vanish in columns <= j and column i vanishes in rows >= i, so
-    the corner has the rank of rows i..n cut to columns <= j; and that
-    cut keeps exactly the basis vectors whose pivot is <= j, which stay
-    independent because their pivots differ. At most n - 1 sweeps of
-    O(n^3) each replace a separate elimination per window and power.
+    The rank tables come from FieldMatrix._sweeps, one per nonzero power
+    and shared with jordan_type; the bounds from _rank_bounds, one table
+    per tableau laid out the same way. After the vectors of rows i..n of
+    X^k are in, the rank of [i, j] is the number of pivots <= j. Strict
+    upper triangularity makes this exact: the corner of X^k on [i, j] is
+    the k-th power of X's corner; rows below j vanish in columns <= j and
+    column i vanishes in rows >= i, so the corner has the rank of rows i..n
+    cut to columns <= j; and that cut keeps exactly the basis vectors whose
+    pivot is <= j, which stay independent because their pivots differ.
+    All ranks are compared with their bounds at once; the windows are
+    walked in order only to list the violations.
     """
     if not x.is_strictly_upper():
         raise NotApplicable("power-rank checks need a strictly upper matrix")
@@ -228,19 +259,17 @@ def check_power_rank(x: FieldMatrix, t: StandardTableau) -> list[Violation]:
     if n != t.n:
         raise NotApplicable(f"matrix size {n} vs tableau size {t.n}")
     ranks = x._sweeps
+    bounds = _rank_bounds(t)
+    flat = chain.from_iterable
+    if not any(map(gt, flat(flat(ranks)), flat(flat(bounds)))):
+        return []
     out: list[Violation] = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            lam = None
-            for k, rk in enumerate(ranks, start=1):
-                r = rk[i - 1][j - 1]
-                if r == 0:
-                    break
-                if lam is None:
-                    lam = projected_shape(t, i, j)
-                bound = rank_bound(lam, k)
+    for i in range(n):
+        for j in range(i, n):
+            for k, (rk, bk) in enumerate(zip(ranks, bounds), start=1):
+                r, bound = rk[i][j], bk[i][j]
                 if r > bound:
-                    out.append(Violation(i, j, k, r, bound))
+                    out.append(Violation(i + 1, j + 1, k, r, bound))
     return out
 
 
@@ -258,6 +287,18 @@ def _word_span(t: StandardTableau) -> tuple[tuple[int, int], ...]:
     )
 
 
+def _below(getrandbits, n: int) -> int:
+    """A draw from [0, n), n >= 1, exactly as random.Random.randrange(n)
+    makes it from the same generator (CPython's
+    _randbelow_with_getrandbits), without randrange's argument handling;
+    randrange(1, n) is 1 + _below(getrandbits, n - 1)."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def sample_variety_point(
     t: StandardTableau, seed, prime: int = DEFAULT_PRIME
 ) -> FieldMatrix:
@@ -271,27 +312,30 @@ def sample_variety_point(
     unique solution of X B = C with C = B U, and both C and X are
     strictly upper, so X is solved row by row by back-substitution:
     X[i][j] = (C[i][j] - sum over i < k < j of X[i][k] B[k][j]) / B[j][j].
-    Forming C and solving take about n^3 / 6 multiplies each (_mat_mul
-    skips the zeros below each row's diagonal).
+    C[i][j] and the sum are each one dot product, of row i of B with the
+    part of U's column j above the diagonal, and of the row solved so far
+    with the same part of B's column j (its terms k <= i vanish).
     """
     n = t.n
-    rng = random.Random(f"variety:{seed}:{prime}")
+    bits = random.Random(f"variety:{seed}:{prime}").getrandbits
     u = [[0] * n for _ in range(n)]
     for a, b in _word_span(t):
-        u[a][b] = rng.randrange(prime)
+        u[a][b] = _below(bits, prime)
     bmat = [[0] * n for _ in range(n)]
     for i in range(n):
-        bmat[i][i] = rng.randrange(1, prime)
+        bmat[i][i] = 1 + _below(bits, prime - 1)
         for j in range(i + 1, n):
-            bmat[i][j] = rng.randrange(prime)
+            bmat[i][j] = _below(bits, prime)
     inv = [pow(bmat[j][j], -1, prime) for j in range(n)]
-    x = _mat_mul(bmat, u, prime)
-    for i, row in enumerate(x):
+    ucols = [col[:j] for j, col in enumerate(zip(*u))]
+    bcols = [col[:j] for j, col in enumerate(zip(*bmat))]
+    x = []
+    for i, brow in enumerate(bmat):
+        row = [0] * n
         for j in range(i + 1, n):
-            s = row[j]
-            for k in range(i + 1, j):
-                s -= row[k] * bmat[k][j]
-            row[j] = s * inv[j] % prime
+            c = sum(map(mul, brow, ucols[j]))
+            row[j] = (c - sum(map(mul, row, bcols[j]))) * inv[j] % prime
+        x.append(row)
     return FieldMatrix._reduced(x, prime)
 
 
@@ -309,9 +353,9 @@ def sample_hypersurface_point(
     f = generator_report(d).f
     free = d.tau.free_positions
     fvars = f.variables()
-    rng = random.Random(f"hyper:{seed}:{prime}")
+    bits = random.Random(f"hyper:{seed}:{prime}").getrandbits
     for _ in range(50):
-        vals = {pos: rng.randrange(prime) for pos in free}
+        vals = {pos: _below(bits, prime) for pos in free}
         for var in fvars:
             # f = g * var + h, multilinear in var
             h = poly_eval(f, {**vals, var: 0}, prime=prime)
@@ -329,6 +373,40 @@ def sample_hypersurface_point(
 
 
 # -- the conjecture probes ---------------------------------------------------------
+
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin with the bases above: exact for every p below 3.3e24."""
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        y = pow(a, d, p)
+        if y == 1 or y == p - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % p
+            if y == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=64)
+def check_modulus(p: int) -> int:
+    """p, if it is an odd prime below 2**64 (where _is_prime is exact);
+    raises BadProbeInput otherwise. The probes sample over GF(p)."""
+    if p >= 2**64:
+        raise BadProbeInput(f"modulus {p} is too large: it must be below 2**64")
+    if p < 3 or not _is_prime(p):
+        raise BadProbeInput(f"{p} is not an odd prime")
+    return p
 
 
 class Failure(NamedTuple):
@@ -380,7 +458,15 @@ def verify_conjecture(
     prime, so coincidences modulo a single prime cannot inflate the
     numbers. Necessity (probe one) is expected to hold on every trial;
     the two generic probes are expected to hold on the vast majority.
+    Raises BadProbeInput for fewer than one trial, no prime, or a modulus
+    that check_modulus rejects, before any work is done.
     """
+    if trials < 1:
+        raise BadProbeInput(f"trials must be at least 1, got {trials}")
+    if not primes:
+        raise BadProbeInput("no prime to sample over")
+    for p in primes:
+        check_modulus(p)
     report = generator_report(d)
     f = report.f
     fvars = f.variables()
@@ -409,8 +495,8 @@ def verify_conjecture(
                         )
                     )
                     break
-            rng = random.Random(f"mtau:{seed}:{trial}:{p}")
-            pt = {pos: rng.randrange(p) for pos in free}
+            bits = random.Random(f"mtau:{seed}:{trial}:{p}").getrandbits
+            pt = {pos: _below(bits, p) for pos in free}
             if poly_eval(f, {v: pt[v] for v in fvars}, prime=p) == 0:
                 ok["nonzero"] = False
                 failures.append(

@@ -1,12 +1,16 @@
 """Finite-field probes: ranks, Jordan types, samplers, the conjecture checks."""
 
 import random
+from collections import Counter
 
 import pytest
 
+import orbital.verify
 from orbital import (
     DEFAULT_PRIME,
     SECOND_PRIME,
+    BadProbeInput,
+    DegenerateSample,
     FieldMatrix,
     NotApplicable,
     NotNilpotent,
@@ -22,6 +26,7 @@ from orbital import (
     matrix_rank,
     poly_eval,
     project,
+    projected_shape,
     rank_bound,
     remark_check,
     remark_minor,
@@ -184,44 +189,119 @@ def test_check_power_rank_matches_sliced_oracle(p):
 
 
 def test_powers_are_multiplied_once_per_matrix(monkeypatch):
-    import orbital.verify
+    # a matrix's rank tables and a tableau's bound table are each built
+    # once, so a second check_power_rank (or jordan_type) adds no work
+    calls = Counter()
+    for name in ("_window_ranks", "projected_shape"):
+        real = getattr(orbital.verify, name)
 
-    products = 0
-    real = orbital.verify._mat_mul
+        def counting(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
 
-    def counting(a, b, p):
-        nonlocal products
-        products += 1
-        return real(a, b, p)
-
-    monkeypatch.setattr(orbital.verify, "_mat_mul", counting)
+        monkeypatch.setattr(orbital.verify, name, counting)
+    orbital.verify._rank_bounds.cache_clear()
     m = nilpotent_blocks(4, 2, prime=7)
-    jordan_type(m)
-    # X^2, X^3 and the product that finds X^4 = 0
-    assert products == 3
-    assert check_power_rank(m, tab((1, 2, 3, 4), (5, 6))) == []
-    assert products == 3
+    t = tab((1, 2, 3, 4), (5, 6))
+    assert check_power_rank(m, t) == []
+    # X, X^2 and X^3; the 21 windows of a 6-box tableau
+    first = Counter({"_window_ranks": 3, "projected_shape": 21})
+    assert calls == first
+    assert check_power_rank(m, t) == []
+    assert jordan_type(m).parts == (4, 2)
+    assert calls == first
 
 
 def test_each_power_is_swept_once(monkeypatch):
-    import orbital.verify
-
+    # one insertion per nonzero power: X^4 = 0 shows in the products of
+    # X^3's basis, without an insertion of its own
     sweeps = 0
     real = orbital.verify._window_ranks
 
-    def counting(xk, p):
+    def counting(pairs, n, p):
         nonlocal sweeps
         sweeps += 1
-        return real(xk, p)
+        return real(pairs, n, p)
 
     monkeypatch.setattr(orbital.verify, "_window_ranks", counting)
     m = nilpotent_blocks(4, 2, prime=7)
-    t = tab((1, 2, 3, 4), (5, 6))
     assert jordan_type(m).parts == (4, 2)
-    assert check_power_rank(m, t) == []
-    assert check_power_rank(m, t) == []
-    # X, X^2 and X^3, one sweep each
-    assert sweeps == len(m._powers) == 3
+    assert sweeps == len(m._sweeps) == 3
+    # the zero matrix has no nonzero power and costs no insertion
+    assert jordan_type(FieldMatrix(((0, 0), (0, 0)), 7)).parts == (1, 1)
+    assert sweeps == 3
+
+
+def _explicit_sweeps(rows, p):
+    """The rank table of each nonzero power up to X^n, every power
+    multiplied out and all its rows inserted."""
+    n = len(rows)
+    tables = []
+    power = [list(row) for row in rows]
+    while any(map(any, power)) and len(tables) < n:
+        pairs = list(enumerate(power))
+        pairs.reverse()
+        tables.append(orbital.verify._window_ranks(pairs, n, p)[0])
+        power = naive_mat_mul(power, rows, p)
+    return tables
+
+
+@pytest.mark.parametrize("p", [7, DEFAULT_PRIME])
+def test_carried_basis_matches_explicit_powers(p):
+    # the sweeps carry each power's echelon basis through one more factor
+    # of X; the tables must be those of the explicit powers, on sampled
+    # hypersurface points and on nilpotent matrices that are not upper
+    points = 0
+    for d in iter_descriptors(7):
+        for seed in range(2):
+            try:
+                z = sample_hypersurface_point(d, seed, p)
+            except DegenerateSample:
+                continue
+            points += 1
+            assert z._sweeps == _explicit_sweeps(z.rows, p), d.descriptor_id
+    assert points > 100
+    rng = random.Random(f"carried:{p}")
+    general = 0
+    for sizes in [(2,), (3,), (2, 1), (4,), (3, 1), (2, 2), (5,), (3, 2), (4, 2, 1)]:
+        for _ in range(4):
+            g, g_inv = _unimodular(sum(sizes), rng)
+            rows = naive_mat_mul(naive_mat_mul(g, nilpotent_blocks(*sizes).rows), g_inv, p)
+            m = FieldMatrix(tuple(map(tuple, rows)), p)
+            general += not m.is_strictly_upper()
+            assert m._sweeps == _explicit_sweeps(rows, p)
+            assert len(m._sweeps) == sizes[0] - 1
+    assert general > 25
+
+
+def test_sweeps_of_a_matrix_that_is_not_nilpotent():
+    # rank stays at 1 from X on; the sweeps stop at X^n
+    rows = ((0, 1, 0), (0, 0, 0), (0, 0, 5))
+    m = FieldMatrix(rows, 7)
+    assert m._sweeps == _explicit_sweeps(rows, 7)
+    assert len(m._sweeps) == 3
+    with pytest.raises(NotNilpotent, match="stabilised at 1"):
+        jordan_type(m)
+    with pytest.raises(NotNilpotent):
+        jordan_type(FieldMatrix(((1, 1), (6, 1)), 7))
+
+
+def test_rank_bound_table():
+    # bounds[k - 1][i - 1][j - 1] is the rank bound of window [i, j] at
+    # power k (0 below the diagonal), one shared tuple per distinct row
+    rows = {}
+    for n in range(1, 8):
+        for t in all_syt(n):
+            bounds = orbital.verify._rank_bounds(t)
+            assert len(bounds) == n - 1
+            for k, table in enumerate(bounds, start=1):
+                assert len(table) == n
+                for i, row in enumerate(table, start=1):
+                    assert row == tuple(
+                        rank_bound(projected_shape(t, i, j), k) if j >= i else 0
+                        for j in range(1, n + 1)
+                    )
+                    assert rows.setdefault(row, row) is row
 
 
 def _unimodular(n, rng):
@@ -316,6 +396,22 @@ def test_sample_variety_point_matches_dense_oracle(prime):
                 assert FieldMatrix(pt.rows, prime) == pt
 
 
+@pytest.mark.parametrize("p", [2**31 - 1, 2**31 - 19, 7, 3])
+def test_inline_draw_is_randrange(p):
+    # the samplers draw with _below; the sample stream, and with it every
+    # pinned report, stays that of random.Random.randrange only while
+    # CPython draws the same way. 7 and 3 reject often, 2**31 - 1 and
+    # 2**31 - 19 (the default primes) rarely.
+    below = orbital.verify._below
+    ref, ours = random.Random(f"below:{p}"), random.Random(f"below:{p}")
+    bits = ours.getrandbits
+    assert [ref.randrange(p) for _ in range(10**4)] == [below(bits, p) for _ in range(10**4)]
+    assert [ref.randrange(1, p) for _ in range(10**4)] == [
+        1 + below(bits, p - 1) for _ in range(10**4)
+    ]
+    assert ref.getrandbits(32) == ours.getrandbits(32)
+
+
 def test_sample_hypersurface_point_properties():
     d = classify_hypersurface(tab(*SIX_BOX))
     f = generator_report(d).f
@@ -358,6 +454,23 @@ def test_verify_conjecture_custom_prime():
     rep = verify_conjecture(d, trials=4, seed=1, primes=(1000003,))
     assert rep.primes == (1000003,)
     assert rep.necessity_ok
+
+
+def test_verify_conjecture_rejects_empty_or_bad_work():
+    d = classify_hypersurface(tab(*FIVE_BOX))
+    for trials in (0, -2):
+        with pytest.raises(BadProbeInput, match=f"trials must be at least 1, got {trials}"):
+            verify_conjecture(d, trials=trials)
+    with pytest.raises(BadProbeInput, match="no prime"):
+        verify_conjecture(d, trials=5, primes=())
+    # 9 used to fail deep in the sampler with "base is not invertible"
+    for bad in (9, 2, 1, 0, -7, 3215031751):
+        with pytest.raises(BadProbeInput, match=f"^{bad} is not an odd prime$"):
+            verify_conjecture(d, trials=1, primes=(DEFAULT_PRIME, bad))
+    with pytest.raises(BadProbeInput, match="below 2\\*\\*64"):
+        verify_conjecture(d, trials=1, primes=(2**64 + 13,))
+    check_modulus = orbital.verify.check_modulus
+    assert check_modulus(3) == 3 and check_modulus(10**18 + 9) == 10**18 + 9
 
 
 @pytest.mark.parametrize("n", [9, 10])
