@@ -47,6 +47,8 @@ SCHEMA = "orbital/v1"
 
 
 def _parse_tau(parser: argparse.ArgumentParser, text: str, n: int) -> TauSet:
+    if n < 1:
+        parser.error(f"--n must be at least 1, got {n}")
     text = text.strip()
     try:
         indices = [int(p) for p in text.split(",") if p.strip()] if text else []

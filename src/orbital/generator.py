@@ -21,6 +21,11 @@ the monomial of a term names every (r, sigma(r)) off the diagonal, and the
 rows it skips are exactly the fixed points. Distinct systems therefore
 give distinct monomials: no two terms cancel, every coefficient is the
 sign +-1 of its bijection, and every m_j is multilinear.
+
+wt(f) is read from the window, not from f's terms: x_{rc} weighs
+e_r - e_c and t nothing, so every term of a bijection weighs
+(e_a + ... + e_{a+I-1}) - (e_{b-I+1} + ... + e_b), which is the sum over
+k < I of the roots alpha_{a+k} + ... + alpha_{b-1-k}.
 """
 
 from __future__ import annotations
@@ -36,10 +41,9 @@ from .polyalg import (
     PolyMatrix,
     WeightVector,
     t_poly,
-    weight_of,
     x,
 )
-from .projections import projected_shape
+from .projections import _window_shape
 from .tableaux import TauSet, _as_tau, richardson_tableau, variety_dim
 
 
@@ -123,15 +127,16 @@ class GeneratorReport:
     thickness: int
 
     def to_json(self) -> dict:
+        # f is the ladder's rung j = l(lambda) (generator_report), so its
+        # term list is serialized once and appears under both keys
+        rungs = [{"j": j, "poly": m.to_json()} for j, m in self.m_sequence]
         return {
             "window": list(self.window),
             "thickness": self.thickness,
             "l_lambda": self.l_lambda,
-            "f": self.f.to_json(),
+            "f": rungs[self.l_lambda - self.thickness]["poly"],
             "weight": self.weight.to_json(),
-            "m_sequence": [
-                {"j": j, "poly": m.to_json()} for j, m in self.m_sequence
-            ],
+            "m_sequence": rungs,
         }
 
 
@@ -192,13 +197,24 @@ def _window_ladder(tau, n: int, window: tuple[int, int], thickness: int, richard
     buckets = _path_systems(tau, n, window, thickness)
     a, b = window
     size = b - a + 1
-    shape = projected_shape(richardson, a, b)
+    shape = _window_shape(richardson, a, b)
     l_lambda = sum(shape.part(k) for k in range(1, thickness + 1)) - thickness
     ladder = tuple(
         (j, MultiPoly._raw(buckets[size - thickness - j]))
         for j in range(thickness, size - thickness + 1)
     )
     return l_lambda, ladder
+
+
+def _window_weight(n: int, window: tuple[int, int], thickness: int) -> WeightVector:
+    """The weight of every term of the window determinant: the sum over
+    k < thickness of alpha_{a+k} + ... + alpha_{b-1-k} (module docstring)."""
+    a, b = window
+    rank = n - 1
+    return sum(
+        (WeightVector.root(a + k, b - 1 - k, rank) for k in range(thickness)),
+        WeightVector.zero(rank),
+    )
 
 
 @lru_cache(maxsize=128)
@@ -225,12 +241,11 @@ def generator_report(d: HypersurfaceDescriptor) -> GeneratorReport:
             f"lowest surviving t-power {lowest} but l(lambda)={l_lambda} "
             f"predicts {size - i_thick - l_lambda}"
         )
-    f = m_sequence[l_lambda - i_thick][1]
     return GeneratorReport(
-        f=f,
+        f=m_sequence[l_lambda - i_thick][1],
         m_sequence=m_sequence,
         l_lambda=l_lambda,
-        weight=weight_of(f, rank=d.n - 1),
+        weight=_window_weight(d.n, d.window, i_thick),
         window=d.window,
         thickness=i_thick,
     )

@@ -14,7 +14,8 @@ this package) therefore have a single well-defined weight vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from itertools import chain
+from typing import Callable, Iterable, Mapping, TypeVar, Union
 
 from .errors import (
     MissingVariable,
@@ -26,6 +27,7 @@ from .errors import (
 T_VAR = "t"
 VarId = Union[tuple[int, int], str]
 Monomial = tuple[tuple[VarId, int], ...]
+Label = TypeVar("Label")
 
 
 def _var_key(var: VarId) -> tuple[int, int, int]:
@@ -187,14 +189,12 @@ class MultiPoly:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> list[dict]:
-        out = []
-        for mono in sorted(self.terms, key=_print_key):
-            exps = {}
-            for var, e in mono:
-                key = T_VAR if var == T_VAR else f"{var[0]},{var[1]}"
-                exps[key] = e
-            out.append({"coeff": str(self.terms[mono]), "exps": exps})
-        return out
+        order, exp = _print_order(self.terms, _json_exp)
+        terms = self.terms
+        return [
+            {"coeff": str(terms[mono]), "exps": dict(map(exp.__getitem__, mono))}
+            for mono in order
+        ]
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "MultiPoly":
@@ -236,9 +236,37 @@ def _var_str(var: VarId) -> str:
     return f"x{i}{j}" if i <= 9 and j <= 9 else f"x{i},{j}"
 
 
-def _print_key(mono: Monomial):
-    word = tuple(_var_key(v) for v, e in mono for _ in range(e))
-    return (-_mono_degree(mono), word)
+def _json_exp(var: VarId, e: int) -> tuple[str, int]:
+    return (T_VAR if var == T_VAR else f"{var[0]},{var[1]}", e)
+
+
+def _factor_str(var: VarId, e: int) -> str:
+    return _var_str(var) + (f"^{e}" if e > 1 else "")
+
+
+def _print_order(
+    terms: Mapping[Monomial, int], label: Callable[[VarId, int], Label]
+) -> tuple[list[Monomial], dict[tuple[VarId, int], Label]]:
+    """The monomials of terms in graded-lex order, and label(var, e) for
+    every (var, e) pair they contain.
+
+    Higher degree comes first; within a degree, monomials compare as the
+    words listing each variable e times, in _var_key order. Each variable
+    is ranked once, and a monomial's word is its run of ranks, so the
+    order is exactly that of the _var_key words. The path-system walk
+    emits its buckets already in this order, so their sort is linear.
+    """
+    pairs = {p for mono in terms for p in mono}
+    variables = sorted({v for v, _ in pairs}, key=_var_key)
+    rank = {v: k for k, v in enumerate(variables)}
+    word = {p: (rank[p[0]],) * p[1] for p in pairs}
+    runs = word.__getitem__
+
+    def key(mono: Monomial):
+        w = tuple(chain.from_iterable(map(runs, mono)))
+        return (-len(w), w)
+
+    return sorted(terms, key=key), {p: label(*p) for p in pairs}
 
 
 def format_poly(p: MultiPoly) -> str:
@@ -246,12 +274,10 @@ def format_poly(p: MultiPoly) -> str:
     if p.is_zero:
         return "0"
     pieces: list[str] = []
-    for mono in sorted(p.terms, key=_print_key):
+    order, factor = _print_order(p.terms, _factor_str)
+    for mono in order:
         c = p.terms[mono]
-        factors = []
-        for var, e in mono:
-            factors.append(_var_str(var) + (f"^{e}" if e > 1 else ""))
-        body = "*".join(factors)
+        body = "*".join(map(factor.__getitem__, mono))
         if not body:
             body = str(abs(c))
         elif abs(c) != 1:

@@ -14,12 +14,14 @@ is the Robinson-Schensted shape of the factor w(i), ..., w(j), because
 deleting the largest letter of a word deletes its box from the insertion
 tableau and deleting the smallest runs jeu de taquin on it (Sagan, The
 Symmetric Group, section 3.9), and w is an involution, so cutting values
-to [i, j] cuts positions to [i, j].
+to [i, j] cuts positions to [i, j]. _window_shape inserts just that
+factor, for a caller that reads a single window of t.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator, Sequence
 
 from .errors import BadRange, InconsistentIndexing, TooSmall
 from .rs import _row_insert, rs_inverse
@@ -112,6 +114,20 @@ def _partition(parts: tuple[int, ...]) -> Partition:
     return Partition(parts)
 
 
+def _insertion_parts(word: Sequence[int]) -> Iterator[list[int]]:
+    """Row-insert word into an empty tableau; after each letter, yield the
+    row lengths so far. The same list is yielded each time, grown in place."""
+    rows: list[list[int]] = []
+    parts: list[int] = []
+    for v in word:
+        r, _ = _row_insert(rows, v)
+        if r > len(parts):
+            parts.append(1)
+        else:
+            parts[r - 1] += 1
+        yield parts
+
+
 @lru_cache(maxsize=128)
 def _window_shapes(t: StandardTableau) -> tuple[tuple[Partition, ...], ...]:
     """table[i - 1][j - i] is the shape of project(t, i, j).
@@ -120,20 +136,10 @@ def _window_shapes(t: StandardTableau) -> tuple[tuple[Partition, ...], ...]:
     and records the shape after each letter (module docstring).
     """
     w = rs_inverse(t, t).images
-    table = []
-    for start in range(len(w)):
-        rows: list[list[int]] = []
-        parts: list[int] = []
-        shapes = []
-        for v in w[start:]:
-            r, _ = _row_insert(rows, v)
-            if r > len(parts):
-                parts.append(1)
-            else:
-                parts[r - 1] += 1
-            shapes.append(_partition(tuple(parts)))
-        table.append(tuple(shapes))
-    return tuple(table)
+    return tuple(
+        tuple(_partition(tuple(parts)) for parts in _insertion_parts(w[start:]))
+        for start in range(len(w))
+    )
 
 
 def projected_shape(t: StandardTableau, i: int, j: int) -> Partition:
@@ -145,3 +151,14 @@ def projected_shape(t: StandardTableau, i: int, j: int) -> Partition:
     if not 1 <= i <= j <= t.n:
         raise BadRange(f"need 1 <= i <= j <= {t.n}, got i={i}, j={j}")
     return _window_shapes(t)[i - 1][j - i]
+
+
+def _window_shape(t: StandardTableau, i: int, j: int) -> Partition:
+    """projected_shape(t, i, j) without the table of every window: the
+    Robinson-Schensted shape of w(i), ..., w(j) alone."""
+    if not 1 <= i <= j <= t.n:
+        raise BadRange(f"need 1 <= i <= j <= {t.n}, got i={i}, j={j}")
+    parts: list[int] = []
+    for parts in _insertion_parts(rs_inverse(t, t).images[i - 1 : j]):
+        pass
+    return _partition(tuple(parts))

@@ -1,7 +1,8 @@
 """Shared helpers and deliberately naive oracles.
 
 The oracles trade speed for transparency: all_syt builds every standard
-tableau by recursion on the largest entry, leibniz_det expands a
+tableau by recursion on the largest entry, print_key spells out the
+printed term order variable by variable, leibniz_det expands a
 determinant as a sum over all permutations, minor_rank looks for the
 largest nonzero minor, naive_power_rank re-multiplies the powers of
 every window from scratch, sliced_power_rank ranks every window of
@@ -92,6 +93,16 @@ def leibniz_det(m: PolyMatrix) -> MultiPoly:
             term = term * m.entry(i, j)
         total = total + term
     return total
+
+
+def print_key(mono) -> tuple:
+    """The graded-lex order of format_poly and to_json, from its
+    definition: higher degree first, then the word that lists each variable
+    of the monomial e times, x_{ij} ordered by (i, j) and t after every x."""
+    word = tuple(
+        (1, 0, 0) if var == "t" else (0, *var) for var, e in mono for _ in range(e)
+    )
+    return (-sum(e for _, e in mono), word)
 
 
 def same_up_to_sign(p: MultiPoly, q: MultiPoly) -> bool:

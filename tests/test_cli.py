@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+from itertools import combinations
 
 import pytest
 
@@ -95,6 +96,41 @@ def test_hypersurfaces_generator_text(capsys):
     assert "wt(f) = a1 + a2 + a3 + a4 + a5" in out
     assert "nonzero m_j at j = 1, 2, 3" in out
     assert "p_V = a2 * a4 * (a1 + a2 + a3 + a4 + a5)" in out
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        ((), "ba27ce614a4a83ba5a1d14c0d5c02e23ddf1cec8cb4d4d256ed95acb2364e7b7"),
+        (("--json",), "b09979d5c9532ade54f4737ffef5f2053a3d4ad2979c294600103414aa451f40"),
+    ],
+)
+def test_hypersurfaces_generator_output_is_pinned(capsys, flags, digest):
+    # f, wt(f), the m_j ladder and p_V of every descriptor at n = 8, over
+    # all 128 taus in size-then-lex order; the bytes must not depend on
+    # how the payload is built, nor on the string hash seed
+    h = hashlib.sha256()
+    for k in range(8):
+        for tau in combinations(range(1, 8), k):
+            code, out, _ = run(
+                capsys, "hypersurfaces", "--tau", ",".join(map(str, tau)),
+                "--n", "8", "--generator", *flags,
+            )
+            assert code == 0
+            h.update(out.encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["richardson", "hypersurfaces"])
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_n_below_one_exits_2(capsys, command, n):
+    # a bad --n is blamed on --n, not on --tau
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--tau", "", "--n", n])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert f"--n must be at least 1, got {n}" in err
+    assert "bad tau" not in err
 
 
 def test_hypersurfaces_requires_n_with_tau(capsys):

@@ -244,6 +244,16 @@ def test_generator_weight_identity(d):
     assert weight_of(rep.f, rank=d.n - 1) == expected
 
 
+def test_generator_weight_matches_weight_of_on_every_descriptor():
+    # wt(f) comes from the window; weight_of scans every term of f
+    count = 0
+    for d in iter_descriptors(9):
+        rep = generator_report(d)
+        assert rep.weight == weight_of(rep.f, rank=d.n - 1)
+        count += 1
+    assert count == 503
+
+
 @settings(max_examples=60)
 @given(descriptors())
 def test_generator_degree_and_support(d):

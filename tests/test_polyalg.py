@@ -22,7 +22,7 @@ from orbital import (
     weight_of,
     x,
 )
-from conftest import leibniz_det
+from conftest import leibniz_det, print_key
 
 
 def test_canonical_construction():
@@ -76,6 +76,34 @@ def test_json_round_trip():
     assert MultiPoly.from_json(p.to_json()) == p
     blob = p.to_json()
     assert all(isinstance(item["coeff"], str) for item in blob)
+
+
+_VARS = st.sampled_from(
+    ["t"] + [(i, j) for i in (1, 2, 3, 9, 10) for j in (2, 4, 10, 11) if i < j]
+)
+_POLYS = st.dictionaries(
+    st.lists(st.tuples(_VARS, st.integers(1, 3)), max_size=4).map(tuple),
+    st.integers(-3, 3),
+    max_size=10,
+).map(MultiPoly)
+
+
+@settings(max_examples=200)
+@given(_POLYS)
+def test_print_order_matches_the_oracle(p):
+    # constant terms, t, exponents above 1 and two-digit indices all meet
+    # in one polynomial; to_json and format_poly list terms in print_key
+    # order
+    order = sorted(p.terms, key=print_key)
+    assert [
+        next(iter(MultiPoly.from_json([item]).terms)) for item in p.to_json()
+    ] == order
+    pieces = [format_poly(MultiPoly({m: p.terms[m]})) for m in order]
+    expected = " ".join(
+        pieces[:1]
+        + [f"- {s[1:]}" if s.startswith("-") else f"+ {s}" for s in pieces[1:]]
+    )
+    assert format_poly(p) == (expected or "0")
 
 
 def test_poly_eval_exact_modular_and_missing():

@@ -8,6 +8,7 @@ from orbital import (
     InconsistentIndexing,
     StandardTableau,
     TooSmall,
+    iter_descriptors,
     project,
     projected_shape,
     remove_largest,
@@ -15,6 +16,7 @@ from orbital import (
     strip_first_steps,
     tau_invariant,
 )
+from orbital.projections import _window_shape
 from conftest import TWELVE_BOX, all_syt, tab
 
 
@@ -99,7 +101,23 @@ def test_projected_shape_bad_range(i, j):
         projected_shape(t, i, j)
     with pytest.raises(BadRange) as project_err:
         project(t, i, j)
+    with pytest.raises(BadRange) as one_err:
+        _window_shape(t, i, j)
     assert str(shape_err.value) == str(project_err.value) == message
+    assert str(one_err.value) == message
+
+
+def test_window_shape_matches_project():
+    # the one-window insertion against jeu de taquin: the window of every
+    # descriptor with n <= 8, on its Richardson tableau (what
+    # generator_report reads) and on its own tableau
+    count = 0
+    for d in iter_descriptors(8):
+        a, b = d.window
+        for t in (d.richardson, d.tableau):
+            assert _window_shape(t, a, b) == project(t, a, b).shape
+        count += 1
+    assert count == 198
 
 
 @given(st.data())
