@@ -62,6 +62,11 @@ class NotSquare(OrbitalError):
     pass
 
 
+class BadExponent(OrbitalError, ValueError):
+    """A matrix power asked for an exponent below 1; a ValueError too,
+    as PolyMatrix.power's rejection always was."""
+
+
 class NotHomogeneousWeight(OrbitalError):
     """Polynomial mixes monomials of different weights."""
 

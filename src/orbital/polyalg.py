@@ -18,6 +18,7 @@ from itertools import chain
 from typing import Callable, Iterable, Mapping, TypeVar, Union
 
 from .errors import (
+    BadExponent,
     MissingVariable,
     NotHomogeneousWeight,
     NotSquare,
@@ -38,13 +39,18 @@ def _var_key(var: VarId) -> tuple[int, int, int]:
 
 
 def _mono(pairs: Iterable[tuple[VarId, int]]) -> Monomial:
+    """The canonical monomial: exponents summed per variable, zeros dropped,
+    the (i, j) pairs in plain tuple order and t last, which is _var_key's
+    order without a key call per pair."""
     acc: dict[VarId, int] = {}
     for var, e in pairs:
         if e:
             acc[var] = acc.get(var, 0) + e
-    return tuple(
-        sorted(((v, e) for v, e in acc.items() if e), key=lambda p: _var_key(p[0]))
-    )
+    te = acc.pop(T_VAR, 0)
+    out = sorted((v, e) for v, e in acc.items() if e)
+    if te:
+        out.append((T_VAR, te))
+    return tuple(out)
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -52,7 +58,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
-    return _mono(list(a) + list(b))
+    return _mono(a + b)
 
 
 def _mono_degree(m: Monomial) -> int:
@@ -158,15 +164,8 @@ class MultiPoly:
                 return MultiPoly.zero()
             return MultiPoly._raw({m: c * other for m, c in self.terms.items()})
         out: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
-        return MultiPoly._raw(out)
+        _add_product(out, self.terms, other.terms)
+        return _nonzero(out)
 
     __rmul__ = __mul__
 
@@ -210,6 +209,25 @@ class MultiPoly:
             mono = _mono(pairs)
             terms[mono] = terms.get(mono, 0) + int(item["coeff"])
         return cls(terms)
+
+
+def _add_product(
+    acc: dict[Monomial, int],
+    a: Mapping[Monomial, int],
+    b: Mapping[Monomial, int],
+    sign: int = 1,
+) -> None:
+    """acc += sign * a * b on term dicts; cancelled terms stay in acc as
+    zeros until _nonzero drops them."""
+    for m1, c1 in a.items():
+        c1 *= sign
+        for m2, c2 in b.items():
+            m = _mono_mul(m1, m2)
+            acc[m] = acc.get(m, 0) + c1 * c2
+
+
+def _nonzero(acc: dict[Monomial, int]) -> MultiPoly:
+    return MultiPoly._raw({m: c for m, c in acc.items() if c})
 
 
 def _coerce(p: MultiPoly | int) -> MultiPoly:
@@ -470,11 +488,31 @@ class PolyMatrix:
         if self.nrows != self.ncols:
             raise NotSquare("powers need a square matrix")
         if k < 1:
-            raise ValueError("power must be at least 1")
+            raise BadExponent(f"power must be at least 1, got {k}")
         out = self
         for _ in range(k - 1):
             out = out @ self
         return out
+
+    def power_top_right(self, k: int, size: int) -> "PolyMatrix":
+        """power(k).top_right(size), forming only rows 1..size of each power.
+
+        Rows 1..size of X^j are rows 1..size of X^(j-1) times X, and the
+        last product forms only the corner's columns. power stays as the
+        oracle of this shortcut.
+        """
+        if self.nrows != self.ncols:
+            raise NotSquare("powers need a square matrix")
+        if k < 1:
+            raise BadExponent(f"power must be at least 1, got {k}")
+        n = self.ncols
+        ent = self.entries
+        rows = ent[:size]
+        for _ in range(k - 2):
+            rows = _rows_times(rows, ent, range(n))
+        if k == 1:
+            return PolyMatrix(tuple(row[n - size :] for row in rows))
+        return PolyMatrix(_rows_times(rows, ent, range(n - size, n)))
 
     def submatrix(self, rows: Iterable[int], cols: Iterable[int]) -> "PolyMatrix":
         """1-indexed row and column selections."""
@@ -495,6 +533,26 @@ class PolyMatrix:
         return "\n".join(
             "[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells
         )
+
+
+def _rows_times(
+    rows: tuple[tuple[MultiPoly, ...], ...],
+    ent: tuple[tuple[MultiPoly, ...], ...],
+    cols: range,
+) -> tuple[tuple[MultiPoly, ...], ...]:
+    """Columns cols (0-indexed) of the product of rows with the square
+    matrix ent; each entry's terms are summed in one dict."""
+    out = []
+    for row in rows:
+        nonzero = [(a.terms, ent[k]) for k, a in enumerate(row) if a.terms]
+        prods = []
+        for j in cols:
+            acc: dict[Monomial, int] = {}
+            for a, brow in nonzero:
+                _add_product(acc, a, brow[j].terms)
+            prods.append(_nonzero(acc))
+        out.append(tuple(prods))
+    return tuple(out)
 
 
 def determinant(m: PolyMatrix) -> MultiPoly:
@@ -518,14 +576,14 @@ def determinant(m: PolyMatrix) -> MultiPoly:
         if hit is not None:
             return hit
         row = ent[n - unused.bit_count()]
-        acc, sign = MultiPoly.zero(), 1
+        acc: dict[Monomial, int] = {}
+        sign = 1
         for c in range(n):
             if unused >> c & 1:
-                if not row[c].is_zero:
-                    term = row[c] * det(unused ^ 1 << c)
-                    acc = acc + term if sign > 0 else acc - term
+                if row[c].terms:
+                    _add_product(acc, row[c].terms, det(unused ^ 1 << c).terms, sign)
                 sign = -sign
-        memo[unused] = acc
-        return acc
+        memo[unused] = out = _nonzero(acc)
+        return out
 
     return det((1 << n) - 1)

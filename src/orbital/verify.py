@@ -539,18 +539,18 @@ class RemarkResult(NamedTuple):
     chain_condition: bool
 
 
-def _remark_minor(
-    d: HypersurfaceDescriptor,
+def _window_minor(
+    pt: StandardTableau,
 ) -> tuple[HypersurfaceDescriptor, PolyMatrix, int, int]:
-    """remark_minor, plus the descriptor of the projected problem."""
-    a, b = d.window
-    dw = classify_hypersurface(project(d.tableau, a, b))
+    """The projected problem of the window tableau pt, and remark_minor's
+    (corner, k, r) on it."""
+    dw = classify_hypersurface(pt)
     if dw is None:
         raise ClassificationError("projection to the window lost the descriptor")
     lam = dw.richardson.shape
     k = lam.part(dw.thickness) - 1
     r = rank_bound(lam, k)
-    corner = generic_richardson_matrix(dw.tau, dw.n).power(k).top_right(r)
+    corner = generic_richardson_matrix(dw.tau, dw.n).power_top_right(k, r)
     return dw, corner, k, r
 
 
@@ -562,7 +562,7 @@ def remark_minor(d: HypersurfaceDescriptor) -> tuple[PolyMatrix, int, int]:
     Richardson tableau, and r the rank bound of the projected shape at k.
     Returns (top-right r x r corner of x_R^k, k, r).
     """
-    return _remark_minor(d)[1:]
+    return _window_minor(project(d.tableau, *d.window))[1:]
 
 
 def remark_check(d: HypersurfaceDescriptor, *, seed=0) -> RemarkResult:
@@ -575,8 +575,18 @@ def remark_check(d: HypersurfaceDescriptor, *, seed=0) -> RemarkResult:
     that the interior chains of the projected Richardson tableau all be
     shorter, or all longer, than the thickness. `seed` is accepted and
     ignored: the check draws no random numbers.
+
+    The outcome depends on d only through its projected window tableau,
+    so it is worked out once per window and memoized (_remark_window);
+    descriptors that share a window share the result.
     """
-    dw, corner, _, _ = _remark_minor(d)
+    return _remark_window(project(d.tableau, *d.window))
+
+
+@lru_cache(maxsize=128)
+def _remark_window(pt: StandardTableau) -> RemarkResult:
+    """remark_check on the window tableau pt."""
+    dw, corner, _, _ = _window_minor(pt)
     f = generator_report(dw).f
     det_m = determinant(corner)
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbital import (
+    BadExponent,
     MissingVariable,
     MultiPoly,
     NotHomogeneousWeight,
@@ -22,6 +23,7 @@ from orbital import (
     weight_of,
     x,
 )
+from orbital.polyalg import _mono, _mono_mul, _var_key
 from conftest import leibniz_det, print_key
 
 
@@ -86,6 +88,31 @@ _POLYS = st.dictionaries(
     st.integers(-3, 3),
     max_size=10,
 ).map(MultiPoly)
+
+
+def _sorted_mono(pairs) -> tuple:
+    """The canonical monomial by the _var_key sort, summing exponents."""
+    acc = {}
+    for var, e in pairs:
+        acc[var] = acc.get(var, 0) + e
+    return tuple(
+        sorted(((v, e) for v, e in acc.items() if e), key=lambda p: _var_key(p[0]))
+    )
+
+
+_PAIRS = st.lists(st.tuples(_VARS, st.integers(0, 3)), max_size=6)
+
+
+@settings(max_examples=300)
+@given(_PAIRS, _PAIRS)
+def test_mono_matches_var_key_sort(a, b):
+    # the monomial kernel sorts the (i, j) pairs plainly and puts t last;
+    # that must be the _var_key order, with and without t present
+    assert _mono(a) == _sorted_mono(a)
+    no_t = [p for p in a if p[0] != "t"]
+    assert _mono(no_t) == _sorted_mono(no_t)
+    ma, mb = _mono(a), _mono(b)
+    assert _mono_mul(ma, mb) == _sorted_mono(a + b)
 
 
 @settings(max_examples=200)
@@ -157,6 +184,27 @@ def test_matrix_basics():
     assert m.power(3) == m @ m @ m
     assert m.submatrix((2,), (1, 2)).entries == ((MultiPoly.zero(), t_poly()),)
     assert m.top_right(1).entries == ((MultiPoly.const(1),),)
+
+
+def test_power_rejects_exponents_below_one():
+    # a bare loop of k - 1 products would return the matrix itself at k = 0
+    m = PolyMatrix(((x(1, 2), 1), (0, t_poly())))
+    for k in (0, -1):
+        with pytest.raises(BadExponent, match=f"at least 1, got {k}"):
+            m.power(k)
+        with pytest.raises(BadExponent, match=f"at least 1, got {k}"):
+            m.power_top_right(k, 1)
+    # power's rejection was a ValueError, and still is one
+    with pytest.raises(ValueError):
+        m.power(0)
+
+
+def test_power_top_right_small():
+    m = PolyMatrix(((0, x(1, 2), x(1, 3)), (0, 0, x(2, 3)), (0, 0, 0)))
+    for k in (1, 2, 3):
+        for size in (0, 1, 2, 3):
+            assert m.power_top_right(k, size) == m.power(k).top_right(size), (k, size)
+    assert m.power_top_right(2, 1).entries == ((x(1, 2) * x(2, 3),),)
 
 
 def test_matrix_rejects_ragged():

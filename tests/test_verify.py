@@ -21,6 +21,7 @@ from orbital import (
     determinant,
     find_word_for_tableau,
     generator_report,
+    generic_richardson_matrix,
     iter_descriptors,
     jordan_type,
     matrix_rank,
@@ -513,3 +514,30 @@ def test_remark_check_matches_leibniz_oracle():
         assert remark_check(d).detm_equals_f == expected, d.descriptor_id
         signs["+f" if det_m == f else "-f" if det_m == -f else "neither"] += 1
     assert signs == {"+f": 132, "-f": 64, "neither": 2}
+
+
+def test_power_corner_matches_full_power():
+    # remark_minor forms only rows 1..r of each power of x_R; its corner
+    # must be the full power's, at every k the descriptors meet
+    ks = Counter()
+    for d in iter_descriptors(8):
+        corner, k, r = remark_minor(d)
+        dw = classify_hypersurface(project(d.tableau, *d.window))
+        full = generic_richardson_matrix(dw.tau, dw.n).power(k).top_right(r)
+        assert corner == full, d.descriptor_id
+        ks[k] += 1
+    assert ks == {1: 94, 2: 86, 3: 17, 4: 1}
+
+
+def test_remark_check_works_once_per_window():
+    # the outcome depends on a descriptor only through its projected window
+    # tableau, and the 198 descriptors with n <= 8 share 26 of them
+    memo = orbital.verify._remark_window
+    descriptors = list(iter_descriptors(8))
+    memo.cache_clear()
+    backward = [remark_check(d, seed=3) for d in reversed(descriptors)]
+    info = memo.cache_info()
+    assert (info.misses, info.hits) == (26, 172)
+    memo.cache_clear()
+    forward = [remark_check(d) for d in descriptors]
+    assert forward == backward[::-1]
