@@ -467,22 +467,7 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.ncols} columns into {other.nrows} rows")
-        rows = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = MultiPoly.zero()
-                for k in range(self.ncols):
-                    a = self.entries[i][k]
-                    if a.is_zero:
-                        continue
-                    b = other.entries[k][j]
-                    if b.is_zero:
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            rows.append(tuple(row))
-        return PolyMatrix(tuple(rows))
+        return PolyMatrix(_rows_times(self.entries, other.entries, range(other.ncols)))
 
     def power(self, k: int) -> "PolyMatrix":
         if self.nrows != self.ncols:
@@ -540,8 +525,9 @@ def _rows_times(
     ent: tuple[tuple[MultiPoly, ...], ...],
     cols: range,
 ) -> tuple[tuple[MultiPoly, ...], ...]:
-    """Columns cols (0-indexed) of the product of rows with the square
-    matrix ent; each entry's terms are summed in one dict."""
+    """Columns cols (0-indexed) of the product of rows with the matrix ent,
+    which has one row per entry of a row; each entry's terms are summed in
+    one dict."""
     out = []
     for row in rows:
         nonzero = [(a.terms, ent[k]) for k, a in enumerate(row) if a.terms]

@@ -186,6 +186,19 @@ def test_matrix_basics():
     assert m.top_right(1).entries == ((MultiPoly.const(1),),)
 
 
+def test_matmul_rectangular():
+    # a 1x2 times a 2x3 matrix: entries summed over the shared index, with
+    # cancelling terms dropped
+    a = PolyMatrix(((x(1, 2), 1),))
+    b = PolyMatrix(((1, 0, t_poly()), (-x(1, 2), x(2, 3), 0)))
+    prod = a @ b
+    assert (prod.nrows, prod.ncols) == (1, 3)
+    assert prod.entries == ((MultiPoly.zero(), x(2, 3), x(1, 2) * t_poly()),)
+    assert prod.entry(1, 1).terms == {}
+    with pytest.raises(ValueError, match="cannot multiply 3 columns into 1 rows"):
+        b @ a
+
+
 def test_power_rejects_exponents_below_one():
     # a bare loop of k - 1 products would return the matrix itself at k = 0
     m = PolyMatrix(((x(1, 2), 1), (0, t_poly())))
