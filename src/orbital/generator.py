@@ -43,7 +43,7 @@ from .polyalg import (
     t_poly,
     x,
 )
-from .projections import _window_shape
+from .projections import project
 from .tableaux import TauSet, _as_tau, richardson_tableau, variety_dim
 
 
@@ -197,7 +197,7 @@ def _window_ladder(tau, n: int, window: tuple[int, int], thickness: int, richard
     buckets = _path_systems(tau, n, window, thickness)
     a, b = window
     size = b - a + 1
-    shape = _window_shape(richardson, a, b)
+    shape = project(richardson, a, b).shape
     l_lambda = sum(shape.part(k) for k in range(1, thickness + 1)) - thickness
     ladder = tuple(
         (j, MultiPoly._raw(buckets[size - thickness - j]))

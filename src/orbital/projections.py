@@ -1,21 +1,21 @@
 """Tableau projections: restriction to an index window [i, j].
 
-Two primitive moves compose into the projection. Removing the largest
-label restricts to 1..n-1. Stripping the smallest runs a jeu de taquin
-slide from the top-left corner: the hole repeatedly swallows the smaller
-of its right and lower neighbours until it reaches an outer corner, and
-the surviving labels shift down by one. project(t, i, j) applies n-j
-removals then i-1 strips, and the result describes how matrices supported
-on the variety behave after cutting to rows and columns i..j.
+Two primitive moves define the projection. Removing the largest label
+restricts to 1..n-1. Stripping the smallest runs a jeu de taquin slide
+from the top-left corner: the hole repeatedly swallows the smaller of its
+right and lower neighbours until it reaches an outer corner, and the
+surviving labels shift down by one. The window [i, j] is t after n-j
+removals and i-1 strips, and it describes how matrices supported on the
+variety behave after cutting to rows and columns i..j.
 
-projected_shape needs only the shape, and reads it from a table built
-once per tableau: with w = rs_inverse(t, t), the shape of project(t, i, j)
-is the Robinson-Schensted shape of the factor w(i), ..., w(j), because
-deleting the largest letter of a word deletes its box from the insertion
-tableau and deleting the smallest runs jeu de taquin on it (Sagan, The
-Symmetric Group, section 3.9), and w is an involution, so cutting values
-to [i, j] cuts positions to [i, j]. _window_shape inserts just that
-factor, for a caller that reads a single window of t.
+project does not run the moves. It reads the window from the word
+w = rs_inverse(t, t): the window is the recording tableau of the factor
+w(i), ..., w(j) (Schützenberger; Sagan, The Symmetric Group, section 3.9;
+the argument is in project's docstring). projected_shape needs only the
+shape, and reads it from a table of every window of t, built once per
+tableau by inserting each suffix of w. The moves themselves
+(remove_largest, strip_first, strip_first_steps) remain for the CLI's
+step-by-step display and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -94,17 +94,21 @@ def strip_first(t: StandardTableau) -> StandardTableau:
 def project(t: StandardTableau, i: int, j: int) -> StandardTableau:
     """Restrict t to the window [i, j]: drop boxes above j, strip below i.
 
-    The two kinds of moves commute, so applying all removals first is a
-    normal form, not a choice.
+    Read from w = rs_inverse(t, t), whose insertion tableau is t: the
+    window is the recording tableau of the factor w(i), ..., w(j),
+    relabelled 1..j-i+1. As w is an involution, the subword of w with
+    values in [i, j] is that factor's inverse up to relabelling, and the
+    insertion tableau of an inverse word is the recording tableau of the
+    word. Deleting the largest letter of a word removes its box from the
+    insertion tableau, and deleting the smallest runs jeu de taquin on it
+    (Sagan, The Symmetric Group, section 3.9), so the subword's insertion
+    tableau is t after n-j removals and i-1 strips.
     """
     if not 1 <= i <= j <= t.n:
         raise BadRange(f"need 1 <= i <= j <= {t.n}, got i={i}, j={j}")
-    out = t
-    for _ in range(t.n - j):
-        out = remove_largest(out)
-    for _ in range(i - 1):
-        out = strip_first(out)
-    return out
+    for rec in _recordings(rs_inverse(t, t).images[i - 1 : j]):
+        pass
+    return StandardTableau(tuple(tuple(row) for row in rec))
 
 
 @lru_cache(maxsize=None)
@@ -114,30 +118,26 @@ def _partition(parts: tuple[int, ...]) -> Partition:
     return Partition(parts)
 
 
-def _insertion_parts(word: Sequence[int]) -> Iterator[list[int]]:
+def _recordings(word: Sequence[int]) -> Iterator[list[list[int]]]:
     """Row-insert word into an empty tableau; after each letter, yield the
-    row lengths so far. The same list is yielded each time, grown in place."""
-    rows: list[list[int]] = []
-    parts: list[int] = []
-    for v in word:
-        r, _ = _row_insert(rows, v)
-        if r > len(parts):
-            parts.append(1)
-        else:
-            parts[r - 1] += 1
-        yield parts
+    recording tableau so far. The same lists are yielded, grown in place."""
+    ins: list[list[int]] = []
+    rec: list[list[int]] = []
+    for step, v in enumerate(word, start=1):
+        r, _ = _row_insert(ins, v)
+        if r > len(rec):
+            rec.append([])
+        rec[r - 1].append(step)
+        yield rec
 
 
 @lru_cache(maxsize=128)
 def _window_shapes(t: StandardTableau) -> tuple[tuple[Partition, ...], ...]:
-    """table[i - 1][j - i] is the shape of project(t, i, j).
-
-    Row i row-inserts w(i), w(i + 1), ..., w(n) for w = rs_inverse(t, t)
-    and records the shape after each letter (module docstring).
-    """
+    """table[i - 1][j - i] is the shape of project(t, i, j): row i inserts
+    w(i), ..., w(n) for w = rs_inverse(t, t), one shape per letter."""
     w = rs_inverse(t, t).images
     return tuple(
-        tuple(_partition(tuple(parts)) for parts in _insertion_parts(w[start:]))
+        tuple(_partition(tuple(map(len, rec))) for rec in _recordings(w[start:]))
         for start in range(len(w))
     )
 
@@ -145,20 +145,9 @@ def _window_shapes(t: StandardTableau) -> tuple[tuple[Partition, ...], ...]:
 def projected_shape(t: StandardTableau, i: int, j: int) -> Partition:
     """Shape of the window restriction; bounds ranks of matrix corners.
 
-    Equal to project(t, i, j).shape, read from t's table of
-    Robinson-Schensted factor shapes instead of sliding.
+    Equal to project(t, i, j).shape, read from a table of every window
+    of t that is built once per tableau.
     """
     if not 1 <= i <= j <= t.n:
         raise BadRange(f"need 1 <= i <= j <= {t.n}, got i={i}, j={j}")
     return _window_shapes(t)[i - 1][j - i]
-
-
-def _window_shape(t: StandardTableau, i: int, j: int) -> Partition:
-    """projected_shape(t, i, j) without the table of every window: the
-    Robinson-Schensted shape of w(i), ..., w(j) alone."""
-    if not 1 <= i <= j <= t.n:
-        raise BadRange(f"need 1 <= i <= j <= {t.n}, got i={i}, j={j}")
-    parts: list[int] = []
-    for parts in _insertion_parts(rs_inverse(t, t).images[i - 1 : j]):
-        pass
-    return _partition(tuple(parts))

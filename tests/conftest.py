@@ -1,14 +1,16 @@
 """Shared helpers and deliberately naive oracles.
 
 The oracles trade speed for transparency: all_syt builds every standard
-tableau by recursion on the largest entry, print_key spells out the
-printed term order variable by variable, leibniz_det expands a
-determinant as a sum over all permutations, minor_rank looks for the
-largest nonzero minor, naive_power_rank re-multiplies the powers of
-every window from scratch, sliced_power_rank ranks every window of
-every power on its own, and naive_variety_point conjugates with dense
-products and a Gauss-Jordan inverse. They choke past small sizes, which is
-the point; they exist only to cross-check the fast code.
+tableau by recursion on the largest entry, slide_project restricts a
+tableau to a window by the box removals and jeu de taquin slides that
+define it, print_key spells out the printed term order variable by
+variable, leibniz_det expands a determinant as a sum over all
+permutations, minor_rank looks for the largest nonzero minor,
+naive_power_rank re-multiplies the powers of every window from scratch,
+sliced_power_rank ranks every window of every power on its own, and
+naive_variety_point conjugates with dense products and a Gauss-Jordan
+inverse. They choke past small sizes, which is the point; they exist only
+to cross-check the fast code.
 """
 
 import random
@@ -24,7 +26,9 @@ from orbital import (
     StandardTableau,
     matrix_rank,
     projected_shape,
+    remove_largest,
     rs_inverse,
+    strip_first,
 )
 
 
@@ -73,6 +77,16 @@ def all_syt(n: int) -> tuple[StandardTableau, ...]:
                 out.append(StandardTableau(grown))
         out.append(StandardTableau(t.rows + ((n,),)))
     return tuple(out)
+
+
+def slide_project(t: StandardTableau, i: int, j: int) -> StandardTableau:
+    """The window [i, j] by its definition: n - j removals of the largest
+    box, then i - 1 jeu de taquin strips of the smallest."""
+    for _ in range(t.n - j):
+        t = remove_largest(t)
+    for _ in range(i - 1):
+        t = strip_first(t)
+    return t
 
 
 def perm_sign(perm: tuple[int, ...]) -> int:

@@ -1,4 +1,6 @@
-"""Window restriction by box removal and jeu de taquin slides."""
+"""Window restriction: the box removal and jeu de taquin moves, and project
+and projected_shape, which read the window from the Robinson-Schensted
+word rs_inverse(t, t) and are checked against the moves (slide_project)."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,9 +17,9 @@ from orbital import (
     strip_first,
     strip_first_steps,
     tau_invariant,
+    validate_syt,
 )
-from orbital.projections import _window_shape
-from conftest import TWELVE_BOX, all_syt, tab
+from conftest import TWELVE_BOX, all_syt, slide_project, tab
 
 
 def test_remove_largest_golden():
@@ -81,15 +83,18 @@ def test_project_bad_range():
 
 
 def test_projected_shape_matches_project_on_every_window():
-    # the RS-factor table against jeu de taquin, every window of every
-    # tableau with n <= 7
+    # the RS factor and the RS-factor table against jeu de taquin, every
+    # window of every tableau with n <= 7
     windows = 0
     for n in range(1, 8):
         for t in all_syt(n):
             for i in range(1, n + 1):
                 for j in range(i, n + 1):
-                    assert projected_shape(t, i, j) == project(t, i, j).shape
+                    slid = slide_project(t, i, j)
+                    assert project(t, i, j).rows == slid.rows
+                    assert projected_shape(t, i, j) == slid.shape
                     windows += 1
+            assert project(t, 1, n) == t
     assert windows == 8613
 
 
@@ -101,21 +106,18 @@ def test_projected_shape_bad_range(i, j):
         projected_shape(t, i, j)
     with pytest.raises(BadRange) as project_err:
         project(t, i, j)
-    with pytest.raises(BadRange) as one_err:
-        _window_shape(t, i, j)
     assert str(shape_err.value) == str(project_err.value) == message
-    assert str(one_err.value) == message
 
 
 def test_window_shape_matches_project():
-    # the one-window insertion against jeu de taquin: the window of every
-    # descriptor with n <= 8, on its Richardson tableau (what
-    # generator_report reads) and on its own tableau
+    # the RS factor against jeu de taquin on the window of every descriptor
+    # with n <= 8, on its Richardson tableau (whose shape generator_report
+    # reads) and on its own tableau (which remark_check reads)
     count = 0
     for d in iter_descriptors(8):
         a, b = d.window
         for t in (d.richardson, d.tableau):
-            assert _window_shape(t, a, b) == project(t, a, b).shape
+            assert project(t, a, b).rows == slide_project(t, a, b).rows
         count += 1
     assert count == 198
 
@@ -127,7 +129,8 @@ def test_project_output_is_standard_with_window_size(data):
     i = data.draw(st.integers(min_value=1, max_value=n))
     j = data.draw(st.integers(min_value=i, max_value=n))
     out = project(t, i, j)
-    assert out.n == j - i + 1  # validity is enforced by construction
+    assert out.n == j - i + 1
+    assert validate_syt(out.rows) == out
 
 
 @given(st.data())
