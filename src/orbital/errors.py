@@ -63,8 +63,9 @@ class NotSquare(OrbitalError):
 
 
 class BadExponent(OrbitalError, ValueError):
-    """A matrix power asked for an exponent below 1; a ValueError too,
-    as PolyMatrix.power's rejection always was."""
+    """A matrix power asked for an exponent below 1, or a monomial carries
+    a negative or non-integral exponent; a ValueError too, as
+    PolyMatrix.power's rejection always was."""
 
 
 class NotHomogeneousWeight(OrbitalError):

@@ -6,6 +6,10 @@ one distinguished scalar t. A monomial is a canonical tuple of
 and t last; a polynomial maps monomials to arbitrary-precision integer
 coefficients. Coefficients never overflow and nothing is ever floated.
 
+determinant packs each monomial into one int internally, with a bit field
+per variable, so multiplying two monomials is adding two ints; what it
+returns is an ordinary MultiPoly.
+
 The weight of x_{ij} is the root-lattice vector alpha_i + ... + alpha_{j-1};
 t is weight-neutral. Weight-homogeneous polynomials (every construction in
 this package) therefore have a single well-defined weight vector.
@@ -53,6 +57,18 @@ def _mono(pairs: Iterable[tuple[VarId, int]]) -> Monomial:
     return tuple(out)
 
 
+def _checked_mono(pairs: Iterable[tuple[VarId, int]]) -> Monomial:
+    """_mono of pairs from a caller, whose exponents must be non-negative
+    integers; determinant's packed keys have room for nothing else."""
+    pairs = tuple(pairs)
+    for var, e in pairs:
+        if not isinstance(e, int) or e < 0:
+            raise BadExponent(
+                f"exponent of {var!r} must be a non-negative integer, got {e!r}"
+            )
+    return _mono(pairs)
+
+
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if not a:
         return b
@@ -74,9 +90,9 @@ class MultiPoly:
         clean: dict[Monomial, int] = {}
         if terms:
             for mono, coeff in terms.items():
+                mono = _checked_mono(mono)
                 if not coeff:
                     continue
-                mono = _mono(mono)
                 c = clean.get(mono, 0) + coeff
                 if c:
                     clean[mono] = c
@@ -202,11 +218,11 @@ class MultiPoly:
             pairs: list[tuple[VarId, int]] = []
             for key, e in item["exps"].items():
                 if key == T_VAR:
-                    pairs.append((T_VAR, int(e)))
+                    pairs.append((T_VAR, e))
                 else:
                     i, j = key.split(",")
-                    pairs.append(((int(i), int(j)), int(e)))
-            mono = _mono(pairs)
+                    pairs.append(((int(i), int(j)), e))
+            mono = tuple(pairs)
             terms[mono] = terms.get(mono, 0) + int(item["coeff"])
         return cls(terms)
 
@@ -215,12 +231,10 @@ def _add_product(
     acc: dict[Monomial, int],
     a: Mapping[Monomial, int],
     b: Mapping[Monomial, int],
-    sign: int = 1,
 ) -> None:
-    """acc += sign * a * b on term dicts; cancelled terms stay in acc as
-    zeros until _nonzero drops them."""
+    """acc += a * b on term dicts; cancelled terms stay in acc as zeros
+    until _nonzero drops them."""
     for m1, c1 in a.items():
-        c1 *= sign
         for m2, c2 in b.items():
             m = _mono_mul(m1, m2)
             acc[m] = acc.get(m, 0) + c1 * c2
@@ -550,26 +564,102 @@ def determinant(m: PolyMatrix) -> MultiPoly:
     summed exactly and may cancel, as remark_check's power minors do; the
     tests use it as the oracle for the generator's path systems, which
     never cancel.
+
+    The expansion runs on packed exponent keys. The entries' variables, in
+    _var_key order (as in _mono: the pairs sorted plainly, t last), each
+    get a field of w = max(D, 1).bit_length() bits of one int, where D
+    sums each row's largest entry degree. A sub-determinant's monomial
+    takes one factor from each of its rows, so its degree, and with it
+    every exponent it carries, is at most D < 2^w. No field can carry into
+    the next, so adding two keys is exactly multiplying the two monomials.
+    Only the final terms are unpacked, low field first, which is the
+    canonical order; a 1x1 matrix returns its entry without packing.
     """
     if m.nrows != m.ncols:
         raise NotSquare(f"determinant of a {m.nrows}x{m.ncols} matrix")
     n = m.nrows
-    ent = m.entries
-    memo: dict[int, MultiPoly] = {0: MultiPoly.const(1)}
+    if n == 1:
+        # the entry itself; packing its terms only to unpack them again
+        # would make each of the many 1x1 remark minors several times slower
+        return m.entries[0][0]
+    found: set[VarId] = set()
+    degree = 0
+    for row in m.entries:
+        top = 0
+        for e in row:
+            for mono in e.terms:
+                d = 0
+                for v, x in mono:
+                    found.add(v)
+                    d += x
+                if d > top:
+                    top = d
+        degree += top
+    has_t = T_VAR in found
+    found.discard(T_VAR)
+    variables = sorted(found) + [T_VAR] * has_t
+    w = max(degree, 1).bit_length()
+    shift = {v: k * w for k, v in enumerate(variables)}
+    ent = [
+        [
+            {sum([x << shift[v] for v, x in mono]): c for mono, c in e.terms.items()}
+            for e in row
+        ]
+        for row in m.entries
+    ]
+    memo: dict[int, dict[int, int]] = {0: {0: 1}}
 
-    def det(unused: int) -> MultiPoly:
+    def det(unused: int) -> dict[int, int]:
         hit = memo.get(unused)
         if hit is not None:
             return hit
         row = ent[n - unused.bit_count()]
-        acc: dict[Monomial, int] = {}
+        acc: dict[int, int] = {}
+        get = acc.get
         sign = 1
         for c in range(n):
             if unused >> c & 1:
-                if row[c].terms:
-                    _add_product(acc, row[c].terms, det(unused ^ 1 << c).terms, sign)
+                if row[c]:
+                    minor = det(unused ^ 1 << c)
+                    for k1, c1 in row[c].items():
+                        c1 *= sign
+                        for k2, c2 in minor.items():
+                            k = k1 + k2
+                            acc[k] = get(k, 0) + c1 * c2
                 sign = -sign
-        memo[unused] = out = _nonzero(acc)
+        memo[unused] = out = {k: c for k, c in acc.items() if c}
         return out
 
-    return det((1 << n) - 1)
+    # the final terms share low and high halves, so each half is unpacked
+    # once and the monomial is the two halves joined
+    half = len(variables) // 2
+    cut = half * w
+    low = (1 << cut) - 1
+    lows = _Unpacked(variables[:half], w)
+    highs = _Unpacked(variables[half:], w)
+    return MultiPoly._raw(
+        {lows[key & low] + highs[key >> cut]: c for key, c in det((1 << n) - 1).items()}
+    )
+
+
+class _Unpacked(dict):
+    """Packed key -> monomial over the given variables, one field of w bits
+    each from the lowest; each key is unpacked on its first lookup."""
+
+    def __init__(self, variables: list[VarId], w: int):
+        self.variables = variables
+        self.w = w
+
+    def __missing__(self, key: int) -> Monomial:
+        w = self.w
+        mask = (1 << w) - 1
+        mono = []
+        rest = key
+        while rest:
+            s = (rest & -rest).bit_length() - 1
+            s -= s % w
+            x = rest >> s & mask
+            mono.append((self.variables[s // w], x))
+            rest ^= x << s
+        self[key] = out = tuple(mono)
+        return out

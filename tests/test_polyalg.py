@@ -73,6 +73,20 @@ def test_format_golden():
     assert format_poly(p) == "-x12*x26 + x16 + 2*t"
 
 
+def test_bad_exponents_are_rejected():
+    # a packed key has no field for a negative or fractional exponent, so
+    # neither may reach a polynomial
+    for e in (1.5, -1):
+        with pytest.raises(BadExponent, match="non-negative integer"):
+            MultiPoly.from_json([{"coeff": "1", "exps": {"1,2": e}}])
+        with pytest.raises(BadExponent, match="non-negative integer"):
+            MultiPoly({(((1, 2), e),): 1})
+    with pytest.raises(BadExponent):
+        MultiPoly.from_json([{"coeff": "1", "exps": {"t": -2}}])
+    # a zero exponent is fine and drops out
+    assert MultiPoly({(((1, 2), 1), ("t", 0)): 2}) == 2 * x(1, 2)
+
+
 def test_json_round_trip():
     p = 5 * x(1, 2) * x(2, 4) - x(1, 3) * t_poly() * t_poly() + 7
     assert MultiPoly.from_json(p.to_json()) == p
@@ -230,6 +244,10 @@ def test_determinant_golden():
     assert determinant(m) == x(1, 2) * t_poly() - x(1, 3) * x(2, 3)
     assert determinant(PolyMatrix(())) == 1
     assert determinant(PolyMatrix(((7,),))) == 7
+    # D = 1 + 2 = 3 gives 2-bit fields, and the result's exponent fills
+    # its field: 3 = 2^2 - 1
+    x12 = x(1, 2)
+    assert determinant(PolyMatrix(((x12, 0), (0, x12 * x12)))) == x12 * x12 * x12
 
 
 def test_determinant_not_square():
@@ -247,6 +265,10 @@ _ENTRIES = (
     t_poly(),
     x(1, 2) + 1,
     x(1, 3) - t_poly(),
+    # higher degrees, so the products cross field-width boundaries
+    x(1, 2) * x(1, 2),
+    t_poly() * t_poly() * t_poly(),
+    x(1, 3) * x(2, 3) * t_poly(),
 )
 
 
