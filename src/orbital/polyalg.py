@@ -566,14 +566,14 @@ def determinant(m: PolyMatrix) -> MultiPoly:
     never cancel.
 
     The expansion runs on packed exponent keys. The entries' variables, in
-    _var_key order (as in _mono: the pairs sorted plainly, t last), each
-    get a field of w = max(D, 1).bit_length() bits of one int, where D
-    sums each row's largest entry degree. A sub-determinant's monomial
-    takes one factor from each of its rows, so its degree, and with it
-    every exponent it carries, is at most D < 2^w. No field can carry into
-    the next, so adding two keys is exactly multiplying the two monomials.
-    Only the final terms are unpacked, low field first, which is the
-    canonical order; a 1x1 matrix returns its entry without packing.
+    _var_key order, each get a field of w = max(D, 1).bit_length() bits
+    of one int, where D sums each row's largest entry degree. A
+    sub-determinant's monomial takes one factor from each of its rows, so
+    its degree, and with it every exponent it carries, is at most D < 2^w.
+    No field can carry into the next, so adding two keys is exactly
+    multiplying the two monomials. Only the final terms are unpacked, low
+    field first, which is the canonical order; a 1x1 matrix returns its
+    entry without packing.
     """
     if m.nrows != m.ncols:
         raise NotSquare(f"determinant of a {m.nrows}x{m.ncols} matrix")
@@ -595,9 +595,7 @@ def determinant(m: PolyMatrix) -> MultiPoly:
                 if d > top:
                     top = d
         degree += top
-    has_t = T_VAR in found
-    found.discard(T_VAR)
-    variables = sorted(found) + [T_VAR] * has_t
+    variables = sorted(found, key=_var_key)
     w = max(degree, 1).bit_length()
     shift = {v: k * w for k, v in enumerate(variables)}
     ent = [
