@@ -95,24 +95,16 @@ def cmin_window(tau, n: int, window: tuple[int, int], thickness: int) -> PolyMat
     With a <= b the window and size = b - a + 1, the corner keeps rows
     a .. b-thickness and columns a+thickness .. b of the restriction, a
     square matrix of side size - thickness. Diagonal positions r == c hold
-    t, positions below them vanish, and positions above hold x_{rc} when
-    free under tau.
+    t; every other position holds entry (r, c) of
+    generic_richardson_matrix(tau, n).
     """
     tau, a, b = _corner(tau, n, window, thickness)
-    zero = MultiPoly.zero()
+    x_r = generic_richardson_matrix(tau, n).entries
     t = t_poly()
-    rows = []
-    for r in range(a, b - thickness + 1):
-        row = []
-        for c in range(a + thickness, b + 1):
-            if r == c:
-                row.append(t)
-            elif _free(tau, r, c):
-                row.append(x(r, c))
-            else:
-                row.append(zero)
-        rows.append(tuple(row))
-    return PolyMatrix(tuple(rows))
+    return PolyMatrix(tuple(
+        tuple(t if r == c else x_r[r - 1][c - 1] for c in range(a + thickness, b + 1))
+        for r in range(a, b - thickness + 1)
+    ))
 
 
 @dataclass(frozen=True)

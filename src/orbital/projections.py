@@ -11,20 +11,16 @@ variety behave after cutting to rows and columns i..j.
 project does not run the moves. It reads the window from the word
 w = rs_inverse(t, t): the window is the recording tableau of the factor
 w(i), ..., w(j) (Schützenberger; Sagan, The Symmetric Group, section 3.9;
-the argument is in project's docstring). projected_shape needs only the
-shape, and reads it from a table of every window of t, built once per
-tableau by inserting each suffix of w. The moves themselves
-(remove_largest, strip_first, strip_first_steps) remain for the CLI's
-step-by-step display and as the tests' oracle.
+the argument is in project's docstring), with the row-insertion loop
+that rs_pair runs. projected_shape is that window's shape. The moves
+themselves (remove_largest, strip_first, strip_first_steps) remain for the
+CLI's step-by-step display and as the tests' oracle.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterator, Sequence
-
 from .errors import BadRange, InconsistentIndexing, TooSmall
-from .rs import _row_insert, rs_inverse
+from .rs import _recordings, rs_inverse
 from .tableaux import Partition, StandardTableau, validate_syt
 
 Grid = tuple[tuple[int | None, ...], ...]
@@ -106,48 +102,15 @@ def project(t: StandardTableau, i: int, j: int) -> StandardTableau:
     """
     if not 1 <= i <= j <= t.n:
         raise BadRange(f"need 1 <= i <= j <= {t.n}, got i={i}, j={j}")
-    for rec in _recordings(rs_inverse(t, t).images[i - 1 : j]):
+    for _, rec in _recordings(rs_inverse(t, t).images[i - 1 : j]):
         pass
     return StandardTableau(tuple(tuple(row) for row in rec))
-
-
-@lru_cache(maxsize=None)
-def _partition(parts: tuple[int, ...]) -> Partition:
-    """One shared Partition per parts tuple, so shape tables hold
-    references; there are only p(1) + ... + p(n) shapes of up to n boxes."""
-    return Partition(parts)
-
-
-def _recordings(word: Sequence[int]) -> Iterator[list[list[int]]]:
-    """Row-insert word into an empty tableau; after each letter, yield the
-    recording tableau so far. The same lists are yielded, grown in place."""
-    ins: list[list[int]] = []
-    rec: list[list[int]] = []
-    for step, v in enumerate(word, start=1):
-        r, _ = _row_insert(ins, v)
-        if r > len(rec):
-            rec.append([])
-        rec[r - 1].append(step)
-        yield rec
-
-
-@lru_cache(maxsize=128)
-def _window_shapes(t: StandardTableau) -> tuple[tuple[Partition, ...], ...]:
-    """table[i - 1][j - i] is the shape of project(t, i, j): row i inserts
-    w(i), ..., w(n) for w = rs_inverse(t, t), one shape per letter."""
-    w = rs_inverse(t, t).images
-    return tuple(
-        tuple(_partition(tuple(map(len, rec))) for rec in _recordings(w[start:]))
-        for start in range(len(w))
-    )
 
 
 def projected_shape(t: StandardTableau, i: int, j: int) -> Partition:
     """Shape of the window restriction; bounds ranks of matrix corners.
 
-    Equal to project(t, i, j).shape, read from a table of every window
-    of t that is built once per tableau.
+    The shape of project(t, i, j), which raises BadRange for a window
+    outside 1..n.
     """
-    if not 1 <= i <= j <= t.n:
-        raise BadRange(f"need 1 <= i <= j <= {t.n}, got i={i}, j={j}")
-    return _window_shapes(t)[i - 1][j - i]
+    return project(t, i, j).shape

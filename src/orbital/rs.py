@@ -4,7 +4,9 @@ rs_pair implements classical row insertion: the word w(1), ..., w(n) is
 inserted left to right, bumping along rows; the insertion tableau collects
 the values and the recording tableau collects the order in which boxes
 appear. The pair (insertion, recording) determines w uniquely, and
-rs_inverse recovers it by reverse row insertion in O(n^2).
+rs_inverse recovers it by reverse row insertion in O(n^2). The insertion
+loop, _recordings, yields both tableaux after every letter, so
+projections.project and verify's rank bounds read windows from it too.
 
 The involution w = rs_inverse(T, T) has insertion and recording tableau
 both equal to T, so it is a word for T under either convention. Its span of
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .errors import BoundExceeded, InconsistentIndexing, SizeMismatch
 from .tableaux import StandardTableau
@@ -72,12 +75,15 @@ def _row_insert(rows: list[list[int]], value: int) -> tuple[int, int]:
         r += 1
 
 
-def rs_pair(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
-    """Insertion and recording tableaux of the word w(1), ..., w(n)."""
+def _recordings(word: Sequence[int]) -> Iterator[tuple[list[list[int]], list[list[int]]]]:
+    """Row-insert word into an empty tableau; after each letter, yield the
+    insertion and recording rows so far. The same lists are yielded, grown
+    in place. Raises InconsistentIndexing if a letter's box lands in
+    different columns of the two."""
     ins: list[list[int]] = []
     rec: list[list[int]] = []
-    for step in range(1, w.n + 1):
-        r, c = _row_insert(ins, w(step))
+    for step, v in enumerate(word, start=1):
+        r, c = _row_insert(ins, v)
         if r > len(rec):
             rec.append([])
         rec[r - 1].append(step)
@@ -85,6 +91,15 @@ def rs_pair(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
             raise InconsistentIndexing(
                 f"step {step} recorded in column {len(rec[r - 1])}, inserted in column {c}"
             )
+        yield ins, rec
+
+
+def rs_pair(w: Permutation) -> tuple[StandardTableau, StandardTableau]:
+    """Insertion and recording tableaux of the word w(1), ..., w(n)."""
+    ins: list[list[int]] = []
+    rec: list[list[int]] = []
+    for ins, rec in _recordings(w.images):
+        pass
     return (
         StandardTableau(tuple(tuple(row) for row in ins)),
         StandardTableau(tuple(tuple(row) for row in rec)),

@@ -34,8 +34,8 @@ from .errors import (
 from .generator import generator_report, generic_richardson_matrix
 from .hypersurface import HypersurfaceDescriptor, classify_hypersurface
 from .polyalg import PolyMatrix, determinant, poly_eval
-from .projections import project, projected_shape
-from .rs import rs_inverse
+from .projections import project
+from .rs import _recordings, rs_inverse
 from .tableaux import Partition, StandardTableau, chains, dual_partition
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1
@@ -44,12 +44,14 @@ SECOND_PRIME = 2147483629  # largest prime below it
 
 @dataclass(frozen=True)
 class FieldMatrix:
-    """Square matrix over GF(prime); the entries are stored reduced."""
+    """Square matrix over GF(prime); the entries are stored reduced. A
+    modulus that check_modulus rejects raises BadProbeInput."""
 
     rows: tuple[tuple[int, ...], ...]
     prime: int = DEFAULT_PRIME
 
     def __post_init__(self) -> None:
+        check_modulus(self.prime)
         rows = tuple(tuple(int(e) % self.prime for e in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         if any(len(r) != len(rows) for r in rows):
@@ -180,15 +182,10 @@ def rank_bound(lam: Partition, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _shape_bounds(lam: Partition, n: int) -> tuple[int, ...]:
-    """rank_bound(lam, k) for k = 1, ..., n - 1."""
+def _shape_bounds(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """rank_bound(Partition(parts), k) for k = 1, ..., n - 1."""
+    lam = Partition(parts)
     return tuple(rank_bound(lam, k) for k in range(1, n))
-
-
-@lru_cache(maxsize=None)
-def _bound_row(row: tuple[int, ...]) -> tuple[int, ...]:
-    """One shared tuple per row of bounds: tableaux share most of them."""
-    return row
 
 
 @lru_cache(maxsize=128)
@@ -197,12 +194,20 @@ def _rank_bounds(t: StandardTableau) -> tuple[tuple[tuple[int, ...], ...], ...]:
     for 1 <= k < n and i <= j, and 0 for j < i, laid out like the tables of
     FieldMatrix._sweeps. A strictly upper X^n vanishes, so n - 1 powers
     cover every table of such an X, and its rank tables hold 0 where j < i.
+
+    Window [i, j] has the shape of the RS recording tableau of w(i), ...,
+    w(j) for w = rs_inverse(t, t) (projections.project), so row i of every
+    table comes from one insertion of the suffix w(i), ..., w(n), reading
+    a shape after each letter.
     """
     n = t.n
-    by_row = []  # by_row[i - 1][k - 1]: the bound row of window row i, power k
-    for i in range(1, n + 1):
-        per_shape = [_shape_bounds(projected_shape(t, i, j), n) for j in range(i, n + 1)]
-        by_row.append([_bound_row((0,) * (i - 1) + row) for row in zip(*per_shape)])
+    w = rs_inverse(t, t).images
+    by_row = []  # by_row[i][k - 1]: the bound row of window row i + 1, power k
+    for i in range(n):
+        per_shape = [
+            _shape_bounds(tuple(map(len, rec)), n) for _, rec in _recordings(w[i:])
+        ]
+        by_row.append([(0,) * i + row for row in zip(*per_shape)])
     return tuple(zip(*by_row))
 
 
@@ -315,7 +320,9 @@ def sample_variety_point(
     C[i][j] and the sum are each one dot product, of row i of B with the
     part of U's column j above the diagonal, and of the row solved so far
     with the same part of B's column j (its terms k <= i vanish).
+    Raises BadProbeInput for a modulus that check_modulus rejects.
     """
+    check_modulus(prime)
     n = t.n
     bits = random.Random(f"variety:{seed}:{prime}").getrandbits
     u = [[0] * n for _ in range(n)]
@@ -348,8 +355,10 @@ def sample_hypersurface_point(
     variable: f is multilinear, so any variable whose linear coefficient
     is nonzero at the draw can absorb the constraint. Draws where every
     coefficient degenerates are rejected; fifty straight rejections raise
-    DegenerateSample.
+    DegenerateSample. Raises BadProbeInput for a modulus that
+    check_modulus rejects.
     """
+    check_modulus(prime)
     f = generator_report(d).f
     free = d.tau.free_positions
     fvars = f.variables()

@@ -27,7 +27,6 @@ from orbital import (
     matrix_rank,
     poly_eval,
     project,
-    projected_shape,
     rank_bound,
     remark_check,
     remark_minor,
@@ -48,6 +47,7 @@ from conftest import (
     naive_power_rank,
     naive_variety_point,
     same_up_to_sign,
+    slide_project,
     sliced_power_rank,
     tab,
 )
@@ -193,7 +193,7 @@ def test_powers_are_multiplied_once_per_matrix(monkeypatch):
     # a matrix's rank tables and a tableau's bound table are each built
     # once, so a second check_power_rank (or jordan_type) adds no work
     calls = Counter()
-    for name in ("_window_ranks", "projected_shape"):
+    for name in ("_window_ranks", "_recordings"):
         real = getattr(orbital.verify, name)
 
         def counting(*args, real=real, name=name):
@@ -205,8 +205,8 @@ def test_powers_are_multiplied_once_per_matrix(monkeypatch):
     m = nilpotent_blocks(4, 2, prime=7)
     t = tab((1, 2, 3, 4), (5, 6))
     assert check_power_rank(m, t) == []
-    # X, X^2 and X^3; the 21 windows of a 6-box tableau
-    first = Counter({"_window_ranks": 3, "projected_shape": 21})
+    # X, X^2 and X^3; one insertion pass per start row of a 6-box tableau
+    first = Counter({"_window_ranks": 3, "_recordings": 6})
     assert calls == first
     assert check_power_rank(m, t) == []
     assert jordan_type(m).parts == (4, 2)
@@ -289,20 +289,23 @@ def test_sweeps_of_a_matrix_that_is_not_nilpotent():
 
 def test_rank_bound_table():
     # bounds[k - 1][i - 1][j - 1] is the rank bound of window [i, j] at
-    # power k (0 below the diagonal), one shared tuple per distinct row
-    rows = {}
+    # power k (0 below the diagonal), the window cut by jeu de taquin
     for n in range(1, 8):
         for t in all_syt(n):
+            shapes = {
+                (i, j): slide_project(t, i, j).shape
+                for i in range(1, n + 1)
+                for j in range(i, n + 1)
+            }
             bounds = orbital.verify._rank_bounds(t)
             assert len(bounds) == n - 1
             for k, table in enumerate(bounds, start=1):
                 assert len(table) == n
                 for i, row in enumerate(table, start=1):
                     assert row == tuple(
-                        rank_bound(projected_shape(t, i, j), k) if j >= i else 0
+                        rank_bound(shapes[i, j], k) if j >= i else 0
                         for j in range(1, n + 1)
                     )
-                    assert rows.setdefault(row, row) is row
 
 
 def _unimodular(n, rng):
@@ -472,6 +475,20 @@ def test_verify_conjecture_rejects_empty_or_bad_work():
         verify_conjecture(d, trials=1, primes=(2**64 + 13,))
     check_modulus = orbital.verify.check_modulus
     assert check_modulus(3) == 3 and check_modulus(10**18 + 9) == 10**18 + 9
+
+
+@pytest.mark.parametrize("bad", [0, 1, -7, 4, 9])
+def test_samplers_and_field_matrix_reject_bad_moduli(bad):
+    # 0, 1 and -7 used to hang the variety sampler's draw of a nonzero
+    # diagonal entry, and 4 to fail in pow with a bare ValueError
+    d = classify_hypersurface(tab(*FIVE_BOX))
+    message = f"^{bad} is not an odd prime$"
+    with pytest.raises(BadProbeInput, match=message):
+        sample_variety_point(d.tableau, 0, bad)
+    with pytest.raises(BadProbeInput, match=message):
+        sample_hypersurface_point(d, 0, bad)
+    with pytest.raises(BadProbeInput, match=message):
+        FieldMatrix(((0, 1), (0, 0)), bad)
 
 
 @pytest.mark.parametrize("n", [9, 10])
