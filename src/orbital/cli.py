@@ -11,6 +11,10 @@ Exit codes: 0 success, 1 a verification probe found a necessity failure,
 whose answer is "not applicable" (e.g. a tableau that is not a
 hypersurface component).
 
+verify streams its sweep: it holds one descriptor at a time, prints each
+text line as that descriptor's report is ready, and with --json prints
+the whole document once, after the last descriptor.
+
 Output is deterministic: same flags, same bytes. The ORBITAL_PRIME
 environment variable overrides the default sampling prime; the --prime
 flag overrides both.
@@ -22,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 from .errors import BadProbeInput, BadRange, OrbitalError, TableauError
 from .generator import char_poly, generator_report
@@ -242,16 +247,25 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     if args.trials < 1:
         parser.error(f"--trials must be at least 1, got {args.trials}")
     primes = _resolve_primes(parser, args.prime)
-    descriptors = list(iter_descriptors(args.nmax))
-    if not descriptors:
+    descriptors = iter_descriptors(args.nmax)
+    first = next(descriptors, None)
+    if first is None:
         parser.error(f"no hypersurface descriptor has n <= {args.nmax}")
-    reports = []
-    necessity_failures = 0
-    for d in descriptors:
-        rep = verify_conjecture(d, trials=args.trials, seed=args.seed, primes=primes)
-        reports.append((d, rep))
-        if not rep.necessity_ok:
-            necessity_failures += 1
+    t = args.trials
+    reports, necessity_failures = [], 0
+    for checked, d in enumerate(chain((first,), descriptors), start=1):
+        rep = verify_conjecture(d, trials=t, seed=args.seed, primes=primes)
+        necessity_failures += not rep.necessity_ok
+        if args.json:
+            reports.append(rep.to_json())
+        else:
+            status = "ok" if rep.necessity_ok else "NECESSITY FAILURE"
+            print(
+                f"{d.descriptor_id:<34} vanish {rep.f_vanishes_on_v}/{t}"
+                f"  nonzero {rep.f_nonzero_on_richardson}/{t}"
+                f"  jordan {rep.jordan_match}/{t}"
+                f"  rank {rep.power_rank_ok}/{t}  {status}"
+            )
     if args.json:
         _emit(
             {
@@ -261,22 +275,13 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
                 "trials": args.trials,
                 "seed": args.seed,
                 "primes": list(primes),
-                "reports": [rep.to_json() for _, rep in reports],
+                "reports": reports,
                 "necessity_failures": necessity_failures,
             }
         )
     else:
-        t = args.trials
-        for d, rep in reports:
-            status = "ok" if rep.necessity_ok else "NECESSITY FAILURE"
-            print(
-                f"{d.descriptor_id:<34} vanish {rep.f_vanishes_on_v}/{t}"
-                f"  nonzero {rep.f_nonzero_on_richardson}/{t}"
-                f"  jordan {rep.jordan_match}/{t}"
-                f"  rank {rep.power_rank_ok}/{t}  {status}"
-            )
         print(
-            f"checked {len(reports)} descriptors with n <= {args.nmax}, "
+            f"checked {checked} descriptors with n <= {args.nmax}, "
             f"{t} trials each, primes {list(primes)}; "
             f"necessity failures: {necessity_failures}"
         )

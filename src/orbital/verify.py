@@ -113,13 +113,13 @@ class FieldMatrix:
 
 # -- linear algebra over GF(p) (hot path) -----------------------------------------
 #
-# _window_ranks is the only elimination. Its table gives matrix_rank the rank
-# of any square matrix, jordan_type the rank of each power, and
-# check_power_rank the rank of every window of each power; only that last
-# reading needs the matrix strictly upper. FieldMatrix._sweeps holds one table
-# per nonzero power, built by carrying the echelon basis of X^k through one
-# more factor of X, so jordan_type and check_power_rank share it and no power
-# is ever formed as a matrix.
+# _window_ranks is the only elimination. Its table gives jordan_type the rank
+# of each power of any square matrix, and check_power_rank the rank of every
+# window of each power; only that last reading needs the matrix strictly
+# upper. FieldMatrix._sweeps holds one table per nonzero power, built by
+# carrying the echelon basis of X^k through one more factor of X, so
+# jordan_type and check_power_rank share it and no power is ever formed as
+# a matrix.
 
 
 def _window_ranks(pairs, n: int, p: int) -> tuple[list, list]:
@@ -162,12 +162,6 @@ def _window_ranks(pairs, n: int, p: int) -> tuple[list, list]:
             e = vec[c]
             row = [(a * e - v * b) % p for a, b in zip(row, vec)]
     return ranks, basis
-
-
-def matrix_rank(m: FieldMatrix) -> int:
-    pairs = list(enumerate(m.rows))
-    pairs.reverse()
-    return len(_window_ranks(pairs, m.n, m.prime)[1])
 
 
 # -- rank bounds and Jordan type -------------------------------------------------
@@ -592,7 +586,7 @@ def remark_check(d: HypersurfaceDescriptor, *, seed=0) -> RemarkResult:
     return _remark_window(project(d.tableau, *d.window))
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=None)
 def _remark_window(pt: StandardTableau) -> RemarkResult:
     """remark_check on the window tableau pt."""
     dw, corner, _, _ = _window_minor(pt)

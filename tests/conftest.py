@@ -10,7 +10,8 @@ naive_power_rank re-multiplies the powers of every window from scratch,
 sliced_power_rank ranks every window of every power on its own, and
 naive_variety_point conjugates with dense products and a Gauss-Jordan
 inverse. They choke past small sizes, which is the point; they exist only
-to cross-check the fast code.
+to cross-check the fast code. matrix_rank is no oracle: it ranks any square
+matrix with the program's own elimination, for minor_rank to check.
 """
 
 import random
@@ -24,12 +25,12 @@ from orbital import (
     MultiPoly,
     PolyMatrix,
     StandardTableau,
-    matrix_rank,
     projected_shape,
     remove_largest,
     rs_inverse,
     strip_first,
 )
+from orbital.verify import _window_ranks
 
 
 def pytest_runtest_logreport(report):
@@ -189,6 +190,16 @@ def naive_power_rank(rows, t: StandardTableau, p) -> list[tuple[int, ...]]:
                     out.append((i, j, k, r, bound))
                 cur = naive_mat_mul(cur, sub, p)
     return out
+
+
+def matrix_rank(m: FieldMatrix) -> int:
+    """Rank of any square matrix over GF(p), read off the program's one
+    elimination, _window_ranks, fed every row bottom-up. The program itself
+    only ranks powers and windows; comparing this with minor_rank checks
+    that elimination on matrices that are not strictly upper."""
+    pairs = list(enumerate(m.rows))
+    pairs.reverse()
+    return len(_window_ranks(pairs, m.n, m.prime)[1])
 
 
 def sliced_power_rank(rows, t: StandardTableau, p) -> list[tuple[int, ...]]:

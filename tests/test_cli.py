@@ -1,12 +1,17 @@
 """End-to-end runs of the orbital CLI through main(argv)."""
 
 import hashlib
+import io
 import json
+import sys
 import time
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
+import orbital.cli
+from orbital import NotApplicable, iter_descriptors, verify_conjecture
 from orbital.cli import main
 
 
@@ -329,6 +334,77 @@ def test_verify_json_report_is_pinned(capsys):
     )
 
 
+def test_verify_text_report_is_pinned(capsys):
+    # the same 198 descriptors as the JSON pin, through the text lines and
+    # the summary line
+    code, out, _ = run(capsys, "verify", "--nmax", "8", "--trials", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3bacbf1c61fa2ab09c6aa1b346a8f7ba90b407382a24e283d554512c7863df2a"
+    )
+
+
+@pytest.fixture
+def sweep(monkeypatch):
+    """Watches verify's sweep. run(*argv) calls main with stdout going to a
+    buffer, iter_descriptors counts the descriptors it has yielded, and
+    verify_conjecture appends (descriptors yielded, lines on stdout) to
+    `calls` each time it is called; the call numbered `fail_at` raises
+    NotApplicable instead."""
+    watch = SimpleNamespace(out=io.StringIO(), yielded=0, calls=[], fail_at=None)
+
+    def counted(nmax):
+        for d in iter_descriptors(nmax):
+            watch.yielded += 1
+            yield d
+
+    def watched(d, **kwargs):
+        watch.calls.append((watch.yielded, watch.out.getvalue().count("\n")))
+        if len(watch.calls) == watch.fail_at:
+            raise NotApplicable("injected failure")
+        return verify_conjecture(d, **kwargs)
+
+    def run(*argv):
+        # pytest re-points sys.stdout between setup and call, so this is
+        # patched only once the test body runs
+        monkeypatch.setattr(sys, "stdout", watch.out)
+        return main(list(argv))
+
+    monkeypatch.setattr(orbital.cli, "iter_descriptors", counted)
+    monkeypatch.setattr(orbital.cli, "verify_conjecture", watched)
+    watch.run = run
+    return watch
+
+
+def test_verify_text_streams(sweep):
+    # when the k-th descriptor is verified, the k - 1 before it are printed
+    # and the sweep has not read past it
+    assert sweep.run("verify", "--nmax", "6", "--trials", "1") == 0
+    assert len(sweep.calls) == 26
+    for k, (yielded, lines) in enumerate(sweep.calls, start=1):
+        assert yielded <= k and lines == k - 1
+    assert sweep.out.getvalue().count("\n") == 27
+
+
+def test_verify_json_prints_once_at_the_end(sweep):
+    assert sweep.run("verify", "--nmax", "6", "--trials", "1", "--json") == 0
+    assert [lines for _, lines in sweep.calls] == [0] * 26
+    assert len(json.loads(sweep.out.getvalue())["reports"]) == 26
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_verify_error_mid_sweep_exits_3(sweep, flags):
+    # the lines of the descriptors done before the failure are already out;
+    # the JSON document is never started
+    sweep.fail_at = 2
+    assert sweep.run("verify", "--nmax", "6", "--trials", "1", *flags) == 3
+    out = sweep.out.getvalue()
+    if flags:
+        assert out == ""
+    else:
+        assert out.count("\n") == 1 and out.startswith("n=4 ")
+
+
 def test_verify_prime_resolution(capsys, monkeypatch):
     monkeypatch.setenv("ORBITAL_PRIME", "1000003")
     _, out, _ = run(capsys, "verify", "--nmax", "4", "--trials", "2", "--json")
@@ -389,8 +465,11 @@ def test_verify_rejects_counts_below_one(capsys, flags):
 
 
 @pytest.mark.parametrize("nmax", ["1", "3"])
-def test_verify_rejects_nmax_without_descriptors(capsys, nmax):
+def test_verify_rejects_nmax_without_descriptors(capsys, monkeypatch, nmax):
     # the smallest hypersurface descriptor has n = 4
+    monkeypatch.setattr(
+        orbital.cli, "verify_conjecture", lambda *a, **k: pytest.fail("sweep started")
+    )
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--nmax", nmax])
     assert exc.value.code == 2

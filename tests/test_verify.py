@@ -24,7 +24,6 @@ from orbital import (
     generic_richardson_matrix,
     iter_descriptors,
     jordan_type,
-    matrix_rank,
     poly_eval,
     project,
     rank_bound,
@@ -41,6 +40,7 @@ from conftest import (
     SIX_BOX,
     all_syt,
     leibniz_det,
+    matrix_rank,
     minor_rank,
     naive_jordan_parts,
     naive_mat_mul,
