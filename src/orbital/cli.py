@@ -9,7 +9,8 @@ finite-field probes over a sweep of descriptors).
 Exit codes: 0 success, 1 a verification probe found a necessity failure,
 2 usage errors (bad flags, malformed input), 3 a well-formed question
 whose answer is "not applicable" (e.g. a tableau that is not a
-hypersurface component).
+hypersurface component), 141 stdout closed before the output was
+written (128 + SIGPIPE, the shell's status for it).
 
 verify streams its sweep: it holds one descriptor at a time, prints each
 text line as that descriptor's report is ready, and with --json prints
@@ -123,16 +124,15 @@ def _descriptor_text(d: HypersurfaceDescriptor, with_generator: bool) -> list[st
         lines.append(f"  wt(f) = {rep.weight}")
         nonzero = [str(j) for j, m in rep.m_sequence if not m.is_zero]
         lines.append(f"  nonzero m_j at j = {', '.join(nonzero)}")
-        lines.append(f"  p_V = {char_poly(d, rep)}")
+        lines.append(f"  p_V = {char_poly(d)}")
     return lines
 
 
 def _descriptor_json(d: HypersurfaceDescriptor, with_generator: bool) -> dict:
     out = d.to_json()
     if with_generator:
-        rep = generator_report(d)
-        out["generator"] = rep.to_json()
-        out["char_poly"] = char_poly(d, rep).to_json()
+        out["generator"] = generator_report(d).to_json()
+        out["char_poly"] = char_poly(d).to_json()
     return out
 
 
@@ -336,12 +336,21 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        return handlers[args.command](parser, args)
+        status = handlers[args.command](parser, args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
     except BadRange as exc:
         parser.error(str(exc))
     except OrbitalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader has gone: the flush at exit goes to devnull, and the
+        # status is the shell's for a closed pipe, 128 + SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

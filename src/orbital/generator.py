@@ -281,17 +281,14 @@ class CharPoly:
         return [w.to_json() for w in self.factors]
 
 
-def char_poly(
-    d: HypersurfaceDescriptor, report: GeneratorReport | None = None
-) -> CharPoly:
+def char_poly(d: HypersurfaceDescriptor) -> CharPoly:
     """Factor multiset: one linear weight per root forced to zero by tau,
-    plus the weight of the non-linear generator f. The factor count always
-    equals the codimension of the component."""
-    if report is None:
-        report = generator_report(d)
+    plus the weight of the non-linear generator f, which is the weight of
+    its window (generator_report's weight). The factor count always equals
+    the codimension of the component."""
     rank = d.n - 1
     factors = [WeightVector.root(u, v, rank) for u, v in d.tau.positive_roots()]
-    factors.append(report.weight)
+    factors.append(_window_weight(d.n, d.window, d.thickness))
     factors.sort(
         key=lambda w: (
             sum(w.coeffs),

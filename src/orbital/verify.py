@@ -401,10 +401,13 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def check_modulus(p: int) -> int:
-    """p, if it is an odd prime below 2**64 (where _is_prime is exact);
-    raises BadProbeInput otherwise. The probes sample over GF(p)."""
+    """p, if it is an int and an odd prime below 2**64 (where _is_prime is
+    exact); raises BadProbeInput otherwise. The probes sample over GF(p).
+    The cache is typed: untyped, 7.0 would hit the entry of 7."""
+    if not isinstance(p, int):
+        raise BadProbeInput(f"modulus {p!r} is not an int")
     if p >= 2**64:
         raise BadProbeInput(f"modulus {p} is too large: it must be below 2**64")
     if p < 3 or not _is_prime(p):
@@ -419,16 +422,28 @@ class Failure(NamedTuple):
     detail: str
 
 
+def _passed(*probes: str) -> property:
+    """The trials with no failure of any of these probes under any prime."""
+    return property(
+        lambda r: r.trials - len({f.trial for f in r.failures if f.probe in probes})
+    )
+
+
 @dataclass(frozen=True)
 class VerificationReport:
+    """What verify_conjecture observed: its failures, by trial, then prime,
+    then probe. The four counts are read from them; a degenerate sample
+    fails both jordan_match and power_rank_ok, as neither could be checked."""
+
     descriptor_id: str
     trials: int
     primes: tuple[int, ...]
-    f_vanishes_on_v: int
-    f_nonzero_on_richardson: int
-    jordan_match: int
-    power_rank_ok: int
     failures: tuple[Failure, ...]
+
+    f_vanishes_on_v = _passed("f_vanishes_on_v", "linear_conditions")
+    f_nonzero_on_richardson = _passed("f_nonzero_on_richardson")
+    jordan_match = _passed("jordan_match", "degenerate_sample")
+    power_rank_ok = _passed("power_rank", "degenerate_sample")
 
     @property
     def necessity_ok(self) -> bool:
@@ -455,83 +470,59 @@ def verify_conjecture(
     seed=0,
     primes: tuple[int, ...] = (DEFAULT_PRIME, SECOND_PRIME),
 ) -> VerificationReport:
-    """Run the three probes for `trials` independent seeds.
+    """Run the three probes for `trials` independent seeds and record
+    their failures under every prime.
 
-    A trial counts toward a probe only if the probe holds under every
-    prime, so coincidences modulo a single prime cannot inflate the
-    numbers. Necessity (probe one) is expected to hold on every trial;
-    the two generic probes are expected to hold on the vast majority.
-    Raises BadProbeInput for fewer than one trial, no prime, or a modulus
-    that check_modulus rejects, before any work is done.
+    A trial counts toward a probe only if no prime recorded a failure of
+    it, so coincidences modulo a single prime cannot inflate the numbers.
+    Necessity (probe one) is expected to hold on every trial; the two
+    generic probes are expected to hold on the vast majority. Raises
+    BadProbeInput for trials that is not an int of at least 1, no prime,
+    or a modulus that check_modulus rejects, before any work is done.
     """
+    if not isinstance(trials, int):
+        raise BadProbeInput(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise BadProbeInput(f"trials must be at least 1, got {trials}")
     if not primes:
         raise BadProbeInput("no prime to sample over")
     for p in primes:
         check_modulus(p)
-    report = generator_report(d)
-    f = report.f
+    f = generator_report(d).f
     fvars = f.variables()
-    tau = d.tau
-    zero_positions = [(u, v + 1) for u, v in tau.positive_roots()]
-    free = tau.free_positions
-    shape = d.tableau.shape
-    failures: list[Failure] = []
-    ok_counts = {"vanish": 0, "nonzero": 0, "jordan": 0, "rank": 0}
-    for trial in range(trials):
-        ok = {"vanish": True, "nonzero": True, "jordan": True, "rank": True}
-        for p in primes:
-            xm = sample_variety_point(d.tableau, seed=f"{seed}:{trial}", prime=p)
-            assign = {v: xm.entry(v[0], v[1]) for v in fvars}
-            if poly_eval(f, assign, prime=p) != 0:
-                ok["vanish"] = False
-                failures.append(
-                    Failure("f_vanishes_on_v", trial, p, "f nonzero at variety point")
-                )
-            for r, c in zero_positions:
-                if xm.entry(r, c):
-                    ok["vanish"] = False
-                    failures.append(
-                        Failure(
-                            "linear_conditions", trial, p, f"x{r},{c} nonzero at variety point"
-                        )
-                    )
-                    break
-            bits = random.Random(f"mtau:{seed}:{trial}:{p}").getrandbits
-            pt = {pos: _below(bits, p) for pos in free}
-            if poly_eval(f, {v: pt[v] for v in fvars}, prime=p) == 0:
-                ok["nonzero"] = False
-                failures.append(
-                    Failure("f_nonzero_on_richardson", trial, p, "f vanished at generic point")
-                )
-            try:
-                z = sample_hypersurface_point(d, seed=f"{seed}:{trial}", prime=p)
-                jt = jordan_type(z)
-                if jt != shape:
-                    ok["jordan"] = False
-                    failures.append(Failure("jordan_match", trial, p, f"jordan type {jt}"))
-                violations = check_power_rank(z, d.tableau)
-                if violations:
-                    ok["rank"] = False
-                    failures.append(
-                        Failure("power_rank", trial, p, f"{len(violations)} window violations")
-                    )
-            except DegenerateSample as exc:
-                ok["jordan"] = ok["rank"] = False
-                failures.append(Failure("degenerate_sample", trial, p, str(exc)))
-        for key in ok_counts:
-            ok_counts[key] += ok[key]
-    return VerificationReport(
-        descriptor_id=d.descriptor_id,
-        trials=trials,
-        primes=tuple(primes),
-        f_vanishes_on_v=ok_counts["vanish"],
-        f_nonzero_on_richardson=ok_counts["nonzero"],
-        jordan_match=ok_counts["jordan"],
-        power_rank_ok=ok_counts["rank"],
-        failures=tuple(failures),
+    failures = chain.from_iterable(
+        _trial_failures(d, f, fvars, seed, trial, p) for trial in range(trials) for p in primes
     )
+    return VerificationReport(d.descriptor_id, trials, tuple(primes), tuple(failures))
+
+
+def _trial_failures(d: HypersurfaceDescriptor, f, fvars, seed, trial: int, p: int):
+    """Yields the failures of one trial under the prime p, in probe order.
+    f is d's generator and fvars its variables. Every draw is seeded from
+    seed, trial and p, so this call alone reproduces them."""
+    trial_seed = f"{seed}:{trial}"
+    xm = sample_variety_point(d.tableau, seed=trial_seed, prime=p)
+    if poly_eval(f, {v: xm.entry(*v) for v in fvars}, prime=p):
+        yield Failure("f_vanishes_on_v", trial, p, "f nonzero at variety point")
+    for u, v in d.tau.positive_roots():
+        if xm.entry(u, v + 1):
+            yield Failure("linear_conditions", trial, p, f"x{u},{v + 1} nonzero at variety point")
+            break
+    bits = random.Random(f"mtau:{trial_seed}:{p}").getrandbits
+    pt = {pos: _below(bits, p) for pos in d.tau.free_positions}
+    if poly_eval(f, pt, prime=p) == 0:
+        yield Failure("f_nonzero_on_richardson", trial, p, "f vanished at generic point")
+    try:
+        z = sample_hypersurface_point(d, seed=trial_seed, prime=p)
+    except DegenerateSample as exc:
+        yield Failure("degenerate_sample", trial, p, str(exc))
+        return
+    jt = jordan_type(z)
+    if jt != d.tableau.shape:
+        yield Failure("jordan_match", trial, p, f"jordan type {jt}")
+    violations = check_power_rank(z, d.tableau)
+    if violations:
+        yield Failure("power_rank", trial, p, f"{len(violations)} window violations")
 
 
 # -- the power-minor comparison ------------------------------------------------------

@@ -154,7 +154,7 @@ def test_criterion_3_weight_and_char_poly():
     rep = generator_report(d12)
     assert rep.weight.coeffs == (0, 0, 0, 1, 2, 3, 3, 3, 2, 1, 0)
 
-    cp = char_poly(d12, rep)
+    cp = char_poly(d12)
     simple = lambda i: tuple(1 if k == i - 1 else 0 for k in range(11))
     pair = lambda i, j: tuple(
         1 if k in (i - 1, j - 1) else 0 for k in range(11)

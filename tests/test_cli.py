@@ -3,9 +3,12 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from itertools import combinations
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -390,6 +393,25 @@ def test_verify_json_prints_once_at_the_end(sweep):
     assert sweep.run("verify", "--nmax", "6", "--trials", "1", "--json") == 0
     assert [lines for _, lines in sweep.calls] == [0] * 26
     assert len(json.loads(sweep.out.getvalue())["reports"]) == 26
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_verify_into_a_closed_pipe_exits_141(flags):
+    # a reader that stops early, as in `orbital verify | head -1`: the
+    # sweep ends at its next write, quietly, and with a status that no
+    # probe outcome or usage error uses
+    src = str(Path(orbital.cli.__file__).parents[1])
+    argv = ["verify", "--nmax", "9", "--trials", "1", *flags]
+    with subprocess.Popen(
+        [sys.executable, "-m", "orbital.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert b"Traceback" not in proc.stderr.read()
 
 
 @pytest.mark.parametrize("flags", [(), ("--json",)])

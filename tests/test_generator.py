@@ -202,7 +202,7 @@ def test_char_poly_twelve_box():
     assert rep.l_lambda == 5
     assert rep.weight.coeffs == (0, 0, 0, 1, 2, 3, 3, 3, 2, 1, 0)
     assert rep.f.total_degree() == 5
-    cp = char_poly(d, rep)
+    cp = char_poly(d)
     assert str(cp) == (
         "a1 * a4 * a5 * a7 * a9 * a10 * (a4 + a5) * (a9 + a10)"
         " * (a4 + 2a5 + 3a6 + 3a7 + 3a8 + 2a9 + a10)"
@@ -216,7 +216,7 @@ def test_char_poly_rejects_factor_count_off_codimension():
     # descriptor's factors overshoot its codimension by one
     d = classify_hypersurface(tab(*SIX_BOX))
     with pytest.raises(InconsistentIndexing, match="3 factors but the codimension is 2"):
-        char_poly(replace(d, tableau=d.richardson), generator_report(d))
+        char_poly(replace(d, tableau=d.richardson))
 
 @st.composite
 def descriptors(draw, max_n=6):

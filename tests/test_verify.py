@@ -1,5 +1,7 @@
 """Finite-field probes: ranks, Jordan types, samplers, the conjecture checks."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -460,11 +462,60 @@ def test_verify_conjecture_custom_prime():
     assert rep.necessity_ok
 
 
+def test_small_prime_reports_are_pinned():
+    # the CLI pins at the default primes record no failure; over GF(7),
+    # GF(11) and GF(3) f vanishes by chance and Jordan types drop, so this
+    # digest covers how failures become the four counts
+    digest = hashlib.sha256()
+    lowered = Counter()
+    for primes in ((7, 11), (3,)):
+        for d in iter_descriptors(7):
+            rep = verify_conjecture(d, trials=4, seed=2, primes=primes)
+            counts = (
+                rep.f_vanishes_on_v,
+                rep.f_nonzero_on_richardson,
+                rep.jordan_match,
+                rep.power_rank_ok,
+            )
+            digest.update(json.dumps([rep.to_json(), counts, rep.necessity_ok]).encode())
+            lowered[primes] += 4 * len(counts) - sum(counts)
+    assert lowered == {(7, 11): 160, (3,): 249}
+    assert digest.hexdigest() == (
+        "d23056a560af351cbd6bac06aae2a79ccfd6e1c8844709b69b079ea0f4721794"
+    )
+
+
+def test_degenerate_sample_under_one_prime_fails_its_trial(monkeypatch):
+    # a hypersurface draw that degenerates under one prime of two leaves
+    # that trial out of both counts it could not check, and no other
+    d = classify_hypersurface(tab(*SIX_BOX))
+    clean = verify_conjecture(d, trials=3)
+    assert clean.failures == ()
+    sampler = orbital.verify.sample_hypersurface_point
+
+    def degenerate_once(d, seed, prime):
+        if (seed, prime) == ("0:1", SECOND_PRIME):
+            raise DegenerateSample("injected")
+        return sampler(d, seed=seed, prime=prime)
+
+    monkeypatch.setattr(orbital.verify, "sample_hypersurface_point", degenerate_once)
+    rep = verify_conjecture(d, trials=3)
+    assert rep.failures == (
+        orbital.verify.Failure("degenerate_sample", 1, SECOND_PRIME, "injected"),
+    )
+    assert (rep.jordan_match, rep.power_rank_ok) == (2, 2)
+    assert (rep.f_vanishes_on_v, rep.f_nonzero_on_richardson) == (3, 3)
+    assert rep.necessity_ok
+
+
 def test_verify_conjecture_rejects_empty_or_bad_work():
     d = classify_hypersurface(tab(*FIVE_BOX))
     for trials in (0, -2):
         with pytest.raises(BadProbeInput, match=f"trials must be at least 1, got {trials}"):
             verify_conjecture(d, trials=trials)
+    # 2.5 used to fail in range with a bare TypeError
+    with pytest.raises(BadProbeInput, match="trials must be an int, got 2.5"):
+        verify_conjecture(d, trials=2.5)
     with pytest.raises(BadProbeInput, match="no prime"):
         verify_conjecture(d, trials=5, primes=())
     # 9 used to fail deep in the sampler with "base is not invertible"
@@ -473,16 +524,25 @@ def test_verify_conjecture_rejects_empty_or_bad_work():
             verify_conjecture(d, trials=1, primes=(DEFAULT_PRIME, bad))
     with pytest.raises(BadProbeInput, match="below 2\\*\\*64"):
         verify_conjecture(d, trials=1, primes=(2**64 + 13,))
+    # 7.0 used to reach the sampler's draw; it equals 7, so once 7 has been
+    # checked an untyped cache of check_modulus would let it through
+    verify_conjecture(d, trials=1, primes=(7,))
+    with pytest.raises(BadProbeInput, match="^modulus 7.0 is not an int$"):
+        verify_conjecture(d, trials=1, primes=(7.0,))
     check_modulus = orbital.verify.check_modulus
     assert check_modulus(3) == 3 and check_modulus(10**18 + 9) == 10**18 + 9
 
 
-@pytest.mark.parametrize("bad", [0, 1, -7, 4, 9])
+@pytest.mark.parametrize("bad", [0, 1, -7, 4, 9, 7.0])
 def test_samplers_and_field_matrix_reject_bad_moduli(bad):
     # 0, 1 and -7 used to hang the variety sampler's draw of a nonzero
-    # diagonal entry, and 4 to fail in pow with a bare ValueError
+    # diagonal entry, 4 to fail in pow with a bare ValueError, and 7.0 to
+    # give a FieldMatrix float rows
     d = classify_hypersurface(tab(*FIVE_BOX))
-    message = f"^{bad} is not an odd prime$"
+    if isinstance(bad, int):
+        message = f"^{bad} is not an odd prime$"
+    else:
+        message = f"^modulus {bad} is not an int$"
     with pytest.raises(BadProbeInput, match=message):
         sample_variety_point(d.tableau, 0, bad)
     with pytest.raises(BadProbeInput, match=message):
