@@ -44,13 +44,7 @@ from .polyalg import (
     x,
 )
 from .projections import project
-from .tableaux import TauSet, _as_tau, richardson_tableau, variety_dim
-
-
-def _free(tau: TauSet, r: int, c: int) -> bool:
-    """Whether x_{rc} is a coordinate of m_tau: r < c and the root
-    alpha_r + ... + alpha_{c-1} is not supported inside a run of tau."""
-    return r < c and not tau.contains_root(r, c - 1)
+from .tableaux import _as_tau, richardson_tableau, variety_dim
 
 
 def _corner(tau, n: int, window: tuple[int, int], thickness: int):
@@ -71,22 +65,16 @@ def _corner(tau, n: int, window: tuple[int, int], thickness: int):
 def generic_richardson_matrix(tau, n: int) -> PolyMatrix:
     """Generic strictly upper triangular point of m_tau, as symbols.
 
-    Entry (k, l) with k < l is x_{kl} unless the root
-    alpha_k + ... + alpha_{l-1} is supported inside a run of tau; those
-    positions vanish identically on every component with this tau.
+    Entry (k, l) is x_{kl} on the coordinates of m_tau, tau.free_positions;
+    every other entry, on or below the diagonal or at a positive root of
+    tau, vanishes identically on every component with this tau.
     """
-    tau = _as_tau(tau, n)
+    free = set(_as_tau(tau, n).free_positions)
     zero = MultiPoly.zero()
-    rows = []
-    for k in range(1, n + 1):
-        row = []
-        for l in range(1, n + 1):
-            if _free(tau, k, l):
-                row.append(x(k, l))
-            else:
-                row.append(zero)
-        rows.append(tuple(row))
-    return PolyMatrix(tuple(rows))
+    return PolyMatrix(tuple(
+        tuple(x(k, l) if (k, l) in free else zero for l in range(1, n + 1))
+        for k in range(1, n + 1)
+    ))
 
 
 def cmin_window(tau, n: int, window: tuple[int, int], thickness: int) -> PolyMatrix:
@@ -109,18 +97,22 @@ def cmin_window(tau, n: int, window: tuple[int, int], thickness: int) -> PolyMat
 
 @dataclass(frozen=True)
 class GeneratorReport:
-    """The window determinant unpacked: all m_j, the generator, its weight."""
+    """The window determinant unpacked: the ladder of all m_j, l(lambda),
+    and the weight of the generator. The generator f is the ladder's rung
+    j = l(lambda), read from it."""
 
-    f: MultiPoly
     m_sequence: tuple[tuple[int, MultiPoly], ...]
     l_lambda: int
     weight: WeightVector
     window: tuple[int, int]
     thickness: int
 
+    @property
+    def f(self) -> MultiPoly:
+        return self.m_sequence[self.l_lambda - self.thickness][1]
+
     def to_json(self) -> dict:
-        # f is the ladder's rung j = l(lambda) (generator_report), so its
-        # term list is serialized once and appears under both keys
+        # f's term list is serialized once and appears under both keys
         rungs = [{"j": j, "poly": m.to_json()} for j, m in self.m_sequence]
         return {
             "window": list(self.window),
@@ -150,10 +142,11 @@ def _path_systems(
     """
     tau, a, b = _corner(tau, n, window, thickness)
     first, last = a + thickness, b - thickness
+    free = set(tau.free_positions)
     # column c is bit c - first; per row, the x_{rc} it may take
     moves = [
         [(c - first, ((r, c), 1)) for c in range(max(r + 1, first), b + 1)
-         if _free(tau, r, c)]
+         if (r, c) in free]
         for r in range(a, last + 1)
     ]
     buckets: list[dict[Monomial, int]] = [{} for _ in range(last - first + 2)]
@@ -234,7 +227,6 @@ def generator_report(d: HypersurfaceDescriptor) -> GeneratorReport:
             f"predicts {size - i_thick - l_lambda}"
         )
     return GeneratorReport(
-        f=m_sequence[l_lambda - i_thick][1],
         m_sequence=m_sequence,
         l_lambda=l_lambda,
         weight=_window_weight(d.n, d.window, i_thick),
@@ -287,7 +279,7 @@ def char_poly(d: HypersurfaceDescriptor) -> CharPoly:
     its window (generator_report's weight). The factor count always equals
     the codimension of the component."""
     rank = d.n - 1
-    factors = [WeightVector.root(u, v, rank) for u, v in d.tau.positive_roots()]
+    factors = [WeightVector.root(u, v, rank) for u, v in d.tau.positive_roots]
     factors.append(_window_weight(d.n, d.window, d.thickness))
     factors.sort(
         key=lambda w: (

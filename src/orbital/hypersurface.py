@@ -9,6 +9,10 @@ tau. Each admissible drop carries a sigma-set: with C_s the nearest earlier
 chain of the same length I and i its smallest label, sigma spans the simple
 roots alpha_i .. alpha_{j-1}, the window [i, j] cuts out the submatrix the
 defining equation lives in, and I is the thickness of the window.
+
+A descriptor stores four facts: the dropped tableau, the Richardson
+tableau, the window [i, j] and the thickness I. The dropped box j, sigma
+and both chains are read from the window and the thickness.
 """
 
 from __future__ import annotations
@@ -40,17 +44,22 @@ from .tableaux import (
 
 @dataclass(frozen=True)
 class HypersurfaceDescriptor:
-    """Everything the downstream symbolic layer needs about one drop."""
+    """Everything the downstream symbolic layer needs about one drop: the
+    dropped tableau, the Richardson tableau, the window [i, j] and the
+    thickness I. The rest follows from the window and the thickness."""
 
     tableau: StandardTableau
     richardson: StandardTableau
-    dropped_box: int
-    source_chain: Chain
-    prev_chain: Chain
-    sigma_lo: int
-    sigma_hi: int
-    thickness: int
     window: tuple[int, int]
+    thickness: int
+
+    # the dropped box j, sigma = alpha_i .. alpha_{j-1}, the chain of j and
+    # the nearest earlier chain of the same length, which starts at i
+    dropped_box = property(lambda d: d.window[1])
+    sigma_lo = property(lambda d: d.window[0])
+    sigma_hi = property(lambda d: d.window[1] - 1)
+    source_chain = property(lambda d: Chain(d.window[1] - d.thickness + 1, d.window[1]))
+    prev_chain = property(lambda d: Chain(d.window[0], d.window[0] + d.thickness - 1))
 
     @property
     def n(self) -> int:
@@ -116,13 +125,8 @@ def _descriptor(
     return HypersurfaceDescriptor(
         tableau=dropped,
         richardson=t_r,
-        dropped_box=source.hi,
-        source_chain=source,
-        prev_chain=prev,
-        sigma_lo=prev.lo,
-        sigma_hi=source.hi - 1,
-        thickness=thickness,
         window=(prev.lo, source.hi),
+        thickness=thickness,
     )
 
 

@@ -244,32 +244,31 @@ class TauSet:
             out.append((start, self.n - 1))
         return out
 
-    def positive_roots(self) -> list[tuple[int, int]]:
-        """All (u, v) with alpha_u + ... + alpha_v supported inside one run.
+    @cached_property
+    def positive_roots(self) -> tuple[tuple[int, int], ...]:
+        """All (u, v) with alpha_u + ... + alpha_v supported inside one run,
+        sorted, computed once per set.
 
         These index exactly the matrix positions (u, v+1) forced to zero on
         every orbital variety with this tau-invariant.
         """
-        out: list[tuple[int, int]] = []
-        for a, b in self.runs():
-            for u in range(a, b + 1):
-                for v in range(u, b + 1):
-                    out.append((u, v))
-        return sorted(out)
-
-    def contains_root(self, u: int, v: int) -> bool:
-        """Whether alpha_u + ... + alpha_v lies in the span of the set."""
-        return all(i in self.indices for i in range(u, v + 1))
+        return tuple(sorted(
+            (u, v)
+            for a, b in self.runs()
+            for u in range(a, b + 1)
+            for v in range(u, b + 1)
+        ))
 
     @cached_property
     def free_positions(self) -> tuple[tuple[int, int], ...]:
         """The strictly upper positions (a, b) outside the positive roots:
         the coordinates of the linear span m_tau."""
+        forced = {(u, v + 1) for u, v in self.positive_roots}
         return tuple(
             (a, b)
             for a in range(1, self.n)
             for b in range(a + 1, self.n + 1)
-            if not self.contains_root(a, b - 1)
+            if (a, b) not in forced
         )
 
     def __str__(self) -> str:

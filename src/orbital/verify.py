@@ -381,6 +381,7 @@ def sample_hypersurface_point(
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=64)
 def _is_prime(p: int) -> bool:
     """Miller-Rabin with the bases above: exact for every p below 3.3e24."""
     if p < 2 or any(p % a == 0 for a in _WITNESSES):
@@ -401,12 +402,12 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=64, typed=True)
 def check_modulus(p: int) -> int:
-    """p, if it is an int and an odd prime below 2**64 (where _is_prime is
-    exact); raises BadProbeInput otherwise. The probes sample over GF(p).
-    The cache is typed: untyped, 7.0 would hit the entry of 7."""
-    if not isinstance(p, int):
+    """p, if it is an int, not a bool, and an odd prime below 2**64 (where
+    _is_prime is exact); raises BadProbeInput otherwise. The probes sample
+    over GF(p). The type is checked before _is_prime's cache, which 7.0,
+    True or an unhashable modulus would otherwise reach."""
+    if not isinstance(p, int) or isinstance(p, bool):
         raise BadProbeInput(f"modulus {p!r} is not an int")
     if p >= 2**64:
         raise BadProbeInput(f"modulus {p} is too large: it must be below 2**64")
@@ -480,7 +481,7 @@ def verify_conjecture(
     BadProbeInput for trials that is not an int of at least 1, no prime,
     or a modulus that check_modulus rejects, before any work is done.
     """
-    if not isinstance(trials, int):
+    if not isinstance(trials, int) or isinstance(trials, bool):
         raise BadProbeInput(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise BadProbeInput(f"trials must be at least 1, got {trials}")
@@ -504,7 +505,7 @@ def _trial_failures(d: HypersurfaceDescriptor, f, fvars, seed, trial: int, p: in
     xm = sample_variety_point(d.tableau, seed=trial_seed, prime=p)
     if poly_eval(f, {v: xm.entry(*v) for v in fvars}, prime=p):
         yield Failure("f_vanishes_on_v", trial, p, "f nonzero at variety point")
-    for u, v in d.tau.positive_roots():
+    for u, v in d.tau.positive_roots:
         if xm.entry(u, v + 1):
             yield Failure("linear_conditions", trial, p, f"x{u},{v + 1} nonzero at variety point")
             break

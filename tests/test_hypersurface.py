@@ -1,5 +1,8 @@
 """Codimension-one descendants: enumeration, classification, sigma windows."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +10,7 @@ from orbital import (
     Chain,
     InconsistentIndexing,
     NotApplicable,
+    chains,
     classify_hypersurface,
     hypersurface_descendants,
     iter_descriptors,
@@ -88,6 +92,20 @@ def test_iter_descriptors_counts():
     assert per_n == {2: 0, 3: 0, 4: 2, 5: 6, 6: 18, 7: 48}
 
 
+def test_descriptor_bytes_are_pinned():
+    # every descriptor with n <= 10: its id and its JSON, in stream order
+    h = hashlib.sha256()
+    count = 0
+    for d in iter_descriptors(10):
+        h.update(d.descriptor_id.encode() + b"\n")
+        h.update(json.dumps(d.to_json(), sort_keys=True).encode() + b"\n")
+        count += 1
+    assert count == 1235
+    assert h.hexdigest() == (
+        "457851cff983d59ac7779447a9a52417410d3480dbbb1fc562154daa96de84f1"
+    )
+
+
 def test_descendants_match_dimension_oracle():
     # independent enumeration: a descendant is exactly a non-Richardson
     # tableau with the same tau and dimension one less
@@ -114,12 +132,21 @@ def test_descendants_match_dimension_oracle():
 @given(tau_subsets())
 def test_descriptor_internal_consistency(tn):
     tau, n = tn
-    for d in hypersurface_descendants(richardson_tableau(tau, n)):
+    t_r = richardson_tableau(tau, n)
+    ch = chains(t_r)
+    for d in hypersurface_descendants(t_r):
         assert d.window == (d.sigma_lo, d.dropped_box)
         assert d.sigma_hi == d.dropped_box - 1
         assert d.thickness == d.source_chain.length == d.prev_chain.length
         assert d.dropped_box == d.source_chain.hi
         assert d.prev_chain.lo == d.sigma_lo
+        # the derived chains are chains of the Richardson tableau: the
+        # dropped one, and the nearest earlier one of the same length
+        assert d.source_chain in ch
+        earlier = ch[:ch.index(d.source_chain)]
+        assert d.prev_chain == next(
+            c for c in reversed(earlier) if c.length == d.thickness
+        )
         assert classify_hypersurface(d.tableau) == d
 
 

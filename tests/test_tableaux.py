@@ -143,11 +143,11 @@ def test_render_tableau_golden():
 def test_tau_set_runs_and_roots():
     tau = TauSet(frozenset({1, 4, 5, 7, 9, 10}), 12)
     assert tau.runs() == [(1, 1), (4, 5), (7, 7), (9, 10)]
-    assert tau.positive_roots() == [
+    assert tau.positive_roots == (
         (1, 1), (4, 4), (4, 5), (5, 5), (7, 7), (9, 9), (9, 10), (10, 10),
-    ]
-    assert tau.contains_root(4, 5)
-    assert not tau.contains_root(5, 7)
+    )
+    assert (4, 5) in tau.positive_roots
+    assert (5, 7) not in tau.positive_roots
     assert str(tau) == "{1, 4, 5, 7, 9, 10}"
     assert tau.to_json() == [1, 4, 5, 7, 9, 10]
 
@@ -160,11 +160,13 @@ def test_free_positions_complement_the_positive_roots():
         for bits in range(1 << (n - 1)):
             tau = TauSet(frozenset(i for i in range(1, n) if bits >> (i - 1) & 1), n)
             free = tau.free_positions
-            roots = {(u, v + 1) for u, v in tau.positive_roots()}
+            roots = tau.positive_roots
+            forced = {(u, v + 1) for u, v in roots}
             assert len(set(free)) == len(free)
-            assert set(free).isdisjoint(roots)
-            assert set(free) | roots == upper
+            assert set(free).isdisjoint(forced)
+            assert set(free) | forced == upper
             assert tau.free_positions is free
+            assert tau.positive_roots is roots
 
 
 def test_tau_set_rejects_out_of_range():

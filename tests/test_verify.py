@@ -432,7 +432,7 @@ def test_sample_hypersurface_point_properties():
         }
         assert poly_eval(f, vals, prime=DEFAULT_PRIME) == 0
         # tau-linear conditions hold by construction
-        for a, b in tau.positive_roots():
+        for a, b in tau.positive_roots:
             assert pt.entry(a, b + 1) == 0
         assert FieldMatrix(pt.rows, DEFAULT_PRIME) == pt
     assert (
@@ -516,6 +516,9 @@ def test_verify_conjecture_rejects_empty_or_bad_work():
     # 2.5 used to fail in range with a bare TypeError
     with pytest.raises(BadProbeInput, match="trials must be an int, got 2.5"):
         verify_conjecture(d, trials=2.5)
+    # True is an int, and used to report "trials": true
+    with pytest.raises(BadProbeInput, match="trials must be an int, got True"):
+        verify_conjecture(d, trials=True)
     with pytest.raises(BadProbeInput, match="no prime"):
         verify_conjecture(d, trials=5, primes=())
     # 9 used to fail deep in the sampler with "base is not invertible"
@@ -525,10 +528,15 @@ def test_verify_conjecture_rejects_empty_or_bad_work():
     with pytest.raises(BadProbeInput, match="below 2\\*\\*64"):
         verify_conjecture(d, trials=1, primes=(2**64 + 13,))
     # 7.0 used to reach the sampler's draw; it equals 7, so once 7 has been
-    # checked an untyped cache of check_modulus would let it through
+    # checked a cache keyed on the modulus would let it through
     verify_conjecture(d, trials=1, primes=(7,))
     with pytest.raises(BadProbeInput, match="^modulus 7.0 is not an int$"):
         verify_conjecture(d, trials=1, primes=(7.0,))
+    # an unhashable modulus used to raise TypeError from the cache
+    with pytest.raises(BadProbeInput, match="^modulus \\[7\\] is not an int$"):
+        verify_conjecture(d, trials=1, primes=([7],))
+    with pytest.raises(BadProbeInput, match="^modulus True is not an int$"):
+        verify_conjecture(d, trials=1, primes=(True,))
     check_modulus = orbital.verify.check_modulus
     assert check_modulus(3) == 3 and check_modulus(10**18 + 9) == 10**18 + 9
 
