@@ -56,11 +56,18 @@ def _parse_tau(parser: argparse.ArgumentParser, text: str, n: int) -> TauSet:
     if n < 1:
         parser.error(f"--n must be at least 1, got {n}")
     text = text.strip()
+    items = text.split(",") if text else []
+    if any(not p.strip() for p in items):
+        parser.error(f"bad tau: empty item in {text!r}")
     try:
-        indices = [int(p) for p in text.split(",") if p.strip()] if text else []
-        return TauSet(frozenset(indices), n)
+        indices = [int(p) for p in items]
+        tau = TauSet(frozenset(indices), n)
     except ValueError as exc:
         parser.error(f"bad tau: {exc}")
+    if len(tau.indices) != len(indices):
+        repeated = next(i for i in indices if indices.count(i) > 1)
+        parser.error(f"bad tau: index {repeated} repeated")
+    return tau
 
 
 def _load_tableau(parser: argparse.ArgumentParser, path: str) -> StandardTableau:

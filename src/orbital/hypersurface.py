@@ -10,17 +10,28 @@ chain of the same length I and i its smallest label, sigma spans the simple
 roots alpha_i .. alpha_{j-1}, the window [i, j] cuts out the submatrix the
 defining equation lives in, and I is the thickness of the window.
 
+Admissibility is decided from the rows the drop changes. Only j changes
+row, so only rows I and I+1 change, and the drop is standard exactly when
+row I stays at least as long as row I+1 (row I had at least two more boxes)
+and columns stay strict between the row pairs (I-1, I), (I, I+1) and
+(I+1, I+2); every other pair of adjacent rows is untouched. Since alpha_m
+is in the tau-invariant when m sits in a higher row than m+1, and only j
+moves, only alpha_{j-1} and alpha_j can join or leave it. This local test
+is exact: it accepts the same drops as rebuilding and checking the whole
+tableau, which the tests keep as the oracle.
+
 A descriptor stores four facts: the dropped tableau, the Richardson
 tableau, the window [i, j] and the thickness I. The dropped box j, sigma
-and both chains are read from the window and the thickness.
+and both chains are read from the window and the thickness. It also holds
+tau, the one TauSet shared by every descriptor of its Richardson tableau.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from dataclasses import dataclass
-from functools import cached_property
+from bisect import bisect
+from dataclasses import dataclass, field
 from itertools import combinations
+from operator import lt
 from typing import Iterator
 
 from .errors import (
@@ -28,16 +39,15 @@ from .errors import (
     InconsistentIndexing,
     NotApplicable,
     NotRichardson,
-    TableauError,
 )
 from .tableaux import (
     Chain,
     StandardTableau,
     TauSet,
+    _tau_chains,
     chains,
     richardson_tableau,
     tau_invariant,
-    validate_syt,
     variety_dim,
 )
 
@@ -52,6 +62,10 @@ class HypersurfaceDescriptor:
     richardson: StandardTableau
     window: tuple[int, int]
     thickness: int
+    # tau_invariant(richardson), one object shared by every descriptor of
+    # that Richardson tableau; it follows from richardson, so it takes no
+    # part in equality or hashing
+    tau: TauSet = field(compare=False, repr=False)
 
     # the dropped box j, sigma = alpha_i .. alpha_{j-1}, the chain of j and
     # the nearest earlier chain of the same length, which starts at i
@@ -64,10 +78,6 @@ class HypersurfaceDescriptor:
     @property
     def n(self) -> int:
         return self.richardson.n
-
-    @cached_property
-    def tau(self) -> TauSet:
-        return tau_invariant(self.richardson)
 
     @property
     def descriptor_id(self) -> str:
@@ -86,48 +96,77 @@ class HypersurfaceDescriptor:
         }
 
 
-def _dropped_tableau(t_r: StandardTableau, chain: Chain) -> StandardTableau | None:
-    """Move the chain's largest box down one row, or None if not standard."""
-    box = chain.hi
-    r = t_r.row_of(box)
-    if r != chain.length:
-        raise InconsistentIndexing(
-            f"chain tail {box} sits in row {r}, not in row {chain.length}"
-        )
-    rows = [list(row) for row in t_r.rows]
-    rows[r - 1].remove(box)
-    if r == len(rows):
-        rows.append([])
-    insort(rows[r], box)
-    if not rows[r - 1]:
-        return None
-    try:
-        return validate_syt(rows)
-    except TableauError:
-        return None
+def _column_strict(upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
+    return all(map(lt, upper, lower))
 
 
-def _descriptor(
-    t_r: StandardTableau,
-    all_chains: list[Chain],
-    index: int,
-    dropped: StandardTableau,
-) -> HypersurfaceDescriptor:
-    source = all_chains[index]
-    thickness = source.length
-    prev = next(
-        (c for c in reversed(all_chains[:index]) if c.length == thickness), None
-    )
-    if prev is None:
-        raise ClassificationError(
-            f"admissible drop of box {source.hi} has no earlier chain of length {thickness}"
+def _drops(
+    t_r: StandardTableau, tau: TauSet, all_chains: list[Chain]
+) -> list[HypersurfaceDescriptor]:
+    """The admissible drops of t_r, the Richardson tableau of tau with
+    chains all_chains, by dropped box; each is decided from the rows it
+    changes (see the module docstring). Every descriptor holds this tau."""
+    rows = t_r.rows
+    depth = len(rows)
+    n = t_r.n
+    top = variety_dim(t_r.shape, n)
+    # the latest chain of each length, and the lengths I whose drop shape
+    # has passed the dimension check (that shape depends on I alone)
+    latest: dict[int, Chain] = {}
+    checked: set[int] = set()
+    out: list[HypersurfaceDescriptor] = []
+    for chain in all_chains:
+        j, i_row = chain.hi, chain.length
+        prev = latest.get(i_row)
+        latest[i_row] = chain
+        r = t_r.row_of(j)
+        if r != i_row:
+            raise InconsistentIndexing(
+                f"chain tail {j} sits in row {r}, not in row {i_row}"
+            )
+        upper = rows[i_row - 1]
+        lower = rows[i_row] if i_row < depth else ()
+        if len(upper) < len(lower) + 2:
+            continue
+        c = upper.index(j)
+        new_upper = upper[:c] + upper[c + 1 :]
+        k = bisect(lower, j)
+        new_lower = lower[:k] + (j,) + lower[k:]
+        if not (
+            (i_row == 1 or _column_strict(rows[i_row - 2], new_upper))
+            and _column_strict(new_upper, new_lower)
+            and (i_row + 1 >= depth or _column_strict(new_lower, rows[i_row + 1]))
+        ):
+            continue
+        # j, now in row I+1, is the only label that moved: only alpha_{j-1}
+        # and alpha_j can join or leave tau
+        if j > 1 and ((j - 1) in tau.indices) != (t_r.row_of(j - 1) <= i_row):
+            continue
+        if j < n and (j in tau.indices) != (i_row + 1 < t_r.row_of(j + 1)):
+            continue
+        if prev is None:
+            raise ClassificationError(
+                f"admissible drop of box {j} has no earlier chain of length {i_row}"
+            )
+        dropped = StandardTableau(
+            rows[: i_row - 1] + (new_upper, new_lower) + rows[i_row + 1 :]
         )
-    return HypersurfaceDescriptor(
-        tableau=dropped,
-        richardson=t_r,
-        window=(prev.lo, source.hi),
-        thickness=thickness,
-    )
+        if i_row not in checked:
+            if variety_dim(dropped.shape, n) != top - 1:
+                raise ClassificationError(
+                    f"drop of box {j} does not cut the dimension by one"
+                )
+            checked.add(i_row)
+        out.append(
+            HypersurfaceDescriptor(
+                tableau=dropped,
+                richardson=t_r,
+                window=(prev.lo, j),
+                thickness=i_row,
+                tau=tau,
+            )
+        )
+    return out
 
 
 def hypersurface_descendants(t_r: StandardTableau) -> list[HypersurfaceDescriptor]:
@@ -137,21 +176,7 @@ def hypersurface_descendants(t_r: StandardTableau) -> list[HypersurfaceDescripto
     tableau of its own tau-invariant.
     """
     tau = tau_invariant(t_r)
-    ch = chains(t_r)
-    out: list[HypersurfaceDescriptor] = []
-    for index, chain in enumerate(ch):
-        dropped = _dropped_tableau(t_r, chain)
-        if dropped is None:
-            continue
-        if tau_invariant(dropped) != tau:
-            continue
-        d = _descriptor(t_r, ch, index, dropped)
-        if variety_dim(dropped.shape, t_r.n) != variety_dim(t_r.shape, t_r.n) - 1:
-            raise ClassificationError(
-                f"drop of box {d.dropped_box} does not cut the dimension by one"
-            )
-        out.append(d)
-    return out
+    return _drops(t_r, tau, chains(t_r))
 
 
 def classify_hypersurface(t: StandardTableau) -> HypersurfaceDescriptor | None:
@@ -165,7 +190,7 @@ def classify_hypersurface(t: StandardTableau) -> HypersurfaceDescriptor | None:
     t_r = richardson_tableau(tau, t.n)
     if t == t_r:
         return None
-    matches = [d for d in hypersurface_descendants(t_r) if d.tableau == t]
+    matches = [d for d in _drops(t_r, tau, _tau_chains(tau)) if d.tableau == t]
     if not matches:
         return None
     if len(matches) > 1:
@@ -197,7 +222,12 @@ def iter_descriptors(n_max: int) -> Iterator[HypersurfaceDescriptor]:
     """Every descriptor with n <= n_max, ordered by n, tau, dropped box.
 
     Tau-sets are enumerated in lexicographic order of their sorted tuples,
-    so the stream is canonical and reproducible.
+    so the stream is canonical and reproducible. Each Richardson tableau is
+    built from its tau, so it needs no Richardson check, and each candidate
+    drop is decided locally: shape of rows I and I+1, column strictness of
+    the row pairs (I-1, I), (I, I+1) and (I+1, I+2), and tau membership of
+    alpha_{j-1} and alpha_j. That is exact because the dropped box j is the
+    only label that changes row.
     """
     for n in range(1, n_max + 1):
         subsets = sorted(
@@ -206,5 +236,5 @@ def iter_descriptors(n_max: int) -> Iterator[HypersurfaceDescriptor]:
             for tup in combinations(range(1, n), size)
         )
         for subset in subsets:
-            t_r = richardson_tableau(TauSet(frozenset(subset), n), n)
-            yield from hypersurface_descendants(t_r)
+            tau = TauSet(frozenset(subset), n)
+            yield from _drops(richardson_tableau(tau, n), tau, _tau_chains(tau))

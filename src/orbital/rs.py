@@ -115,14 +115,20 @@ def rs_inverse(p: StandardTableau, q: StandardTableau) -> Permutation:
     The value leaving the first row is w(step). Raises SizeMismatch when
     the shapes differ.
     """
-    if p.shape != q.shape:
+    if p is not q and p.shape != q.shape:
         raise SizeMismatch(f"insertion shape {p.shape} vs recording shape {q.shape}")
     rows = [list(row) for row in p.rows]
-    images = [0] * p.n
-    for step in range(p.n, 0, -1):
-        r, _ = q.position(step)
-        value = rows[r - 1].pop()
-        for row in reversed(rows[: r - 1]):
+    n = p.n
+    # the 0-indexed row of each label of q
+    row_of = [0] * (n + 1)
+    for r, row in enumerate(q.rows):
+        for label in row:
+            row_of[label] = r
+    images = [0] * n
+    for step in range(n, 0, -1):
+        r = row_of[step]
+        value = rows[r].pop()
+        for row in reversed(rows[:r]):
             idx = bisect_left(row, value) - 1
             value, row[idx] = row[idx], value
         images[step - 1] = value

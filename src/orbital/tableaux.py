@@ -93,10 +93,14 @@ def dominance_le(mu: Partition, lam: Partition) -> bool:
 
 def variety_dim(lam: Partition, n: int) -> int:
     """Dimension of any orbital variety of Jordan type lam inside sl(n):
-    half of n^2 minus the sum of squared dual parts."""
+    half of n^2 minus the sum of squared dual parts.
+
+    A dual part d is the height of a column, and d^2 = 1 + 3 + .. + (2d-1)
+    adds 2i-1 for each row i the column meets; so the sum of squared dual
+    parts is the sum of (2i-1) * lambda_i over the rows i."""
     if lam.n != n:
         raise SizeMismatch(f"partition of {lam.n} cannot index an orbit in sl({n})")
-    sq = sum(d * d for d in dual_partition(lam).parts)
+    sq = sum((2 * i - 1) * part for i, part in enumerate(lam.parts, start=1))
     return (n * n - sq) // 2
 
 
@@ -112,7 +116,7 @@ class StandardTableau:
 
     @cached_property
     def n(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return sum(map(len, self.rows))
 
     @cached_property
     def shape(self) -> Partition:
@@ -353,11 +357,16 @@ def chains(t_r: StandardTableau) -> list[Chain]:
     tau = tau_invariant(t_r)
     if richardson_tableau(tau, t_r.n) != t_r:
         raise NotRichardson("chains are defined on Richardson tableaux only")
+    return _tau_chains(tau)
+
+
+def _tau_chains(tau: TauSet) -> list[Chain]:
+    """The chains of the Richardson tableau of tau, read off tau alone."""
     out: list[Chain] = []
     lo = 1
-    for m in range(1, t_r.n):
+    for m in range(1, tau.n):
         if m not in tau.indices:
             out.append(Chain(lo, m))
             lo = m + 1
-    out.append(Chain(lo, t_r.n))
+    out.append(Chain(lo, tau.n))
     return out

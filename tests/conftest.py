@@ -9,13 +9,15 @@ permutations, minor_rank looks for the largest nonzero minor,
 naive_power_rank re-multiplies the powers of every window from scratch,
 sliced_power_rank ranks every window of every power on its own, and
 naive_variety_point conjugates with dense products and a Gauss-Jordan
-inverse. They choke past small sizes, which is the point; they exist only
+inverse, and naive_descendants rebuilds and re-checks the whole tableau of
+every box drop. They choke past small sizes, which is the point; they exist only
 to cross-check the fast code. matrix_rank is no oracle: it ranks any square
 matrix with the program's own elimination, for minor_rank to check.
 """
 
 import random
 import re
+from bisect import insort
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import prod
@@ -25,10 +27,15 @@ from orbital import (
     MultiPoly,
     PolyMatrix,
     StandardTableau,
+    TableauError,
+    chains,
     projected_shape,
     remove_largest,
     rs_inverse,
     strip_first,
+    tau_invariant,
+    validate_syt,
+    variety_dim,
 )
 from orbital.verify import _window_ranks
 
@@ -261,3 +268,33 @@ def naive_variety_point(t: StandardTableau, seed, prime):
     return naive_mat_mul(
         naive_mat_mul(bmat, u, prime), naive_inverse(bmat, prime), prime
     )
+
+
+def naive_descendants(t_r: StandardTableau) -> list[tuple]:
+    """(tableau, richardson, window, thickness, tau) of every admissible
+    one-box drop of a Richardson tableau, by dropped box, from the
+    definition: move the largest label j of each chain of length I from
+    row I to row I+1, rebuild the rows, and keep the result when
+    validate_syt accepts it, its whole tau-invariant is t_r's and its
+    dimension is one less. The window starts at the nearest earlier chain
+    of length I."""
+    tau = tau_invariant(t_r)
+    top = variety_dim(t_r.shape, t_r.n)
+    ch = chains(t_r)
+    out = []
+    for k, chain in enumerate(ch):
+        j, thickness = chain.hi, chain.length
+        rows = [list(row) for row in t_r.rows] + [[]]
+        rows[thickness - 1].remove(j)
+        insort(rows[thickness], j)
+        if not rows[-1]:
+            rows.pop()
+        try:
+            t = validate_syt(rows)
+        except TableauError:
+            continue
+        if tau_invariant(t) != tau or variety_dim(t.shape, t.n) != top - 1:
+            continue
+        prev = next(c for c in reversed(ch[:k]) if c.length == thickness)
+        out.append((t, t_r, (prev.lo, j), thickness, tau))
+    return out

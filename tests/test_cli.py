@@ -66,6 +66,27 @@ def test_richardson_tau_out_of_range_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hypersurfaces", "--tau", "1,,2", "--n", "5"], "bad tau: empty item in '1,,2'"),
+        (["richardson", "--tau", "1,1", "--n", "4"], "bad tau: index 1 repeated"),
+        (["richardson", "--tau", "2,", "--n", "4"], "bad tau: empty item in '2,'"),
+    ],
+)
+def test_tau_with_empty_or_repeated_item_exits_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_empty_tau_is_the_empty_set(capsys):
+    code, out, _ = run(capsys, "richardson", "--tau", "", "--n", "3")
+    assert code == 0
+    assert "tau = {}   n = 3" in out
+
+
 def test_hypersurfaces_enumerate_json(capsys):
     code, out, _ = run(
         capsys, "hypersurfaces", "--tau", "2,3,7", "--n", "8", "--json"

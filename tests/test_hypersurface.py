@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from orbital import (
     Chain,
     InconsistentIndexing,
     NotApplicable,
+    TauSet,
     chains,
     classify_hypersurface,
     hypersurface_descendants,
@@ -20,7 +22,7 @@ from orbital import (
     tau_invariant,
     variety_dim,
 )
-from conftest import EIGHT_DROP, EIGHT_RICH, all_syt, tab
+from conftest import EIGHT_DROP, EIGHT_RICH, all_syt, naive_descendants, tab
 
 
 @st.composite
@@ -127,6 +129,42 @@ def test_descendants_match_dimension_oracle():
             }
             got = {d.tableau.rows for d in hypersurface_descendants(t_r)}
             assert got == expected
+
+
+def _fields(d):
+    return (d.tableau, d.richardson, d.window, d.thickness, d.tau)
+
+
+def test_drops_match_whole_tableau_oracle():
+    # every tau with n <= 10, in iter_descriptors order: each drop decided
+    # from the rows it changes against the whole tableau rebuilt and
+    # re-checked, both through hypersurface_descendants and the stream
+    expected = []
+    for n in range(1, 11):
+        for tau in sorted(
+            tup for size in range(n) for tup in combinations(range(1, n), size)
+        ):
+            t_r = richardson_tableau(TauSet(frozenset(tau), n), n)
+            oracle = naive_descendants(t_r)
+            assert [_fields(d) for d in hypersurface_descendants(t_r)] == oracle
+            expected.extend(oracle)
+    assert len(expected) == 1235
+    assert [_fields(d) for d in iter_descriptors(10)] == expected
+
+
+def test_descriptors_share_their_richardson_tau():
+    # one TauSet per Richardson tableau, from the stream and from
+    # hypersurface_descendants alike
+    first, shared = {}, 0
+    for d in iter_descriptors(8):
+        assert d.tau == tau_invariant(d.richardson)
+        if d.richardson in first:
+            assert d.tau is first[d.richardson].tau
+            shared += 1
+        first.setdefault(d.richardson, d)
+    assert shared > 0
+    ds = hypersurface_descendants(richardson_tableau({2, 4}, 8))
+    assert len(ds) == 2 and ds[0].tau is ds[1].tau
 
 
 @given(tau_subsets())

@@ -91,6 +91,15 @@ def test_variety_dim_golden():
         variety_dim(Partition((3,)), 5)
 
 
+@given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=8))
+def test_variety_dim_matches_dual_parts(parts):
+    # variety_dim sums (2i - 1) * lambda_i; the definition squares the
+    # column heights
+    lam = Partition(tuple(sorted(parts, reverse=True)))
+    squares = sum(d * d for d in dual_partition(lam).parts)
+    assert variety_dim(lam, lam.n) == (lam.n * lam.n - squares) // 2
+
+
 def test_validate_syt_error_cases():
     with pytest.raises(RaggedShape):
         validate_syt([[1, 2], [3, 4, 5]])
