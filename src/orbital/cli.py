@@ -328,7 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--nmax", type=int, default=6, help="largest matrix size (default 6)")
     p_ver.add_argument("--trials", type=int, default=25, help="seeds per descriptor (default 25)")
     p_ver.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    p_ver.add_argument("--prime", type=int, default=None, help="single sampling prime override")
+    p_ver.add_argument(
+        "--prime",
+        type=int,
+        default=None,
+        help="single sampling prime override; a trial draws other points under it than "
+        "the same prime sees in a two-prime run",
+    )
     p_ver.add_argument("--json", action="store_true")
     return parser
 

@@ -1,18 +1,30 @@
 """Finite-field sampling probes for the conjectured defining equation.
 
 Symbolic identities are cheap to claim and expensive to trust. This module
-samples actual matrices over large prime fields and checks three things
-per descriptor: the candidate equation f vanishes on points of the
-component (necessity), f is not the zero function on the ambient linear
-span (non-degeneracy), and points of the hypersurface f = 0 inside the
-span look like the component (matching Jordan type and window rank
-bounds, a sufficiency surrogate).
+samples actual matrices over large prime fields and checks per descriptor
+that the candidate equation f vanishes on points of the component
+(necessity) and that points of the hypersurface f = 0 inside the linear
+span m_tau look like the component (matching Jordan type and window rank
+bounds, a sufficiency surrogate). That f is not the zero function on
+m_tau needs no sample: f is multilinear with coefficients +-1 and never
+zero (generator_report raises instead), and a nonzero multilinear
+polynomial is determined by its values on {0, 1}^m, so it is a nonzero
+function over every GF(p).
 
 Points of the component come from a Robinson-Schensted word: for the
 involution w = rs_inverse(T, T), whose insertion and recording tableaux
 are both T, the span of positions (a, b) with w(a) < w(b) meets the
-component densely, and conjugating a random such point by a random
-invertible upper triangular matrix lands in general position.
+component densely, and conjugating a random point U of that span by a
+random invertible upper triangular B lands in general position. B need
+not be drawn whole: B = D N0 with D diagonal and N0 unipotent, so
+B U B^-1 = N' U' N'^-1 with N' = D N0 D^-1 uniform unipotent and
+U' = D U D^-1 uniform on the span, independent of N'. So a uniform
+unipotent N gives the same law, and N U N^-1 is solved without an
+inverse. That makes the draw a ring computation, which verify_conjecture
+does once per trial modulo M, the product of its primes: by the Chinese
+remainder theorem a uniform draw mod M is an independent uniform draw mod
+each prime, and reduction mod p is a ring map, so each prime's reduction
+of the one point has the law of a point drawn over GF(p) alone.
 """
 
 from __future__ import annotations
@@ -21,8 +33,9 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
+from math import prod
 from operator import gt, mul
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import (
     BadProbeInput,
@@ -45,14 +58,19 @@ SECOND_PRIME = 2147483629  # largest prime below it
 @dataclass(frozen=True)
 class FieldMatrix:
     """Square matrix over GF(prime); the entries are stored reduced. A
-    modulus that check_modulus rejects raises BadProbeInput."""
+    modulus that check_modulus rejects, or an entry that is not an int or
+    is a bool, raises BadProbeInput."""
 
     rows: tuple[tuple[int, ...], ...]
     prime: int = DEFAULT_PRIME
 
     def __post_init__(self) -> None:
         check_modulus(self.prime)
-        rows = tuple(tuple(int(e) % self.prime for e in row) for row in self.rows)
+        for row in self.rows:
+            for e in row:
+                if not isinstance(e, int) or isinstance(e, bool):
+                    raise BadProbeInput(f"matrix entry {e!r} is not an int")
+        rows = tuple(tuple(e % self.prime for e in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square")
@@ -298,46 +316,67 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
+@lru_cache(maxsize=1)
+def _variety_rows(t: StandardTableau, seed: str, modulus: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of a random point N U N^-1 of the orbital variety labelled
+    by t, entries in [0, modulus), for any modulus >= 2. The last draw is
+    kept, so the primes of one verify trial reduce one draw.
+
+    U fills the positions (a, b) with w(a) < w(b), for the involution
+    w = rs_inverse(t, t), uniformly; N is uniform unipotent upper
+    triangular (the module docstring says why that is B's law). X = N U
+    N^-1 is the unique solution of X N = C with C = N U, and both C and X
+    are strictly upper, so X is solved row by row by back-substitution:
+    X[i][j] = C[i][j] - sum over i < k < j of X[i][k] N[k][j], as N[j][j]
+    is 1. C[i][j] and the sum are each one dot product, of row i of N with
+    the part of U's column j above the diagonal, and of the row solved so
+    far with the same part of N's column j (its terms k <= i vanish). No
+    inverse is taken, so the modulus need not be prime.
+    """
+    n = t.n
+    bits = random.Random(f"variety:{seed}:{modulus}").getrandbits
+    u = [[0] * n for _ in range(n)]
+    for a, b in _word_span(t):
+        u[a][b] = _below(bits, modulus)
+    nmat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        nmat[i][i] = 1
+        for j in range(i + 1, n):
+            nmat[i][j] = _below(bits, modulus)
+    ucols = [col[:j] for j, col in enumerate(zip(*u))]
+    ncols = [col[:j] for j, col in enumerate(zip(*nmat))]
+    x = []
+    for i, nrow in enumerate(nmat):
+        row = [0] * n
+        for j in range(i + 1, n):
+            row[j] = (sum(map(mul, nrow, ucols[j])) - sum(map(mul, row, ncols[j]))) % modulus
+        x.append(tuple(row))
+    return tuple(x)
+
+
 def sample_variety_point(
-    t: StandardTableau, seed, prime: int = DEFAULT_PRIME
+    t: StandardTableau, seed, prime: int = DEFAULT_PRIME, *, modulus: int | None = None
 ) -> FieldMatrix:
     """Random point of the orbital variety labelled by t, over GF(prime).
 
-    Takes the involution w = rs_inverse(t, t), whose insertion and
-    recording tableaux are both t, fills the positions (a, b) with
-    w(a) < w(b) uniformly, and conjugates by a random invertible upper
-    triangular matrix B. The result is strictly upper triangular with
-    Jordan type at most shape(t), equal generically. X = B U B^-1 is the
-    unique solution of X B = C with C = B U, and both C and X are
-    strictly upper, so X is solved row by row by back-substitution:
-    X[i][j] = (C[i][j] - sum over i < k < j of X[i][k] B[k][j]) / B[j][j].
-    C[i][j] and the sum are each one dot product, of row i of B with the
-    part of U's column j above the diagonal, and of the row solved so far
-    with the same part of B's column j (its terms k <= i vanish).
-    Raises BadProbeInput for a modulus that check_modulus rejects.
+    The point is drawn modulo `modulus`, a multiple of prime that
+    defaults to prime, and reduced mod prime (_variety_rows). Calls with
+    the same t, seed and modulus reduce one point: verify_conjecture
+    passes the product of its primes, so every prime of a trial sees its
+    reduction of one draw. The result is strictly upper triangular with
+    Jordan type at most shape(t), equal generically. Raises BadProbeInput
+    for a prime that check_modulus rejects, or a modulus that is not an
+    int multiple of it.
     """
     check_modulus(prime)
-    n = t.n
-    bits = random.Random(f"variety:{seed}:{prime}").getrandbits
-    u = [[0] * n for _ in range(n)]
-    for a, b in _word_span(t):
-        u[a][b] = _below(bits, prime)
-    bmat = [[0] * n for _ in range(n)]
-    for i in range(n):
-        bmat[i][i] = 1 + _below(bits, prime - 1)
-        for j in range(i + 1, n):
-            bmat[i][j] = _below(bits, prime)
-    inv = [pow(bmat[j][j], -1, prime) for j in range(n)]
-    ucols = [col[:j] for j, col in enumerate(zip(*u))]
-    bcols = [col[:j] for j, col in enumerate(zip(*bmat))]
-    x = []
-    for i, brow in enumerate(bmat):
-        row = [0] * n
-        for j in range(i + 1, n):
-            c = sum(map(mul, brow, ucols[j]))
-            row[j] = (c - sum(map(mul, row, bcols[j]))) * inv[j] % prime
-        x.append(row)
-    return FieldMatrix._reduced(x, prime)
+    if modulus is None:
+        modulus = prime
+    elif not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 1 or modulus % prime:
+        raise BadProbeInput(f"modulus {modulus!r} is not a multiple of {prime}")
+    rows = _variety_rows(t, f"{seed}", modulus)
+    if modulus != prime:
+        rows = [[e % prime for e in row] for row in rows]
+    return FieldMatrix._reduced(rows, prime)
 
 
 def sample_hypersurface_point(
@@ -433,8 +472,10 @@ def _passed(*probes: str) -> property:
 @dataclass(frozen=True)
 class VerificationReport:
     """What verify_conjecture observed: its failures, by trial, then prime,
-    then probe. The four counts are read from them; a degenerate sample
-    fails both jordan_match and power_rank_ok, as neither could be checked."""
+    then probe. Three of the four counts are read from them, and
+    f_nonzero_on_richardson is decided without a sample; a degenerate
+    sample fails both jordan_match and power_rank_ok, as neither could be
+    checked."""
 
     descriptor_id: str
     trials: int
@@ -442,7 +483,9 @@ class VerificationReport:
     failures: tuple[Failure, ...]
 
     f_vanishes_on_v = _passed("f_vanishes_on_v", "linear_conditions")
-    f_nonzero_on_richardson = _passed("f_nonzero_on_richardson")
+    # f is a nonzero multilinear polynomial, so a nonzero function on
+    # m_tau over every GF(p) (module docstring): every trial passes
+    f_nonzero_on_richardson = property(lambda r: r.trials)
     jordan_match = _passed("jordan_match", "degenerate_sample")
     power_rank_ok = _passed("power_rank", "degenerate_sample")
 
@@ -469,50 +512,58 @@ def verify_conjecture(
     d: HypersurfaceDescriptor,
     trials: int,
     seed=0,
-    primes: tuple[int, ...] = (DEFAULT_PRIME, SECOND_PRIME),
+    primes: Iterable[int] = (DEFAULT_PRIME, SECOND_PRIME),
 ) -> VerificationReport:
-    """Run the three probes for `trials` independent seeds and record
-    their failures under every prime.
+    """Run the probes for `trials` independent seeds and record their
+    failures under every prime.
 
-    A trial counts toward a probe only if no prime recorded a failure of
-    it, so coincidences modulo a single prime cannot inflate the numbers.
-    Necessity (probe one) is expected to hold on every trial; the two
-    generic probes are expected to hold on the vast majority. Raises
-    BadProbeInput for trials that is not an int of at least 1, no prime,
-    or a modulus that check_modulus rejects, before any work is done.
+    Each trial draws one variety point modulo the product of the primes
+    and reduces it mod each prime (the module docstring says why that is
+    an independent draw per prime). A trial counts toward a probe only if
+    no prime recorded a failure of it, so coincidences modulo a single
+    prime cannot inflate the numbers. Necessity (probe one) is expected to
+    hold on every trial and the generic probes on the vast majority;
+    f_nonzero_on_richardson holds on every trial by construction (module
+    docstring), so no trial draws for it. primes may be any iterable; it
+    is read once. Raises BadProbeInput for trials that is not an int of at
+    least 1, no prime, or a modulus that check_modulus rejects, before any
+    work is done.
     """
     if not isinstance(trials, int) or isinstance(trials, bool):
         raise BadProbeInput(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise BadProbeInput(f"trials must be at least 1, got {trials}")
+    primes = tuple(primes)
     if not primes:
         raise BadProbeInput("no prime to sample over")
     for p in primes:
         check_modulus(p)
+    modulus = prod(primes)
     f = generator_report(d).f
     fvars = f.variables()
     failures = chain.from_iterable(
-        _trial_failures(d, f, fvars, seed, trial, p) for trial in range(trials) for p in primes
+        _trial_failures(d, f, fvars, seed, trial, p, modulus)
+        for trial in range(trials)
+        for p in primes
     )
-    return VerificationReport(d.descriptor_id, trials, tuple(primes), tuple(failures))
+    return VerificationReport(d.descriptor_id, trials, primes, tuple(failures))
 
 
-def _trial_failures(d: HypersurfaceDescriptor, f, fvars, seed, trial: int, p: int):
+def _trial_failures(d: HypersurfaceDescriptor, f, fvars, seed, trial: int, p: int, modulus: int):
     """Yields the failures of one trial under the prime p, in probe order.
-    f is d's generator and fvars its variables. Every draw is seeded from
-    seed, trial and p, so this call alone reproduces them."""
+    f is d's generator and fvars its variables. The variety point is
+    drawn modulo modulus, the product of the run's primes, and the
+    hypersurface point over GF(p), both seeded from seed and trial, so
+    this call alone reproduces them; replaying a trial under p takes the
+    run's whole tuple of primes, as a one-prime run draws other points."""
     trial_seed = f"{seed}:{trial}"
-    xm = sample_variety_point(d.tableau, seed=trial_seed, prime=p)
+    xm = sample_variety_point(d.tableau, seed=trial_seed, prime=p, modulus=modulus)
     if poly_eval(f, {v: xm.entry(*v) for v in fvars}, prime=p):
         yield Failure("f_vanishes_on_v", trial, p, "f nonzero at variety point")
     for u, v in d.tau.positive_roots:
         if xm.entry(u, v + 1):
             yield Failure("linear_conditions", trial, p, f"x{u},{v + 1} nonzero at variety point")
             break
-    bits = random.Random(f"mtau:{trial_seed}:{p}").getrandbits
-    pt = {pos: _below(bits, p) for pos in d.tau.free_positions}
-    if poly_eval(f, pt, prime=p) == 0:
-        yield Failure("f_nonzero_on_richardson", trial, p, "f vanished at generic point")
     try:
         z = sample_hypersurface_point(d, seed=trial_seed, prime=p)
     except DegenerateSample as exc:

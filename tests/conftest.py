@@ -248,25 +248,25 @@ def naive_inverse(rows, p):
     return [row[n:] for row in aug]
 
 
-def naive_variety_point(t: StandardTableau, seed, prime):
-    """sample_variety_point's rows, replaying its draws: U on the span of a
-    freshly computed w = rs_inverse(t, t), then B, then B U B^-1 from dense
-    products."""
+def naive_variety_point(t: StandardTableau, seed, modulus):
+    """The rows of the variety sampler's point modulo any modulus, replaying
+    its draws: U on the span of a freshly computed w = rs_inverse(t, t),
+    then a unipotent upper triangular N, then N U N^-1 from dense products
+    and a Gauss-Jordan inverse, whose pivots are all 1."""
     w = rs_inverse(t, t)
     n = t.n
-    rng = random.Random(f"variety:{seed}:{prime}")
+    rng = random.Random(f"variety:{seed}:{modulus}")
     u = [[0] * n for _ in range(n)]
     for a in range(1, n):
         for b in range(a + 1, n + 1):
             if w(a) < w(b):
-                u[a - 1][b - 1] = rng.randrange(prime)
-    bmat = [[0] * n for _ in range(n)]
+                u[a - 1][b - 1] = rng.randrange(modulus)
+    nmat = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(n):
-        bmat[i][i] = rng.randrange(1, prime)
         for j in range(i + 1, n):
-            bmat[i][j] = rng.randrange(prime)
+            nmat[i][j] = rng.randrange(modulus)
     return naive_mat_mul(
-        naive_mat_mul(bmat, u, prime), naive_inverse(bmat, prime), prime
+        naive_mat_mul(nmat, u, modulus), naive_inverse(nmat, modulus), modulus
     )
 
 

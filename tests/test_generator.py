@@ -254,6 +254,22 @@ def test_generator_weight_matches_weight_of_on_every_descriptor():
     assert count == 503
 
 
+def test_every_generator_is_multilinear_with_unit_coefficients():
+    # verify counts f_nonzero_on_richardson as passed without a sample: a
+    # nonzero multilinear f with coefficients +-1 is a nonzero function on
+    # m_tau over every GF(p), and generator_report never returns f = 0
+    count = 0
+    for d in iter_descriptors(9):
+        f = generator_report(d).f
+        assert f.terms, d.descriptor_id
+        for mono, coeff in f.terms.items():
+            assert coeff in (1, -1), d.descriptor_id
+            assert all(e == 1 for _, e in mono), d.descriptor_id
+        assert set(f.variables()) <= set(d.tau.free_positions), d.descriptor_id
+        count += 1
+    assert count == 503
+
+
 @settings(max_examples=60)
 @given(descriptors())
 def test_generator_degree_and_support(d):

@@ -21,6 +21,7 @@ from orbital import (
     check_power_rank,
     classify_hypersurface,
     determinant,
+    dominance_le,
     find_word_for_tableau,
     generator_report,
     generic_richardson_matrix,
@@ -84,6 +85,14 @@ def test_field_matrix_reduces_and_slices():
     assert FieldMatrix(((0, -1), (0, 9)), 7).rows == ((0, 6), (0, 2))
     with pytest.raises(ValueError, match="square"):
         FieldMatrix(((0, 1), (0,)), 7)
+
+
+@pytest.mark.parametrize("bad", [1.5, "3", True, None, 7.0])
+def test_field_matrix_rejects_entries_that_are_not_ints(bad):
+    # 1.5 used to be stored as 1, "3" as 3 and True as 1
+    with pytest.raises(BadProbeInput, match=f"^matrix entry {bad!r} is not an int$"):
+        FieldMatrix(((0, bad), (0, 0)), 7)
+    assert FieldMatrix(((0, 10**30), (0, -1)), 7).rows == ((0, 10**30 % 7), (0, 6))
 
 
 def test_matrix_rank():
@@ -392,14 +401,91 @@ def test_sample_variety_point_on_every_small_tableau():
 
 @pytest.mark.parametrize("prime", [DEFAULT_PRIME, 7])
 def test_sample_variety_point_matches_dense_oracle(prime):
-    # the band-skipping products, the cached word span and the constructor
-    # that skips reduction, against dense products of the same draws
+    # the back-substitution, the cached word span and the constructor that
+    # skips reduction, against dense products of the same draws
     for n in range(1, 8):
         for t in all_syt(n):
             for seed in range(2):
                 pt = sample_variety_point(t, seed, prime)
                 assert pt.rows == tuple(map(tuple, naive_variety_point(t, seed, prime)))
                 assert FieldMatrix(pt.rows, prime) == pt
+
+
+@pytest.mark.parametrize("primes", [(DEFAULT_PRIME, SECOND_PRIME), (7, 11)])
+def test_one_variety_point_mod_the_product_serves_every_prime(primes):
+    # a trial draws its point once modulo M = p * q; each prime's
+    # reduction is a point of the variety over GF(p): strictly upper, no
+    # window bound broken, and of Jordan type shape(t) over the 31-bit
+    # primes. Over GF(7) and GF(11) the type may drop by chance, but never
+    # above shape(t)
+    modulus = primes[0] * primes[1]
+    points = drops = 0
+    for n in range(1, 8):
+        for t in all_syt(n):
+            rows = naive_variety_point(t, n, modulus)
+            for p in primes:
+                pt = sample_variety_point(t, n, p, modulus=modulus)
+                assert pt.rows == tuple(tuple(e % p for e in row) for row in rows)
+                assert FieldMatrix(pt.rows, p) == pt
+                assert pt.is_strictly_upper()
+                assert check_power_rank(pt, t) == []
+                jt = jordan_type(pt)
+                assert dominance_le(jt, t.shape)
+                drops += jt != t.shape
+                points += 1
+    assert points == 702
+    if primes == (DEFAULT_PRIME, SECOND_PRIME):
+        assert drops == 0
+    else:
+        assert 0 < drops < points // 2
+
+
+@pytest.mark.parametrize("bad", [8, 7 * 11 + 1, -77, 0, 77.0, True])
+def test_sample_variety_point_rejects_a_modulus_prime_does_not_divide(bad):
+    t = tab(*SIX_BOX)
+    with pytest.raises(BadProbeInput, match=f"^modulus {bad!r} is not a multiple of 7$"):
+        sample_variety_point(t, 0, 7, modulus=bad)
+    assert sample_variety_point(t, 0, 7, modulus=7) == sample_variety_point(t, 0, 7)
+
+
+def test_verify_conjecture_reduces_one_point_per_trial(monkeypatch):
+    # every prime of a trial sees the same draw mod the product of the
+    # primes, reduced; a one-prime run sees the one-prime sampler's point
+    seen = []
+    real = orbital.verify.sample_variety_point
+
+    def recording(t, seed, prime, **kwargs):
+        pt = real(t, seed, prime, **kwargs)
+        seen.append((seed, prime, kwargs, pt.rows))
+        return pt
+
+    monkeypatch.setattr(orbital.verify, "sample_variety_point", recording)
+    d = classify_hypersurface(tab(*SIX_BOX))
+    verify_conjecture(d, trials=3, seed=5, primes=(7, 11))
+    assert [(seed, p) for seed, p, _, _ in seen] == [
+        ("5:0", 7), ("5:0", 11), ("5:1", 7), ("5:1", 11), ("5:2", 7), ("5:2", 11)
+    ]
+    for seed, p, kwargs, rows in seen:
+        assert kwargs == {"modulus": 77}
+        expected = naive_variety_point(d.tableau, seed, 77)
+        assert rows == tuple(tuple(e % p for e in row) for row in expected)
+    seen.clear()
+    verify_conjecture(d, trials=2, seed=5, primes=(SECOND_PRIME,))
+    assert [rows for _, _, _, rows in seen] == [
+        real(d.tableau, f"5:{trial}", SECOND_PRIME).rows for trial in range(2)
+    ]
+
+
+def test_verify_conjecture_reads_an_iterator_of_primes_once():
+    # the check of the primes used to exhaust an iterator, which left a
+    # report with no prime, every count full and necessity_ok True
+    d = classify_hypersurface(tab(*FIVE_BOX))
+    rep = verify_conjecture(d, trials=3, seed=1, primes=iter([7]))
+    assert rep.primes == (7,)
+    assert rep == verify_conjecture(d, trials=3, seed=1, primes=(7,))
+    assert rep.to_json()["primes"] == [7]
+    with pytest.raises(BadProbeInput, match="no prime"):
+        verify_conjecture(d, trials=1, primes=iter([]))
 
 
 @pytest.mark.parametrize("p", [2**31 - 1, 2**31 - 19, 7, 3])
@@ -464,8 +550,8 @@ def test_verify_conjecture_custom_prime():
 
 def test_small_prime_reports_are_pinned():
     # the CLI pins at the default primes record no failure; over GF(7),
-    # GF(11) and GF(3) f vanishes by chance and Jordan types drop, so this
-    # digest covers how failures become the four counts
+    # GF(11) and GF(3) Jordan types drop by chance, so this digest covers
+    # how failures become the four counts
     digest = hashlib.sha256()
     lowered = Counter()
     for primes in ((7, 11), (3,)):
@@ -479,9 +565,9 @@ def test_small_prime_reports_are_pinned():
             )
             digest.update(json.dumps([rep.to_json(), counts, rep.necessity_ok]).encode())
             lowered[primes] += 4 * len(counts) - sum(counts)
-    assert lowered == {(7, 11): 160, (3,): 249}
+    assert lowered == {(7, 11): 96, (3,): 136}
     assert digest.hexdigest() == (
-        "d23056a560af351cbd6bac06aae2a79ccfd6e1c8844709b69b079ea0f4721794"
+        "7803f3afb85da388b7c46041a79ec63887942c642f96bcac838fd01bd9a8902d"
     )
 
 
