@@ -49,7 +49,7 @@ class TooSmall(OrbitalError):
 
 
 class BadRange(OrbitalError):
-    """Projection indices outside 1 <= i <= j <= n."""
+    """Projection or window indices outside 1 <= i <= j <= n."""
 
 
 # -- polynomial layer --------------------------------------------------------

@@ -9,7 +9,12 @@ top-right (size-I) x (size-I) corner gives the window matrix; its
 determinant expands as sum of m_j t^(size-I-j), and the candidate equation
 f is the last surviving coefficient m_{l(lambda)}, where
 l(lambda) = lambda_1 + ... + lambda_I - I over the shape lambda of the
-Richardson tableau projected to the window.
+Richardson tableau projected to the window. That projection is the
+Richardson tableau of tau.restrict(a, b): tau's is the recording tableau of
+the involution w0_tau reversing each chain, and project reads the window
+from the factor w0_tau(a) .. w0_tau(b), the block reversal of the chains
+clipped to [a, b]. A chain of length L has a box in each of rows 1 .. L, so
+l(lambda) is the sum of min(L, I) over the restricted tau's chains, minus I.
 
 The determinant is never expanded by cofactors here. Corner entry (r, c)
 vanishes below the diagonal, so a Leibniz term is a bijection sigma from
@@ -43,8 +48,7 @@ from .polyalg import (
     t_poly,
     x,
 )
-from .projections import project
-from .tableaux import _as_tau, richardson_tableau, variety_dim
+from .tableaux import _as_tau, _tau_chains, variety_dim
 
 
 def _corner(tau, n: int, window: tuple[int, int], thickness: int):
@@ -174,16 +178,16 @@ def _path_systems(
     return buckets
 
 
-def _window_ladder(tau, n: int, window: tuple[int, int], thickness: int, richardson):
-    """l(lambda) over the Richardson tableau's shape, and the ladder of
-    (j, m_j) for j = thickness .. size-thickness. The ladder covers every
-    power of t in the window determinant, t^0 .. t^(size-2*thickness);
-    m_j is the bucket of t^(size-thickness-j) from the path-system walk."""
+def _window_ladder(tau, n: int, window: tuple[int, int], thickness: int):
+    """l(lambda) from the chains of tau restricted to the window (module
+    docstring), and the ladder of (j, m_j) for j = thickness .. size-thickness,
+    which covers every power of t in the window determinant; m_j is the
+    bucket of t^(size-thickness-j) from the path-system walk."""
     buckets = _path_systems(tau, n, window, thickness)
     a, b = window
     size = b - a + 1
-    shape = project(richardson, a, b).shape
-    l_lambda = sum(shape.part(k) for k in range(1, thickness + 1)) - thickness
+    chains = _tau_chains(tau.restrict(a, b))
+    l_lambda = sum(min(c.length, thickness) for c in chains) - thickness
     ladder = tuple(
         (j, MultiPoly._raw(buckets[size - thickness - j]))
         for j in range(thickness, size - thickness + 1)
@@ -192,14 +196,13 @@ def _window_ladder(tau, n: int, window: tuple[int, int], thickness: int, richard
 
 
 def _window_weight(n: int, window: tuple[int, int], thickness: int) -> WeightVector:
-    """The weight of every term of the window determinant: the sum over
-    k < thickness of alpha_{a+k} + ... + alpha_{b-1-k} (module docstring)."""
+    """The weight of every term of the window determinant, the sum over
+    k < thickness of alpha_{a+k} + ... + alpha_{b-1-k} (module docstring):
+    alpha_m is in the roots with k <= min(m - a, b - 1 - m)."""
     a, b = window
-    rank = n - 1
-    return sum(
-        (WeightVector.root(a + k, b - 1 - k, rank) for k in range(thickness)),
-        WeightVector.zero(rank),
-    )
+    return WeightVector(tuple(
+        max(0, min(thickness, m - a + 1, b - m)) for m in range(1, n)
+    ))
 
 
 @lru_cache(maxsize=128)
@@ -211,12 +214,13 @@ def generator_report(d: HypersurfaceDescriptor) -> GeneratorReport:
     of t that survives, which must be m_{l(lambda)} or the indexing is
     inconsistent (InconsistentIndexing).
     """
-    a, b = d.window
-    size = b - a + 1
-    i_thick = d.thickness
-    l_lambda, m_sequence = _window_ladder(
-        d.tau, d.n, d.window, i_thick, d.richardson
-    )
+    return _report(d.tau, d.n, d.window, d.thickness)
+
+
+def _report(tau, n: int, window: tuple[int, int], i_thick: int) -> GeneratorReport:
+    """generator_report on the window problem (tau, n, window, i_thick)."""
+    size = window[1] - window[0] + 1
+    l_lambda, m_sequence = _window_ladder(tau, n, window, i_thick)
     nonzero = [j for j, m in m_sequence if not m.is_zero]
     if not nonzero:
         raise InconsistentIndexing("window determinant vanished identically")
@@ -229,8 +233,8 @@ def generator_report(d: HypersurfaceDescriptor) -> GeneratorReport:
     return GeneratorReport(
         m_sequence=m_sequence,
         l_lambda=l_lambda,
-        weight=_window_weight(d.n, d.window, i_thick),
-        window=d.window,
+        weight=_window_weight(n, window, i_thick),
+        window=window,
         thickness=i_thick,
     )
 
@@ -243,10 +247,7 @@ def lemma2_threshold(
     Returns (l_lambda, [(j, is_zero), ...]) for j = thickness .. size-thickness.
     The expected pattern is nonzero up to l(lambda) and zero beyond it.
     """
-    tau = _as_tau(tau, n)
-    l_lambda, ladder = _window_ladder(
-        tau, n, window, thickness, richardson_tableau(tau, n)
-    )
+    l_lambda, ladder = _window_ladder(_as_tau(tau, n), n, window, thickness)
     return l_lambda, [(j, m.is_zero) for j, m in ladder]
 
 

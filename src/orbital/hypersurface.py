@@ -13,12 +13,15 @@ defining equation lives in, and I is the thickness of the window.
 Admissibility is decided from the rows the drop changes. Only j changes
 row, so only rows I and I+1 change, and the drop is standard exactly when
 row I stays at least as long as row I+1 (row I had at least two more boxes)
-and columns stay strict between the row pairs (I-1, I), (I, I+1) and
-(I+1, I+2); every other pair of adjacent rows is untouched. Since alpha_m
-is in the tau-invariant when m sits in a higher row than m+1, and only j
-moves, only alpha_{j-1} and alpha_j can join or leave it. This local test
-is exact: it accepts the same drops as rebuilding and checking the whole
-tableau, which the tests keep as the oracle.
+and columns stay strict between rows I and I+1. Since alpha_m is in the
+tau-invariant when m sits in a higher row than m+1, and only j moves, only
+alpha_{j-1} and alpha_j could join or leave it. Three checks cannot fail
+in a Richardson tableau, so they are not made:
+- rows I-1, I: removing j shifts the rest of row I left; no entry shrinks;
+- rows I+1, I+2: inserting j shifts the rest of row I+1 right; none grows;
+- alpha_j stays out: j ends its chain, so j + 1 starts the next in row 1.
+This local test is exact: it accepts the same drops as rebuilding and
+checking the whole tableau, which the tests keep as the oracle.
 
 A descriptor stores four facts: the dropped tableau, the Richardson
 tableau, the window [i, j] and the thickness I. The dropped box j, sigma
@@ -96,10 +99,6 @@ class HypersurfaceDescriptor:
         }
 
 
-def _column_strict(upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
-    return all(map(lt, upper, lower))
-
-
 def _drops(
     t_r: StandardTableau, tau: TauSet, all_chains: list[Chain]
 ) -> list[HypersurfaceDescriptor]:
@@ -107,7 +106,6 @@ def _drops(
     chains all_chains, by dropped box; each is decided from the rows it
     changes (see the module docstring). Every descriptor holds this tau."""
     rows = t_r.rows
-    depth = len(rows)
     n = t_r.n
     top = variety_dim(t_r.shape, n)
     # the latest chain of each length, and the lengths I whose drop shape
@@ -125,24 +123,18 @@ def _drops(
                 f"chain tail {j} sits in row {r}, not in row {i_row}"
             )
         upper = rows[i_row - 1]
-        lower = rows[i_row] if i_row < depth else ()
+        lower = rows[i_row] if i_row < len(rows) else ()
         if len(upper) < len(lower) + 2:
             continue
         c = upper.index(j)
         new_upper = upper[:c] + upper[c + 1 :]
         k = bisect(lower, j)
         new_lower = lower[:k] + (j,) + lower[k:]
-        if not (
-            (i_row == 1 or _column_strict(rows[i_row - 2], new_upper))
-            and _column_strict(new_upper, new_lower)
-            and (i_row + 1 >= depth or _column_strict(new_lower, rows[i_row + 1]))
-        ):
+        if not all(map(lt, new_upper, new_lower)):
             continue
         # j, now in row I+1, is the only label that moved: only alpha_{j-1}
-        # and alpha_j can join or leave tau
+        # can join or leave tau (module docstring)
         if j > 1 and ((j - 1) in tau.indices) != (t_r.row_of(j - 1) <= i_row):
-            continue
-        if j < n and (j in tau.indices) != (i_row + 1 < t_r.row_of(j + 1)):
             continue
         if prev is None:
             raise ClassificationError(
@@ -224,10 +216,8 @@ def iter_descriptors(n_max: int) -> Iterator[HypersurfaceDescriptor]:
     Tau-sets are enumerated in lexicographic order of their sorted tuples,
     so the stream is canonical and reproducible. Each Richardson tableau is
     built from its tau, so it needs no Richardson check, and each candidate
-    drop is decided locally: shape of rows I and I+1, column strictness of
-    the row pairs (I-1, I), (I, I+1) and (I+1, I+2), and tau membership of
-    alpha_{j-1} and alpha_j. That is exact because the dropped box j is the
-    only label that changes row.
+    drop is decided from rows I and I+1 and alpha_{j-1} alone, which is
+    exact because the dropped box j is the only label that changes row.
     """
     for n in range(1, n_max + 1):
         subsets = sorted(

@@ -14,7 +14,8 @@ w(i), ..., w(j) (Schützenberger; Sagan, The Symmetric Group, section 3.9;
 the argument is in project's docstring), with the row-insertion loop
 that rs_pair runs. projected_shape is that window's shape. The moves
 themselves (remove_largest, strip_first, strip_first_steps) remain for the
-CLI's step-by-step display and as the tests' oracle.
+CLI's step-by-step display and as the tests' oracle. The generator and the
+remark check project nothing: TauSet.restrict names their windows.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ the values and the recording tableau collects the order in which boxes
 appear. The pair (insertion, recording) determines w uniquely, and
 rs_inverse recovers it by reverse row insertion in O(n^2). The insertion
 loop, _recordings, yields both tableaux after every letter, so
-projections.project and verify's rank bounds read windows from it too.
+projections.project and verify's rank bounds read windows from it too;
+the generator and the remark check name theirs by TauSet.restrict.
 
 The involution w = rs_inverse(T, T) has insertion and recording tableau
 both equal to T, so it is a word for T under either convention. Its span of

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
+    BadRange,
     ColumnNotIncreasing,
     DuplicateEntry,
     NotRichardson,
@@ -232,6 +233,14 @@ class TauSet:
 
     def sorted(self) -> list[int]:
         return sorted(self.indices)
+
+    def restrict(self, a: int, b: int) -> "TauSet":
+        """The window problem on [a, b]: the indices in a .. b-1, relabelled
+        from 1, on b - a + 1 boxes (its use is in the generator module)."""
+        if not 1 <= a <= b <= self.n:
+            raise BadRange(f"need 1 <= a <= b <= {self.n}, got a={a}, b={b}")
+        kept = frozenset(i - a + 1 for i in self.indices if a <= i < b)
+        return TauSet(kept, b - a + 1)
 
     def runs(self) -> list[tuple[int, int]]:
         """Maximal intervals [a, b] with a..b all in the set."""

@@ -39,17 +39,17 @@ from typing import Iterable, NamedTuple
 
 from .errors import (
     BadProbeInput,
-    ClassificationError,
     DegenerateSample,
     NotApplicable,
     NotNilpotent,
 )
-from .generator import generator_report, generic_richardson_matrix
-from .hypersurface import HypersurfaceDescriptor, classify_hypersurface
+from .generator import _report, generator_report, generic_richardson_matrix
+from .hypersurface import HypersurfaceDescriptor
 from .polyalg import PolyMatrix, determinant, poly_eval
-from .projections import project
 from .rs import _recordings, rs_inverse
-from .tableaux import Partition, StandardTableau, chains, dual_partition
+from .tableaux import (
+    Partition, StandardTableau, TauSet, _tau_chains, dual_partition, richardson_tableau
+)
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1
 SECOND_PRIME = 2147483629  # largest prime below it
@@ -526,8 +526,8 @@ def verify_conjecture(
     f_nonzero_on_richardson holds on every trial by construction (module
     docstring), so no trial draws for it. primes may be any iterable; it
     is read once. Raises BadProbeInput for trials that is not an int of at
-    least 1, no prime, or a modulus that check_modulus rejects, before any
-    work is done.
+    least 1, no prime, a modulus that check_modulus rejects, or a repeated
+    prime, before any work is done.
     """
     if not isinstance(trials, int) or isinstance(trials, bool):
         raise BadProbeInput(f"trials must be an int, got {trials!r}")
@@ -538,6 +538,8 @@ def verify_conjecture(
         raise BadProbeInput("no prime to sample over")
     for p in primes:
         check_modulus(p)
+    if len(set(primes)) != len(primes):
+        raise BadProbeInput(f"primes {primes} repeat a prime")
     modulus = prod(primes)
     f = generator_report(d).f
     fvars = f.variables()
@@ -585,19 +587,13 @@ class RemarkResult(NamedTuple):
     chain_condition: bool
 
 
-def _window_minor(
-    pt: StandardTableau,
-) -> tuple[HypersurfaceDescriptor, PolyMatrix, int, int]:
-    """The projected problem of the window tableau pt, and remark_minor's
-    (corner, k, r) on it."""
-    dw = classify_hypersurface(pt)
-    if dw is None:
-        raise ClassificationError("projection to the window lost the descriptor")
-    lam = dw.richardson.shape
-    k = lam.part(dw.thickness) - 1
+def _window_minor(tau_w: TauSet, i_thick: int) -> tuple[PolyMatrix, int, int]:
+    """remark_minor's (corner, k, r) on the window problem (tau_w, i_thick)."""
+    lam = richardson_tableau(tau_w, tau_w.n).shape
+    k = lam.part(i_thick) - 1
     r = rank_bound(lam, k)
-    corner = generic_richardson_matrix(dw.tau, dw.n).power_top_right(k, r)
-    return dw, corner, k, r
+    corner = generic_richardson_matrix(tau_w, tau_w.n).power_top_right(k, r)
+    return corner, k, r
 
 
 def remark_minor(d: HypersurfaceDescriptor) -> tuple[PolyMatrix, int, int]:
@@ -608,7 +604,7 @@ def remark_minor(d: HypersurfaceDescriptor) -> tuple[PolyMatrix, int, int]:
     Richardson tableau, and r the rank bound of the projected shape at k.
     Returns (top-right r x r corner of x_R^k, k, r).
     """
-    return _window_minor(project(d.tableau, *d.window))[1:]
+    return _window_minor(d.tau.restrict(*d.window), d.thickness)
 
 
 def remark_check(d: HypersurfaceDescriptor, *, seed=0) -> RemarkResult:
@@ -622,22 +618,21 @@ def remark_check(d: HypersurfaceDescriptor, *, seed=0) -> RemarkResult:
     shorter, or all longer, than the thickness. `seed` is accepted and
     ignored: the check draws no random numbers.
 
-    The outcome depends on d only through its projected window tableau,
-    so it is worked out once per window and memoized (_remark_window);
-    descriptors that share a window share the result.
+    The outcome depends on d only through its window problem, named by
+    d.tau.restrict(*d.window) and the thickness, so it is worked out once
+    per window problem and memoized (_remark_window).
     """
-    return _remark_window(project(d.tableau, *d.window))
+    return _remark_window(d.tau.restrict(*d.window), d.thickness)
 
 
 @lru_cache(maxsize=None)
-def _remark_window(pt: StandardTableau) -> RemarkResult:
-    """remark_check on the window tableau pt."""
-    dw, corner, _, _ = _window_minor(pt)
-    f = generator_report(dw).f
+def _remark_window(tau_w: TauSet, i_thick: int) -> RemarkResult:
+    """remark_check on the window problem (tau_w, i_thick)."""
+    corner, _, _ = _window_minor(tau_w, i_thick)
+    f = _report(tau_w, tau_w.n, (1, tau_w.n), i_thick).f
     det_m = determinant(corner)
 
-    interior = chains(dw.richardson)[1:-1]
-    i_thick = dw.thickness
+    interior = _tau_chains(tau_w)[1:-1]
     chain_condition = all(c.length < i_thick for c in interior) or all(
         c.length > i_thick for c in interior
     )

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbital import (
     BadWindow,
+    Chain,
     InconsistentIndexing,
     WeightVector,
     char_poly,
@@ -137,8 +138,12 @@ def test_ladder_covers_every_power_of_t():
 
 def test_generator_report_inconsistent_indexing(monkeypatch):
     d = classify_hypersurface(tab(*SIX_BOX))
-    with pytest.raises(InconsistentIndexing, match="lowest surviving t-power 2 but"):
-        generator_report(replace(d, richardson=d.tableau))
+    # l(lambda) is read from the chains of tau restricted to the window;
+    # three chains of length 2 give the dropped shape (3, 3), not (4, 2)
+    with monkeypatch.context() as m:
+        m.setattr("orbital.generator._tau_chains", lambda _: [Chain(1, 2), Chain(3, 4), Chain(5, 6)])
+        with pytest.raises(InconsistentIndexing, match="lowest surviving t-power 2 but"):
+            generator_report.__wrapped__(d)
     monkeypatch.setattr("orbital.generator._path_systems", lambda *_: [{}] * 5)
     with pytest.raises(InconsistentIndexing, match="vanished identically"):
         generator_report.__wrapped__(d)

@@ -188,6 +188,20 @@ def test_descriptor_internal_consistency(tn):
         assert classify_hypersurface(d.tableau) == d
 
 
+def test_projected_problem_is_the_restricted_tau():
+    # projecting a descriptor to its window gives the window problem named
+    # by tau restricted to the window, on the full window, same thickness
+    count = 0
+    for d in iter_descriptors(10):
+        a, b = d.window
+        inner = classify_hypersurface(project(d.tableau, a, b))
+        assert inner.tau == d.tau.restrict(a, b)
+        assert inner.window == (1, b - a + 1)
+        assert inner.thickness == d.thickness
+        count += 1
+    assert count == 1235
+
+
 @given(tau_subsets(max_n=6))
 def test_window_projection_renormalizes(tn):
     # cutting the window out of the pair gives a smaller descendant whose

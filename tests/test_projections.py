@@ -9,11 +9,13 @@ from orbital import (
     BadRange,
     InconsistentIndexing,
     StandardTableau,
+    TauSet,
     TooSmall,
     iter_descriptors,
     project,
     projected_shape,
     remove_largest,
+    richardson_tableau,
     strip_first,
     strip_first_steps,
     tau_invariant,
@@ -151,3 +153,21 @@ def test_project_restricts_tau(data):
     inner = tau_invariant(project(t, i, j)).indices
     outer = tau_invariant(t).indices
     assert inner == {m - (i - 1) for m in outer if i <= m <= j - 1}
+
+
+def test_window_of_a_richardson_tableau_is_the_restricted_taus():
+    # the generator and the remark check name a window problem by tau
+    # restricted to the window: its Richardson tableau is the projection of
+    # tau's, for every tau and window with n <= 8
+    windows = 0
+    for n in range(1, 9):
+        for bits in range(1 << (n - 1)):
+            tau = TauSet(frozenset(i for i in range(1, n) if bits >> (i - 1) & 1), n)
+            t_r = richardson_tableau(tau, n)
+            for a in range(1, n + 1):
+                for b in range(a, n + 1):
+                    windows += 1
+                    assert project(t_r, a, b) == richardson_tableau(
+                        tau.restrict(a, b), b - a + 1
+                    )
+    assert windows == 7423

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orbital import (
+    BadRange,
     ColumnNotIncreasing,
     DuplicateEntry,
     NotRichardson,
@@ -176,6 +177,22 @@ def test_free_positions_complement_the_positive_roots():
             assert set(free) | forced == upper
             assert tau.free_positions is free
             assert tau.positive_roots is roots
+
+
+def test_restrict_names_the_window_problem():
+    tau = TauSet(frozenset({1, 4, 5, 7, 9, 10}), 12)
+    assert tau.restrict(4, 8) == TauSet(frozenset({1, 2, 4}), 5)
+    # index b is left out: alpha_b reaches past the window
+    assert tau.restrict(3, 7) == TauSet(frozenset({2, 3}), 5)
+    # the full window gives tau back; a == b the empty tau on one box
+    for n in range(1, 8):
+        for bits in range(1 << (n - 1)):
+            t = TauSet(frozenset(i for i in range(1, n) if bits >> (i - 1) & 1), n)
+            assert t.restrict(1, n) == t
+            assert all(t.restrict(a, a) == TauSet(frozenset(), 1) for a in range(1, n + 1))
+    for a, b in ((0, 3), (3, 2), (5, 13)):
+        with pytest.raises(BadRange, match=f"got a={a}, b={b}"):
+            tau.restrict(a, b)
 
 
 def test_tau_set_rejects_out_of_range():

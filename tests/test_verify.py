@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -623,6 +624,10 @@ def test_verify_conjecture_rejects_empty_or_bad_work():
         verify_conjecture(d, trials=1, primes=([7],))
     with pytest.raises(BadProbeInput, match="^modulus True is not an int$"):
         verify_conjecture(d, trials=1, primes=(True,))
+    # a repeated prime used to record each of its failures once per copy
+    for primes in ((7, 7), (7, 11, 7)):
+        with pytest.raises(BadProbeInput, match=re.escape(f"primes {primes} repeat a prime")):
+            verify_conjecture(d, trials=1, primes=primes)
     check_modulus = orbital.verify.check_modulus
     assert check_modulus(3) == 3 and check_modulus(10**18 + 9) == 10**18 + 9
 
