@@ -129,20 +129,23 @@ class GeneratorReport:
 
 
 def _path_systems(
-    tau, n: int, window: tuple[int, int], thickness: int
+    tau, n: int, window: tuple[int, int], thickness: int, max_ts: int
 ) -> list[dict[Monomial, int]]:
-    """The terms of cmin_window's determinant, bucketed by power of t.
+    """The terms of cmin_window's determinant that carry at most max_ts
+    t's, bucketed by power of t.
 
     Bucket k maps each monomial of the coefficient of t^k, with t
-    stripped, to its sign. A depth-first walk places rows a .. b-I in
-    order, each in an unused column c >= r of a+I .. b: column r holds t,
-    a free position c > r holds x_{rc}. Used columns are a bitmask, and
-    each step flips the sign once per used column to the right of the new
-    one, so the sign is (-1)^(inversions of sigma). Column r is out of
-    reach of every later row, so when row r finds it unused it must take
-    t there. Rows are visited in order, so the monomials come out
-    canonical; no two coincide (see the module docstring), so the buckets
-    are the exact coefficients.
+    stripped, to its sign; the size - 2*thickness + 1 buckets cover the
+    whole ladder, and those above max_ts stay empty. A depth-first walk
+    places rows a .. b-I in order, each in an unused column c >= r of
+    a+I .. b: column r holds t, a free position c > r holds x_{rc}. Used
+    columns are a bitmask, and each step flips the sign once per used
+    column to the right of the new one, so the sign is
+    (-1)^(inversions of sigma). Column r is out of reach of every later
+    row, so when row r finds it unused it must take t there, and a branch
+    whose count of t's has already reached max_ts stops. Rows are visited
+    in order, so the monomials come out canonical; no two coincide (see
+    the module docstring), so the buckets are the exact coefficients.
     """
     tau, a, b = _corner(tau, n, window, thickness)
     first, last = a + thickness, b - thickness
@@ -162,6 +165,8 @@ def _path_systems(
             return
         q = r - first
         if q >= 0 and not used >> q & 1:
+            if ts == max_ts:
+                return
             if (used >> q).bit_count() & 1:
                 sign = -sign
             walk(r + 1, used | 1 << q, sign, ts + 1)
@@ -178,21 +183,26 @@ def _path_systems(
     return buckets
 
 
+def _l_lambda(tau, window: tuple[int, int], thickness: int) -> int:
+    """l(lambda), the sum over the chains of tau restricted to the window
+    of min(length, thickness), minus thickness (module docstring)."""
+    chains = _tau_chains(tau.restrict(*window))
+    return sum(min(c.length, thickness) for c in chains) - thickness
+
+
 def _window_ladder(tau, n: int, window: tuple[int, int], thickness: int):
-    """l(lambda) from the chains of tau restricted to the window (module
-    docstring), and the ladder of (j, m_j) for j = thickness .. size-thickness,
+    """l(lambda) and the ladder of (j, m_j) for j = thickness .. size-thickness,
     which covers every power of t in the window determinant; m_j is the
-    bucket of t^(size-thickness-j) from the path-system walk."""
-    buckets = _path_systems(tau, n, window, thickness)
+    bucket of t^(size-thickness-j) from the path-system walk, bounded by
+    the top of the ladder."""
     a, b = window
     size = b - a + 1
-    chains = _tau_chains(tau.restrict(a, b))
-    l_lambda = sum(min(c.length, thickness) for c in chains) - thickness
+    buckets = _path_systems(tau, n, window, thickness, size - 2 * thickness)
     ladder = tuple(
         (j, MultiPoly._raw(buckets[size - thickness - j]))
         for j in range(thickness, size - thickness + 1)
     )
-    return l_lambda, ladder
+    return _l_lambda(tau, window, thickness), ladder
 
 
 def _window_weight(n: int, window: tuple[int, int], thickness: int) -> WeightVector:
@@ -237,6 +247,27 @@ def _report(tau, n: int, window: tuple[int, int], i_thick: int) -> GeneratorRepo
         window=window,
         thickness=i_thick,
     )
+
+
+def _generator(tau, n: int, window: tuple[int, int], i_thick: int) -> MultiPoly:
+    """_report(tau, n, window, i_thick).f, from only the path systems with
+    at most f's count of t's, size - i_thick - l(lambda). When f is not
+    the lowest surviving rung, or l(lambda) falls outside the ladder, the
+    full _report raises its InconsistentIndexing."""
+    tau, a, b = _corner(tau, n, window, i_thick)
+    size = b - a + 1
+    target = size - i_thick - _l_lambda(tau, window, i_thick)
+    if 0 <= target <= size - 2 * i_thick:
+        buckets = _path_systems(tau, n, window, i_thick, target)
+        if buckets[target] and not any(buckets[:target]):
+            return MultiPoly._raw(buckets[target])
+    return _report(tau, n, window, i_thick).f
+
+
+@lru_cache(maxsize=128)
+def _descriptor_generator(d: HypersurfaceDescriptor) -> MultiPoly:
+    """generator_report(d).f, walking only f's path systems."""
+    return _generator(d.tau, d.n, d.window, d.thickness)
 
 
 def lemma2_threshold(

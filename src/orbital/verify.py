@@ -7,9 +7,9 @@ that the candidate equation f vanishes on points of the component
 span m_tau look like the component (matching Jordan type and window rank
 bounds, a sufficiency surrogate). That f is not the zero function on
 m_tau needs no sample: f is multilinear with coefficients +-1 and never
-zero (generator_report raises instead), and a nonzero multilinear
-polynomial is determined by its values on {0, 1}^m, so it is a nonzero
-function over every GF(p).
+zero (the generator raises InconsistentIndexing when the window
+determinant vanishes), and a nonzero multilinear polynomial is determined
+by its values on {0, 1}^m, so it is a nonzero function over every GF(p).
 
 Points of the component come from a Robinson-Schensted word: for the
 involution w = rs_inverse(T, T), whose insertion and recording tableaux
@@ -43,7 +43,7 @@ from .errors import (
     NotApplicable,
     NotNilpotent,
 )
-from .generator import _report, generator_report, generic_richardson_matrix
+from .generator import _descriptor_generator, _generator, generic_richardson_matrix
 from .hypersurface import HypersurfaceDescriptor
 from .polyalg import PolyMatrix, determinant, poly_eval
 from .rs import _recordings, rs_inverse
@@ -392,7 +392,7 @@ def sample_hypersurface_point(
     check_modulus rejects.
     """
     check_modulus(prime)
-    f = generator_report(d).f
+    f = _descriptor_generator(d)
     free = d.tau.free_positions
     fvars = f.variables()
     bits = random.Random(f"hyper:{seed}:{prime}").getrandbits
@@ -541,7 +541,7 @@ def verify_conjecture(
     if len(set(primes)) != len(primes):
         raise BadProbeInput(f"primes {primes} repeat a prime")
     modulus = prod(primes)
-    f = generator_report(d).f
+    f = _descriptor_generator(d)
     fvars = f.variables()
     failures = chain.from_iterable(
         _trial_failures(d, f, fvars, seed, trial, p, modulus)
@@ -597,12 +597,13 @@ def _window_minor(tau_w: TauSet, i_thick: int) -> tuple[PolyMatrix, int, int]:
 
 
 def remark_minor(d: HypersurfaceDescriptor) -> tuple[PolyMatrix, int, int]:
-    """Symbolic minor matching the generator on the projected problem.
+    """Symbolic minor matching the generator on the window problem.
 
-    Projects the descriptor to its window (so the window spans everything),
-    sets k one less than the column of the last box in the projected
-    Richardson tableau, and r the rank bound of the projected shape at k.
-    Returns (top-right r x r corner of x_R^k, k, r).
+    Works on d.tau.restrict(*d.window), the window problem, whose window
+    spans everything and whose Richardson tableau is d's projected to the
+    window; sets k one less than the column of the last box in that
+    tableau, and r the rank bound of its shape at k. Returns (top-right
+    r x r corner of x_R^k, k, r).
     """
     return _window_minor(d.tau.restrict(*d.window), d.thickness)
 
@@ -612,11 +613,11 @@ def remark_check(d: HypersurfaceDescriptor, *, seed=0) -> RemarkResult:
     predict it?
 
     Equality is decided exactly, up to one global sign: det(M) == f or
-    det(M) == -f as polynomials. f is never zero, because generator_report
-    raises when the window determinant vanishes. The chain condition asks
-    that the interior chains of the projected Richardson tableau all be
-    shorter, or all longer, than the thickness. `seed` is accepted and
-    ignored: the check draws no random numbers.
+    det(M) == -f as polynomials. f is never zero, because the generator
+    raises InconsistentIndexing when the window determinant vanishes. The
+    chain condition asks that the interior chains of the projected
+    Richardson tableau all be shorter, or all longer, than the thickness.
+    `seed` is accepted and ignored: the check draws no random numbers.
 
     The outcome depends on d only through its window problem, named by
     d.tau.restrict(*d.window) and the thickness, so it is worked out once
@@ -629,7 +630,7 @@ def remark_check(d: HypersurfaceDescriptor, *, seed=0) -> RemarkResult:
 def _remark_window(tau_w: TauSet, i_thick: int) -> RemarkResult:
     """remark_check on the window problem (tau_w, i_thick)."""
     corner, _, _ = _window_minor(tau_w, i_thick)
-    f = _report(tau_w, tau_w.n, (1, tau_w.n), i_thick).f
+    f = _generator(tau_w, tau_w.n, (1, tau_w.n), i_thick)
     det_m = determinant(corner)
 
     interior = _tau_chains(tau_w)[1:-1]

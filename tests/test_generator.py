@@ -27,6 +27,7 @@ from orbital import (
     weight_of,
     x,
 )
+from orbital.generator import _generator, _path_systems, _report
 from conftest import FIVE_BOX, SIX_BOX, TWELVE_BOX, tab
 
 F_SIX = (
@@ -147,6 +148,64 @@ def test_generator_report_inconsistent_indexing(monkeypatch):
     monkeypatch.setattr("orbital.generator._path_systems", lambda *_: [{}] * 5)
     with pytest.raises(InconsistentIndexing, match="vanished identically"):
         generator_report.__wrapped__(d)
+
+
+def test_f_only_walk_matches_the_full_ladder():
+    # the walk bounded by f's count of t's against the full ladder: every
+    # descriptor with n <= 10, and every window problem at n = 11 through
+    # _report, whose own walk is bounded by the top of the ladder
+    count = 0
+    for d in iter_descriptors(10):
+        assert _generator(d.tau, d.n, d.window, d.thickness) == generator_report(d).f
+        count += 1
+    assert count == 1235
+    problems = {
+        (d.tau.restrict(*d.window), d.thickness) for d in iter_descriptors(11) if d.n == 11
+    }
+    assert len(problems) == 137
+    for tau_w, i_thick in problems:
+        size = tau_w.n
+        f = _generator(tau_w, size, (1, size), i_thick)
+        rep = _report(tau_w, size, (1, size), i_thick)
+        assert f == rep.f
+        # f's rung is the lowest one that survives, and no system carrying
+        # more t's than f's terms is walked
+        target = size - i_thick - rep.l_lambda
+        buckets = _path_systems(tau_w, size, (1, size), i_thick, target)
+        assert buckets[target] == f.terms
+        assert not any(buckets[:target]) and not any(buckets[target + 1:])
+
+
+@pytest.mark.parametrize(
+    "chains, message",
+    [
+        # l(lambda) = 2: f's rung is empty and a lower one is not
+        ([Chain(1, 2), Chain(3, 4), Chain(5, 6)], "l(lambda)=2 predicts 3"),
+        # l(lambda) = 4: f's rung and every lower one are empty
+        ([Chain(k, k) for k in range(1, 6)], "l(lambda)=4 predicts 1"),
+        # l(lambda) = -1 and 7: f's rung lies above or below the ladder
+        ([], "l(lambda)=-1 predicts 6"),
+        ([Chain(k, k) for k in range(1, 9)], "l(lambda)=7 predicts -2"),
+    ],
+)
+def test_f_only_walk_falls_back_to_the_full_report(monkeypatch, chains, message):
+    # the six-box window has size 6 and thickness 1, and its lowest
+    # surviving t-power is 2; a wrong l(lambda) sends the f-only walk to
+    # the full report, which raises as generator_report does
+    d = classify_hypersurface(tab(*SIX_BOX))
+    monkeypatch.setattr("orbital.generator._tau_chains", lambda _: chains)
+    with pytest.raises(InconsistentIndexing) as full:
+        generator_report.__wrapped__(d)
+    with pytest.raises(InconsistentIndexing) as f_only:
+        _generator(d.tau, d.n, d.window, d.thickness)
+    assert str(f_only.value) == str(full.value) == f"lowest surviving t-power 2 but {message}"
+
+
+def test_f_only_walk_reports_a_vanished_determinant(monkeypatch):
+    d = classify_hypersurface(tab(*SIX_BOX))
+    monkeypatch.setattr("orbital.generator._path_systems", lambda *_: [{}] * 5)
+    with pytest.raises(InconsistentIndexing, match="vanished identically"):
+        _generator(d.tau, d.n, d.window, d.thickness)
 
 
 def test_ladder_matches_cofactor_expansion():
