@@ -326,7 +326,8 @@ def format_poly(p: MultiPoly) -> str:
 
 def poly_eval(p: MultiPoly, assignment: Mapping[VarId, int], prime: int) -> int:
     """The value of p at the integer assignment, in GF(prime): an int in
-    [0, prime).
+    [0, prime). prime may be any modulus of at least 1, such as the
+    product of primes a verify trial evaluates f modulo.
 
     Every variable of p must be present in the assignment; anything
     missing raises MissingVariable rather than silently defaulting.

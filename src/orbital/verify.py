@@ -25,6 +25,23 @@ does once per trial modulo M, the product of its primes: by the Chinese
 remainder theorem a uniform draw mod M is an independent uniform draw mod
 each prime, and reduction mod p is a ring map, so each prime's reduction
 of the one point has the law of a point drawn over GF(p) alone.
+
+The rest of a trial's ring arithmetic is done once modulo M as well, and
+each prime only tests its residues for zero. f is evaluated once at the
+variety point. Each prime keeps its own hypersurface stream; their first
+draws are combined by CRT, the coefficients h and g of each variable are
+evaluated once mod M, and each prime solves for the first variable with
+g % p != 0. A prime that draw leaves unsolved falls back to its own
+sampler, which replays its stream from the start. The hypersurface
+points are lifted by CRT to one matrix mod M and swept once: the
+fraction-free elimination and the power carry use only ring operations
+and branch only on whether an entry is zero, and an entry that is 0 or a
+unit mod M is zero under every prime or under none. So every prime takes
+the same branches and reads the same tables, unless the elimination
+would take a pivot whose leading entry is not a unit; then each prime
+sweeps its own point. For a single prime M = p, and that never happens.
+Each prime's result, and so every report, is exactly what that prime
+alone computes.
 """
 
 from __future__ import annotations
@@ -33,7 +50,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
-from math import prod
+from math import gcd, prod
 from operator import gt, mul
 from typing import Iterable, NamedTuple
 
@@ -42,6 +59,7 @@ from .errors import (
     DegenerateSample,
     NotApplicable,
     NotNilpotent,
+    NotSquare,
 )
 from .generator import _descriptor_generator, _generator, generic_richardson_matrix
 from .hypersurface import HypersurfaceDescriptor
@@ -59,26 +77,33 @@ SECOND_PRIME = 2147483629  # largest prime below it
 class FieldMatrix:
     """Square matrix over GF(prime); the entries are stored reduced. A
     modulus that check_modulus rejects, or an entry that is not an int or
-    is a bool, raises BadProbeInput."""
+    is a bool, raises BadProbeInput; rows that do not make a square raise
+    NotSquare."""
 
     rows: tuple[tuple[int, ...], ...]
     prime: int = DEFAULT_PRIME
 
     def __post_init__(self) -> None:
         check_modulus(self.prime)
+        n = len(self.rows)
+        if any(len(row) != n for row in self.rows):
+            raise NotSquare(
+                f"matrix must be square: {n} rows of lengths {[len(row) for row in self.rows]}"
+            )
         for row in self.rows:
             for e in row:
                 if not isinstance(e, int) or isinstance(e, bool):
                     raise BadProbeInput(f"matrix entry {e!r} is not an int")
         rows = tuple(tuple(e % self.prime for e in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
-        if any(len(r) != len(rows) for r in rows):
-            raise ValueError("matrix must be square")
 
     @classmethod
     def _reduced(cls, rows: list[list[int]], prime: int) -> "FieldMatrix":
         """The samplers' constructor: rows already square and reduced mod
-        prime, so __post_init__'s second reduction and check are skipped."""
+        prime, so __post_init__'s checks and second reduction are skipped.
+        verify_conjecture also builds a matrix over Z/M this way, M a
+        product of distinct primes in place of prime, to sweep the points
+        of all its primes at once (_hypersurface_lift)."""
         m = object.__new__(cls)
         object.__setattr__(m, "rows", tuple(map(tuple, rows)))
         object.__setattr__(m, "prime", prime)
@@ -140,10 +165,25 @@ class FieldMatrix:
 # a matrix.
 
 
+class _NonUnit(Exception):
+    """_window_ranks met a new pivot whose leading entry is not a unit
+    modulo its modulus: the primes of that modulus would eliminate
+    differently."""
+
+
 def _window_ranks(pairs, n: int, p: int) -> tuple[list, list]:
     """Inserts the (row index, vector) pairs, in decreasing row index, into
     an echelon basis of vectors of length n over GF(p), whose entries must
     already be reduced mod p. Returns (ranks, basis).
+
+    p may also be a product M of distinct primes, for the sweep of a whole
+    verify trial (_joint_trial_failures). Raises _NonUnit when the leading
+    entry v of a new pivot has gcd(v, p) != 1, which never happens for a
+    prime p: a prime q that divides v would skip that column alone, and
+    the primes' eliminations would part. A leading entry that is
+    eliminated needs no check: where q divides v, e * row - v * vector is
+    e * row mod q, a unit multiple of the row q alone keeps, and unit
+    multiples leave every later zero test as it was.
 
     ranks[i][j] (0-indexed) is the number of pivots in columns <= j once
     every vector with row index >= i is in, for every 0 <= i, j < n; rows
@@ -172,6 +212,8 @@ def _window_ranks(pairs, n: int, p: int) -> tuple[list, list]:
                 continue
             vec = pivots.get(c)
             if vec is None:
+                if gcd(v, p) != 1:
+                    raise _NonUnit(f"leading entry {v} shares a factor with {p}")
                 pivots[c] = row
                 basis.append((i, c, row))
                 counts = counts[:c] + tuple(k + 1 for k in counts[c:])
@@ -414,6 +456,15 @@ def sample_hypersurface_point(
     )
 
 
+@lru_cache(maxsize=16)
+def _crt(primes: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(M, coefficients) for distinct primes of product M: the coefficient
+    of p is 1 mod p and 0 mod every other prime, so the sum of r_p times
+    it, mod M, is the one residue mod M that reduces to each r_p."""
+    modulus = prod(primes)
+    return modulus, tuple(modulus // p * pow(modulus // p, -1, p) for p in primes)
+
+
 # -- the conjecture probes ---------------------------------------------------------
 
 
@@ -524,10 +575,12 @@ def verify_conjecture(
     prime cannot inflate the numbers. Necessity (probe one) is expected to
     hold on every trial and the generic probes on the vast majority;
     f_nonzero_on_richardson holds on every trial by construction (module
-    docstring), so no trial draws for it. primes may be any iterable; it
-    is read once. Raises BadProbeInput for trials that is not an int of at
-    least 1, no prime, a modulus that check_modulus rejects, or a repeated
-    prime, before any work is done.
+    docstring), so no trial draws for it. A trial's ring arithmetic is
+    done once modulo the product of the primes (_joint_trial_failures),
+    and each prime records what it alone would (_trial_failures). primes
+    may be any iterable; it is read once. Raises BadProbeInput for trials
+    that is not an int of at least 1, no prime, a modulus that
+    check_modulus rejects, or a repeated prime, before any work is done.
     """
     if not isinstance(trials, int) or isinstance(trials, bool):
         raise BadProbeInput(f"trials must be an int, got {trials!r}")
@@ -540,13 +593,10 @@ def verify_conjecture(
         check_modulus(p)
     if len(set(primes)) != len(primes):
         raise BadProbeInput(f"primes {primes} repeat a prime")
-    modulus = prod(primes)
     f = _descriptor_generator(d)
     fvars = f.variables()
     failures = chain.from_iterable(
-        _trial_failures(d, f, fvars, seed, trial, p, modulus)
-        for trial in range(trials)
-        for p in primes
+        _joint_trial_failures(d, f, fvars, seed, trial, primes) for trial in range(trials)
     )
     return VerificationReport(d.descriptor_id, trials, primes, tuple(failures))
 
@@ -557,24 +607,152 @@ def _trial_failures(d: HypersurfaceDescriptor, f, fvars, seed, trial: int, p: in
     drawn modulo modulus, the product of the run's primes, and the
     hypersurface point over GF(p), both seeded from seed and trial, so
     this call alone reproduces them; replaying a trial under p takes the
-    run's whole tuple of primes, as a one-prime run draws other points."""
+    run's whole tuple of primes, as a one-prime run draws other points.
+    Every step runs under p alone: this is the oracle of
+    _joint_trial_failures."""
     trial_seed = f"{seed}:{trial}"
-    xm = sample_variety_point(d.tableau, seed=trial_seed, prime=p, modulus=modulus)
-    if poly_eval(f, {v: xm.entry(*v) for v in fvars}, prime=p):
-        yield Failure("f_vanishes_on_v", trial, p, "f nonzero at variety point")
-    for u, v in d.tau.positive_roots:
-        if xm.entry(u, v + 1):
-            yield Failure("linear_conditions", trial, p, f"x{u},{v + 1} nonzero at variety point")
-            break
+    x = sample_variety_point(d.tableau, seed=trial_seed, prime=p, modulus=modulus)
+    value = poly_eval(f, {v: x.entry(*v) for v in fvars}, prime=p)
     try:
         z = sample_hypersurface_point(d, seed=trial_seed, prime=p)
     except DegenerateSample as exc:
-        yield Failure("degenerate_sample", trial, p, str(exc))
+        readings = exc
+    else:
+        readings = _readings(z, d.tableau)
+    return _probe_failures(d, trial, p, value, x, readings)
+
+
+def _joint_trial_failures(d: HypersurfaceDescriptor, f, fvars, seed, trial: int, primes):
+    """Yields the failures of one trial under every prime, by prime and
+    then probe: those of _trial_failures under each prime in turn, with
+    the ring arithmetic done once modulo M, the product of the primes
+    (module docstring). f is evaluated once at the variety draw mod M, of
+    which each prime's point is the reduction, and the hypersurface points
+    are solved and lifted to one matrix z mod M together
+    (_hypersurface_lift). Each prime only tests its residues.
+
+    z is swept once, and its readings are those of its reduction mod every
+    prime. Reduction mod p is a ring map, and _window_ranks and the power
+    carry use only ring operations and branch only on whether an entry is
+    zero. An entry that is 0 or a unit mod M is zero under every prime or
+    under none (M is squarefree), so unless _window_ranks would take a
+    pivot whose leading entry is neither (it raises _NonUnit, and each
+    prime sweeps its own reduction), every prime takes the same branches,
+    up to unit multiples of its rows, and has the same tables. For a
+    single prime that never happens."""
+    trial_seed = f"{seed}:{trial}"
+    modulus = prod(primes)
+    xs = [
+        sample_variety_point(d.tableau, seed=trial_seed, prime=p, modulus=modulus)
+        for p in primes
+    ]
+    draw = _variety_rows(d.tableau, trial_seed, modulus)
+    value = poly_eval(f, {(a, b): draw[a - 1][b - 1] for a, b in fvars}, prime=modulus)
+    z, degenerate = _hypersurface_lift(d, f, fvars, trial_seed, primes)
+    try:
+        shared = _readings(z, d.tableau)
+    except _NonUnit:
+        shared = None
+    for p, x in zip(primes, xs):
+        if p in degenerate:
+            readings = degenerate[p]
+        elif shared is not None:
+            readings = shared
+        else:
+            point = FieldMatrix._reduced([[e % p for e in row] for row in z.rows], p)
+            readings = _readings(point, d.tableau)
+        yield from _probe_failures(d, trial, p, value % p, x, readings)
+
+
+def _hypersurface_lift(d: HypersurfaceDescriptor, f, fvars, seed: str, primes):
+    """(z, degenerate): z is the matrix over Z/M, M the product of the
+    primes, that reduces mod each prime p to sample_hypersurface_point(d,
+    seed, p), and degenerate maps each prime whose sampler raised
+    DegenerateSample to that error (z holds an unsolved draw mod it).
+
+    Each prime draws from its own stream, as it does alone. The first
+    draws are combined by CRT, each prime's coefficient c being 1 mod it
+    and 0 mod the others (_crt), and solved together (_solve_first_draws). A
+    prime that draw leaves unsolved calls its own sampler, which replays
+    its stream from the start, and its point replaces z's residues mod it.
+    """
+    modulus, coeffs = _crt(primes)
+    free = d.tau.free_positions
+    draws = []
+    for p in primes:
+        bits = random.Random(f"hyper:{seed}:{p}").getrandbits
+        draws.append([_below(bits, p) for _ in free])
+    lifted = [0] * len(free)
+    for draw, c in zip(draws, coeffs):
+        lifted = [t + r * c for t, r in zip(lifted, draw)]
+    vals = {pos: t % modulus for pos, t in zip(free, lifted)}
+    solved = _solve_first_draws(f, fvars, vals, primes, modulus)
+    n = d.n
+    rows = [[0] * n for _ in range(n)]
+    for (a, b), v in vals.items():
+        rows[a - 1][b - 1] = v
+    degenerate = {}
+    # adding c * (new - old) sets the residue mod p and keeps the others
+    for p, c in zip(primes, coeffs):
+        if p in solved:
+            (a, b), s = solved[p]
+            rows[a - 1][b - 1] = (rows[a - 1][b - 1] + c * (s - vals[a, b])) % modulus
+            continue
+        try:
+            point = sample_hypersurface_point(d, seed, p)
+        except DegenerateSample as exc:
+            degenerate[p] = exc
+            continue
+        rows = [
+            [(e + c * (new - e)) % modulus for e, new in zip(row, new_row)]
+            for row, new_row in zip(rows, point.rows)
+        ]
+    return FieldMatrix._reduced(rows, modulus), degenerate
+
+
+def _solve_first_draws(f, fvars, vals: dict, primes, modulus: int) -> dict:
+    """{p: (variable, value)} for each prime whose sampler would solve
+    f = 0 on its first draw, vals being the CRT lift of the primes' draws.
+
+    h = f|var=0 and g = f|var=1 - h are evaluated once mod M for each
+    variable in turn. Reduction mod p is a ring map, so h % p and g % p are
+    the prime's own h and g, and each prime solves for the first variable
+    with g % p != 0, as sample_hypersurface_point does.
+    """
+    solved: dict = {}
+    for var in fvars:
+        h = poly_eval(f, {**vals, var: 0}, prime=modulus)
+        g = poly_eval(f, {**vals, var: 1}, prime=modulus) - h
+        for p in primes:
+            if p not in solved and g % p:
+                solved[p] = var, -h * pow(g, -1, p) % p
+        if len(solved) == len(primes):
+            break
+    return solved
+
+
+def _readings(z: FieldMatrix, t: StandardTableau):
+    """(jordan type, power-rank violations against t) of the hypersurface
+    point z."""
+    return jordan_type(z), check_power_rank(z, t)
+
+
+def _probe_failures(d: HypersurfaceDescriptor, trial: int, p: int, value: int, x, readings):
+    """Yields the failures of one trial under p, in probe order. value is
+    f at the variety point x, mod p; readings are the hypersurface point's
+    _readings, or the DegenerateSample its sampler raised."""
+    if value:
+        yield Failure("f_vanishes_on_v", trial, p, "f nonzero at variety point")
+    for u, v in d.tau.positive_roots:
+        if x.entry(u, v + 1):
+            yield Failure("linear_conditions", trial, p, f"x{u},{v + 1} nonzero at variety point")
+            break
+    if isinstance(readings, DegenerateSample):
+        yield Failure("degenerate_sample", trial, p, str(readings))
         return
-    jt = jordan_type(z)
+    jt, violations = readings
     if jt != d.tableau.shape:
         yield Failure("jordan_match", trial, p, f"jordan type {jt}")
-    violations = check_power_rank(z, d.tableau)
     if violations:
         yield Failure("power_rank", trial, p, f"{len(violations)} window violations")
 

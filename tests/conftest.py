@@ -9,8 +9,9 @@ permutations, minor_rank looks for the largest nonzero minor,
 naive_power_rank re-multiplies the powers of every window from scratch,
 sliced_power_rank ranks every window of every power on its own, and
 naive_variety_point conjugates with dense products and a Gauss-Jordan
-inverse, and naive_descendants rebuilds and re-checks the whole tableau of
-every box drop. They choke past small sizes, which is the point; they exist only
+inverse, naive_descendants rebuilds and re-checks the whole tableau of
+every box drop, and per_prime_report runs each verify trial under one
+prime at a time. They choke past small sizes, which is the point; they exist only
 to cross-check the fast code. matrix_rank is no oracle: it ranks any square
 matrix with the program's own elimination, for minor_rank to check.
 """
@@ -37,7 +38,12 @@ from orbital import (
     validate_syt,
     variety_dim,
 )
-from orbital.verify import _window_ranks
+from orbital.verify import (
+    VerificationReport,
+    _descriptor_generator,
+    _trial_failures,
+    _window_ranks,
+)
 
 
 def pytest_runtest_logreport(report):
@@ -298,3 +304,19 @@ def naive_descendants(t_r: StandardTableau) -> list[tuple]:
         prev = next(c for c in reversed(ch[:k]) if c.length == thickness)
         out.append((t, t_r, (prev.lo, j), thickness, tau))
     return out
+
+
+def per_prime_report(d, trials: int, seed, primes: tuple[int, ...]) -> VerificationReport:
+    """The report verify_conjecture(d, trials, seed, primes) must give,
+    assembled from _trial_failures, which runs every step of a trial under
+    one prime alone: its own f value, hypersurface solve and rank sweeps."""
+    f = _descriptor_generator(d)
+    fvars = f.variables()
+    modulus = prod(primes)
+    failures = tuple(
+        failure
+        for trial in range(trials)
+        for p in primes
+        for failure in _trial_failures(d, f, fvars, seed, trial, p, modulus)
+    )
+    return VerificationReport(d.descriptor_id, trials, primes, failures)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import re
 from collections import Counter
@@ -17,6 +18,7 @@ from orbital import (
     FieldMatrix,
     NotApplicable,
     NotNilpotent,
+    NotSquare,
     Partition,
     Violation,
     check_power_rank,
@@ -50,6 +52,7 @@ from conftest import (
     naive_mat_mul,
     naive_power_rank,
     naive_variety_point,
+    per_prime_report,
     same_up_to_sign,
     slide_project,
     sliced_power_rank,
@@ -84,8 +87,22 @@ def test_field_matrix_reduces_and_slices():
     # the public constructor reduces and checks squareness; only the
     # samplers skip both
     assert FieldMatrix(((0, -1), (0, 9)), 7).rows == ((0, 6), (0, 2))
-    with pytest.raises(ValueError, match="square"):
-        FieldMatrix(((0, 1), (0,)), 7)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (((0, 1), (0,)), "2 rows of lengths [2, 1]"),
+        (((0, 1, 2), (0, 0, 3)), "2 rows of lengths [3, 3]"),
+        (((1.5,), (0.5, 1.5)), "2 rows of lengths [1, 2]"),
+    ],
+)
+def test_field_matrix_rejects_a_matrix_that_is_not_square(rows, message):
+    # a ragged matrix used to raise a bare ValueError, and only after its
+    # entries were reduced; squareness is checked first, so ragged rows of
+    # floats are NotSquare too
+    with pytest.raises(NotSquare, match=re.escape(f"matrix must be square: {message}")):
+        FieldMatrix(rows, 7)
 
 
 @pytest.mark.parametrize("bad", [1.5, "3", True, None, 7.0])
@@ -243,6 +260,39 @@ def test_each_power_is_swept_once(monkeypatch):
     # the zero matrix has no nonzero power and costs no insertion
     assert jordan_type(FieldMatrix(((0, 0), (0, 0)), 7)).parts == (1, 1)
     assert sweeps == 3
+
+
+@pytest.mark.parametrize("modulus", [7 * 11, 3 * 5 * 7])
+def test_one_sweep_over_a_product_of_primes(modulus):
+    # a verify trial sweeps its points once over Z/M, M the product of its
+    # primes. A new pivot whose leading entry is not a unit mod M signals
+    # the fallback to one sweep per prime; otherwise every table is the one
+    # each prime's own sweep gives, also when a leading entry that is
+    # eliminated, or an entry that is never a leading one, is not a unit
+    nonunit = FieldMatrix._reduced([[0, 7, 1], [0, 0, 2], [0, 0, 0]], modulus)
+    message = f"^leading entry 7 shares a factor with {modulus}$"
+    with pytest.raises(orbital.verify._NonUnit, match=message):
+        nonunit._sweeps
+    primes = [p for p in (3, 5, 7, 11) if modulus % p == 0]
+    rng = random.Random(f"joint:{modulus}")
+    agreed = fell_back = mixed = 0
+    for n in range(1, 7):
+        for _ in range(60):
+            rows = [
+                [rng.randrange(modulus) if a < b and rng.random() < 0.6 else 0 for b in range(n)]
+                for a in range(n)
+            ]
+            m = FieldMatrix._reduced(rows, modulus)
+            try:
+                tables = m._sweeps
+            except orbital.verify._NonUnit:
+                fell_back += 1
+                continue
+            agreed += 1
+            mixed += any(e and math.gcd(e, modulus) != 1 for row in rows for e in row)
+            for p in primes:
+                assert tables == FieldMatrix(tuple(map(tuple, rows)), p)._sweeps
+    assert agreed > 100 and fell_back > 100 and mixed > 15
 
 
 def _explicit_sweeps(rows, p):
@@ -585,6 +635,17 @@ def test_degenerate_sample_under_one_prime_fails_its_trial(monkeypatch):
             raise DegenerateSample("injected")
         return sampler(d, seed=seed, prime=prime)
 
+    # a trial solves the first draws of both primes at once, and only a
+    # prime that draw leaves unsolved calls its own sampler: SECOND_PRIME
+    # is sent there on every trial
+    solve = orbital.verify._solve_first_draws
+
+    def without_second_prime(*args):
+        solved = solve(*args)
+        del solved[SECOND_PRIME]
+        return solved
+
+    monkeypatch.setattr(orbital.verify, "_solve_first_draws", without_second_prime)
     monkeypatch.setattr(orbital.verify, "sample_hypersurface_point", degenerate_once)
     rep = verify_conjecture(d, trials=3)
     assert rep.failures == (
@@ -593,6 +654,39 @@ def test_degenerate_sample_under_one_prime_fails_its_trial(monkeypatch):
     assert (rep.jordan_match, rep.power_rank_ok) == (2, 2)
     assert (rep.f_vanishes_on_v, rep.f_nonzero_on_richardson) == (3, 3)
     assert rep.necessity_ok
+
+
+def test_joint_trial_matches_one_prime_at_a_time(monkeypatch):
+    # a trial evaluates f, solves the hypersurface point and sweeps its
+    # rank tables once modulo the product of its primes; every report must
+    # be the one each prime's own steps give. Over small primes both
+    # fallbacks fire: the sweep would take a pivot whose leading entry is
+    # not a unit, or a prime's first hypersurface draw leaves f unsolved
+    sweeps, unsolved = Counter(), Counter()
+    window_ranks = orbital.verify._window_ranks
+    solve = orbital.verify._solve_first_draws
+
+    def counting_ranks(pairs, n, p):
+        try:
+            return window_ranks(pairs, n, p)
+        except orbital.verify._NonUnit:
+            sweeps[p] += 1
+            raise
+
+    def counting_solve(f, fvars, vals, primes, modulus):
+        solved = solve(f, fvars, vals, primes, modulus)
+        unsolved[primes] += len(primes) - len(solved)
+        return solved
+
+    monkeypatch.setattr(orbital.verify, "_window_ranks", counting_ranks)
+    monkeypatch.setattr(orbital.verify, "_solve_first_draws", counting_solve)
+    for primes in [(DEFAULT_PRIME, SECOND_PRIME), (7, 11), (3, 5, 7), (1000003, 7), (3,)]:
+        for d in iter_descriptors(7):
+            rep = verify_conjecture(d, trials=4, seed=3, primes=primes)
+            assert rep == per_prime_report(d, 4, 3, primes), (primes, d.descriptor_id)
+    # 296 trials per tuple of primes
+    assert sweeps == {77: 168, 105: 289, 7000021: 166}
+    assert +unsolved == {(7, 11): 1, (3, 5, 7): 18, (1000003, 7): 1, (3,): 8}
 
 
 def test_verify_conjecture_rejects_empty_or_bad_work():
