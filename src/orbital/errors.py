@@ -58,8 +58,10 @@ class MissingVariable(OrbitalError):
     """Evaluation point does not cover every variable."""
 
 
-class NotSquare(OrbitalError):
-    pass
+class NotSquare(OrbitalError, ValueError):
+    """A determinant, a matrix power or a FieldMatrix was given rows that do
+    not make a square matrix; a ValueError too, as FieldMatrix's rejection
+    always was."""
 
 
 class BadExponent(OrbitalError, ValueError):

@@ -31,17 +31,18 @@ each prime only tests its residues for zero. f is evaluated once at the
 variety point. Each prime keeps its own hypersurface stream; their first
 draws are combined by CRT, the coefficients h and g of each variable are
 evaluated once mod M, and each prime solves for the first variable with
-g % p != 0. A prime that draw leaves unsolved falls back to its own
-sampler, which replays its stream from the start. The hypersurface
-points are lifted by CRT to one matrix mod M and swept once: the
-fraction-free elimination and the power carry use only ring operations
-and branch only on whether an entry is zero, and an entry that is 0 or a
-unit mod M is zero under every prime or under none. So every prime takes
-the same branches and reads the same tables, unless the elimination
-would take a pivot whose leading entry is not a unit; then each prime
-sweeps its own point. For a single prime M = p, and that never happens.
-Each prime's result, and so every report, is exactly what that prime
-alone computes.
+g % p != 0: the one solve (_solve_draw) the sampler of a single prime
+runs on each of its draws, with M = p. A prime that draw leaves unsolved
+falls back to its own sampler, which replays its stream from the start.
+The hypersurface points are lifted by CRT to one matrix mod M and swept
+once: the fraction-free elimination and the power carry use only ring
+operations and branch only on whether an entry is zero, and an entry
+that is 0 or a unit mod M is zero under every prime or under none. So
+every prime takes the same branches and reads the same tables, unless
+the elimination would take a pivot whose leading entry is not a unit;
+then each prime sweeps its own point. For a single prime M = p, and that
+never happens. Each prime's result, and so every report, is exactly what
+that prime alone computes.
 """
 
 from __future__ import annotations
@@ -427,11 +428,11 @@ def sample_hypersurface_point(
     """Random point of {f = 0} inside the linear span m_tau.
 
     Draws the free coordinates uniformly, then solves f = 0 for one
-    variable: f is multilinear, so any variable whose linear coefficient
-    is nonzero at the draw can absorb the constraint. Draws where every
-    coefficient degenerates are rejected; fifty straight rejections raise
-    DegenerateSample. Raises BadProbeInput for a modulus that
-    check_modulus rejects.
+    variable (_solve_draw): f is multilinear, so any variable whose linear
+    coefficient is nonzero at the draw can absorb the constraint. Draws
+    where every coefficient degenerates are rejected; fifty straight
+    rejections raise DegenerateSample. Raises BadProbeInput for a modulus
+    that check_modulus rejects.
     """
     check_modulus(prime)
     f = _descriptor_generator(d)
@@ -440,20 +441,45 @@ def sample_hypersurface_point(
     bits = random.Random(f"hyper:{seed}:{prime}").getrandbits
     for _ in range(50):
         vals = {pos: _below(bits, prime) for pos in free}
-        for var in fvars:
-            # f = g * var + h, multilinear in var
-            h = poly_eval(f, {**vals, var: 0}, prime=prime)
-            g = (poly_eval(f, {**vals, var: 1}, prime=prime) - h) % prime
-            if g:
-                vals[var] = -h * pow(g, -1, prime) % prime
-                n = d.n
-                rows = [[0] * n for _ in range(n)]
-                for (a, b), v in vals.items():
-                    rows[a - 1][b - 1] = v
-                return FieldMatrix._reduced(rows, prime)
+        solved = _solve_draw(f, fvars, vals, (prime,), prime)
+        if solved:
+            var, v = solved[prime]
+            vals[var] = v
+            return FieldMatrix._reduced(_point_rows(vals, d.n), prime)
     raise DegenerateSample(
         f"no solvable coordinate for {d.descriptor_id} after 50 draws"
     )
+
+
+def _solve_draw(f, fvars, vals: dict, primes, modulus: int) -> dict:
+    """{p: (variable, value)} for each prime p under which the draw vals
+    solves f = 0. vals holds a residue mod modulus, the product of the
+    primes, at each free position; variable is the first whose linear
+    coefficient is nonzero mod p, and value makes f vanish mod p there.
+
+    f = g * var + h is multilinear in var, and h = f|var=0 and g =
+    f|var=1 - h are evaluated once mod modulus for each variable in turn.
+    Reduction mod p is a ring map, so h % p and g % p are what p alone
+    would evaluate, and every prime of one modulus is solved at once.
+    """
+    solved: dict = {}
+    for var in fvars:
+        h = poly_eval(f, {**vals, var: 0}, prime=modulus)
+        g = poly_eval(f, {**vals, var: 1}, prime=modulus) - h
+        for p in primes:
+            if p not in solved and g % p:
+                solved[p] = var, -h * pow(g, -1, p) % p
+        if len(solved) == len(primes):
+            break
+    return solved
+
+
+def _point_rows(vals: dict, n: int) -> list[list[int]]:
+    """The n x n rows holding vals[(a, b)] at 1-indexed (a, b), else 0."""
+    rows = [[0] * n for _ in range(n)]
+    for (a, b), v in vals.items():
+        rows[a - 1][b - 1] = v
+    return rows
 
 
 @lru_cache(maxsize=16)
@@ -672,9 +698,10 @@ def _hypersurface_lift(d: HypersurfaceDescriptor, f, fvars, seed: str, primes):
 
     Each prime draws from its own stream, as it does alone. The first
     draws are combined by CRT, each prime's coefficient c being 1 mod it
-    and 0 mod the others (_crt), and solved together (_solve_first_draws). A
-    prime that draw leaves unsolved calls its own sampler, which replays
-    its stream from the start, and its point replaces z's residues mod it.
+    and 0 mod the others (_crt), and solved together by the sampler's own
+    _solve_draw. A prime that draw leaves unsolved calls its own sampler,
+    which replays its stream from the start, and its point replaces z's
+    residues mod it.
     """
     modulus, coeffs = _crt(primes)
     free = d.tau.free_positions
@@ -686,11 +713,8 @@ def _hypersurface_lift(d: HypersurfaceDescriptor, f, fvars, seed: str, primes):
     for draw, c in zip(draws, coeffs):
         lifted = [t + r * c for t, r in zip(lifted, draw)]
     vals = {pos: t % modulus for pos, t in zip(free, lifted)}
-    solved = _solve_first_draws(f, fvars, vals, primes, modulus)
-    n = d.n
-    rows = [[0] * n for _ in range(n)]
-    for (a, b), v in vals.items():
-        rows[a - 1][b - 1] = v
+    solved = _solve_draw(f, fvars, vals, primes, modulus)
+    rows = _point_rows(vals, d.n)
     degenerate = {}
     # adding c * (new - old) sets the residue mod p and keeps the others
     for p, c in zip(primes, coeffs):
@@ -708,27 +732,6 @@ def _hypersurface_lift(d: HypersurfaceDescriptor, f, fvars, seed: str, primes):
             for row, new_row in zip(rows, point.rows)
         ]
     return FieldMatrix._reduced(rows, modulus), degenerate
-
-
-def _solve_first_draws(f, fvars, vals: dict, primes, modulus: int) -> dict:
-    """{p: (variable, value)} for each prime whose sampler would solve
-    f = 0 on its first draw, vals being the CRT lift of the primes' draws.
-
-    h = f|var=0 and g = f|var=1 - h are evaluated once mod M for each
-    variable in turn. Reduction mod p is a ring map, so h % p and g % p are
-    the prime's own h and g, and each prime solves for the first variable
-    with g % p != 0, as sample_hypersurface_point does.
-    """
-    solved: dict = {}
-    for var in fvars:
-        h = poly_eval(f, {**vals, var: 0}, prime=modulus)
-        g = poly_eval(f, {**vals, var: 1}, prime=modulus) - h
-        for p in primes:
-            if p not in solved and g % p:
-                solved[p] = var, -h * pow(g, -1, p) % p
-        if len(solved) == len(primes):
-            break
-    return solved
 
 
 def _readings(z: FieldMatrix, t: StandardTableau):

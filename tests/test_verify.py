@@ -100,8 +100,11 @@ def test_field_matrix_reduces_and_slices():
 def test_field_matrix_rejects_a_matrix_that_is_not_square(rows, message):
     # a ragged matrix used to raise a bare ValueError, and only after its
     # entries were reduced; squareness is checked first, so ragged rows of
-    # floats are NotSquare too
+    # floats are NotSquare too. NotSquare is a ValueError, so callers that
+    # caught the old error still catch it
     with pytest.raises(NotSquare, match=re.escape(f"matrix must be square: {message}")):
+        FieldMatrix(rows, 7)
+    with pytest.raises(ValueError):
         FieldMatrix(rows, 7)
 
 
@@ -637,15 +640,17 @@ def test_degenerate_sample_under_one_prime_fails_its_trial(monkeypatch):
 
     # a trial solves the first draws of both primes at once, and only a
     # prime that draw leaves unsolved calls its own sampler: SECOND_PRIME
-    # is sent there on every trial
-    solve = orbital.verify._solve_first_draws
+    # is sent there on every trial. The sampler solves its own draws with
+    # the same _solve_draw, one prime at a time, and is left alone
+    solve = orbital.verify._solve_draw
 
-    def without_second_prime(*args):
-        solved = solve(*args)
-        del solved[SECOND_PRIME]
+    def without_second_prime(f, fvars, vals, primes, modulus):
+        solved = solve(f, fvars, vals, primes, modulus)
+        if len(primes) > 1:
+            del solved[SECOND_PRIME]
         return solved
 
-    monkeypatch.setattr(orbital.verify, "_solve_first_draws", without_second_prime)
+    monkeypatch.setattr(orbital.verify, "_solve_draw", without_second_prime)
     monkeypatch.setattr(orbital.verify, "sample_hypersurface_point", degenerate_once)
     rep = verify_conjecture(d, trials=3)
     assert rep.failures == (
@@ -662,9 +667,10 @@ def test_joint_trial_matches_one_prime_at_a_time(monkeypatch):
     # be the one each prime's own steps give. Over small primes both
     # fallbacks fire: the sweep would take a pivot whose leading entry is
     # not a unit, or a prime's first hypersurface draw leaves f unsolved
+    # and the prime calls its own sampler
     sweeps, unsolved = Counter(), Counter()
     window_ranks = orbital.verify._window_ranks
-    solve = orbital.verify._solve_first_draws
+    sampler = orbital.verify.sample_hypersurface_point
 
     def counting_ranks(pairs, n, p):
         try:
@@ -673,17 +679,19 @@ def test_joint_trial_matches_one_prime_at_a_time(monkeypatch):
             sweeps[p] += 1
             raise
 
-    def counting_solve(f, fvars, vals, primes, modulus):
-        solved = solve(f, fvars, vals, primes, modulus)
-        unsolved[primes] += len(primes) - len(solved)
-        return solved
+    def counting_sampler(d, seed, prime):
+        unsolved["sampler"] += 1
+        return sampler(d, seed, prime)
 
     monkeypatch.setattr(orbital.verify, "_window_ranks", counting_ranks)
-    monkeypatch.setattr(orbital.verify, "_solve_first_draws", counting_solve)
+    monkeypatch.setattr(orbital.verify, "sample_hypersurface_point", counting_sampler)
     for primes in [(DEFAULT_PRIME, SECOND_PRIME), (7, 11), (3, 5, 7), (1000003, 7), (3,)]:
         for d in iter_descriptors(7):
+            before = unsolved["sampler"]
             rep = verify_conjecture(d, trials=4, seed=3, primes=primes)
+            unsolved[primes] += unsolved["sampler"] - before
             assert rep == per_prime_report(d, 4, 3, primes), (primes, d.descriptor_id)
+    del unsolved["sampler"]
     # 296 trials per tuple of primes
     assert sweeps == {77: 168, 105: 289, 7000021: 166}
     assert +unsolved == {(7, 11): 1, (3, 5, 7): 18, (1000003, 7): 1, (3,): 8}
