@@ -264,7 +264,6 @@ def _generator(tau, n: int, window: tuple[int, int], i_thick: int) -> MultiPoly:
     return _report(tau, n, window, i_thick).f
 
 
-@lru_cache(maxsize=128)
 def _descriptor_generator(d: HypersurfaceDescriptor) -> MultiPoly:
     """generator_report(d).f, walking only f's path systems."""
     return _generator(d.tau, d.n, d.window, d.thickness)

@@ -28,21 +28,21 @@ of the one point has the law of a point drawn over GF(p) alone.
 
 The rest of a trial's ring arithmetic is done once modulo M as well, and
 each prime only tests its residues for zero. f is evaluated once at the
-variety point. Each prime keeps its own hypersurface stream; their first
-draws are combined by CRT, the coefficients h and g of each variable are
-evaluated once mod M, and each prime solves for the first variable with
-g % p != 0: the one solve (_solve_draw) the sampler of a single prime
-runs on each of its draws, with M = p. A prime that draw leaves unsolved
-falls back to its own sampler, which replays its stream from the start.
-The hypersurface points are lifted by CRT to one matrix mod M and swept
-once: the fraction-free elimination and the power carry use only ring
-operations and branch only on whether an entry is zero, and an entry
-that is 0 or a unit mod M is zero under every prime or under none. So
-every prime takes the same branches and reads the same tables, unless
-the elimination would take a pivot whose leading entry is not a unit;
-then each prime sweeps its own point. For a single prime M = p, and that
-never happens. Each prime's result, and so every report, is exactly what
-that prime alone computes.
+variety point. Each prime keeps its own hypersurface stream. In one loop
+(_hypersurface_lift), each round combines by CRT the next draw of every
+prime still unsolved, evaluates the coefficients h and g of each
+variable once mod M, and lets each of those primes solve for the first
+variable with g % p != 0; a prime that solves keeps its draw, and the
+others draw again in the next round. The one-prime sampler is that loop
+with M = p. The hypersurface points are lifted by CRT to one matrix mod
+M and swept once: the fraction-free elimination and the power carry use
+only ring operations and branch only on whether an entry is zero, and an
+entry that is 0 or a unit mod M is zero under every prime or under none.
+So every prime takes the same branches and reads the same tables, unless
+the elimination would take a pivot whose leading entry is not a unit:
+the one fallback, where each prime sweeps its own point. For a single
+prime M = p, and that never happens. Each prime's result, and so every
+report, is exactly what that prime alone computes.
 """
 
 from __future__ import annotations
@@ -102,9 +102,10 @@ class FieldMatrix:
     def _reduced(cls, rows: list[list[int]], prime: int) -> "FieldMatrix":
         """The samplers' constructor: rows already square and reduced mod
         prime, so __post_init__'s checks and second reduction are skipped.
-        verify_conjecture also builds a matrix over Z/M this way, M a
-        product of distinct primes in place of prime, to sweep the points
-        of all its primes at once (_hypersurface_lift)."""
+        The hypersurface loop (_hypersurface_lift) also builds a matrix
+        over Z/M this way, M a product of distinct primes in place of
+        prime, so verify_conjecture sweeps the points of all its primes at
+        once."""
         m = object.__new__(cls)
         object.__setattr__(m, "rows", tuple(map(tuple, rows)))
         object.__setattr__(m, "prime", prime)
@@ -431,30 +432,22 @@ def sample_hypersurface_point(
     variable (_solve_draw): f is multilinear, so any variable whose linear
     coefficient is nonzero at the draw can absorb the constraint. Draws
     where every coefficient degenerates are rejected; fifty straight
-    rejections raise DegenerateSample. Raises BadProbeInput for a modulus
-    that check_modulus rejects.
+    rejections raise DegenerateSample. This is _hypersurface_lift with the
+    one prime, so M = p. Raises BadProbeInput for a modulus that
+    check_modulus rejects.
     """
     check_modulus(prime)
     f = _descriptor_generator(d)
-    free = d.tau.free_positions
-    fvars = f.variables()
-    bits = random.Random(f"hyper:{seed}:{prime}").getrandbits
-    for _ in range(50):
-        vals = {pos: _below(bits, prime) for pos in free}
-        solved = _solve_draw(f, fvars, vals, (prime,), prime)
-        if solved:
-            var, v = solved[prime]
-            vals[var] = v
-            return FieldMatrix._reduced(_point_rows(vals, d.n), prime)
-    raise DegenerateSample(
-        f"no solvable coordinate for {d.descriptor_id} after 50 draws"
-    )
+    z, degenerate = _hypersurface_lift(d, f, f.variables(), seed, (prime,))
+    if degenerate:
+        raise degenerate[prime]
+    return z
 
 
 def _solve_draw(f, fvars, vals: dict, primes, modulus: int) -> dict:
     """{p: (variable, value)} for each prime p under which the draw vals
-    solves f = 0. vals holds a residue mod modulus, the product of the
-    primes, at each free position; variable is the first whose linear
+    solves f = 0. vals holds a residue mod modulus, a multiple of every
+    prime, at each free position; variable is the first whose linear
     coefficient is nonzero mod p, and value makes f vanish mod p there.
 
     f = g * var + h is multilinear in var, and h = f|var=0 and g =
@@ -472,14 +465,6 @@ def _solve_draw(f, fvars, vals: dict, primes, modulus: int) -> dict:
         if len(solved) == len(primes):
             break
     return solved
-
-
-def _point_rows(vals: dict, n: int) -> list[list[int]]:
-    """The n x n rows holding vals[(a, b)] at 1-indexed (a, b), else 0."""
-    rows = [[0] * n for _ in range(n)]
-    for (a, b), v in vals.items():
-        rows[a - 1][b - 1] = v
-    return rows
 
 
 @lru_cache(maxsize=16)
@@ -654,18 +639,19 @@ def _joint_trial_failures(d: HypersurfaceDescriptor, f, fvars, seed, trial: int,
     the ring arithmetic done once modulo M, the product of the primes
     (module docstring). f is evaluated once at the variety draw mod M, of
     which each prime's point is the reduction, and the hypersurface points
-    are solved and lifted to one matrix z mod M together
-    (_hypersurface_lift). Each prime only tests its residues.
+    are solved and lifted to one matrix z mod M together, every draw of
+    every prime in the one loop of _hypersurface_lift. Each prime only
+    tests its residues.
 
     z is swept once, and its readings are those of its reduction mod every
     prime. Reduction mod p is a ring map, and _window_ranks and the power
     carry use only ring operations and branch only on whether an entry is
     zero. An entry that is 0 or a unit mod M is zero under every prime or
     under none (M is squarefree), so unless _window_ranks would take a
-    pivot whose leading entry is neither (it raises _NonUnit, and each
-    prime sweeps its own reduction), every prime takes the same branches,
-    up to unit multiples of its rows, and has the same tables. For a
-    single prime that never happens."""
+    pivot whose leading entry is neither (it raises _NonUnit: the one
+    fallback, where each prime sweeps its own reduction), every prime
+    takes the same branches, up to unit multiples of its rows, and has
+    the same tables. For a single prime that never happens."""
     trial_seed = f"{seed}:{trial}"
     modulus = prod(primes)
     xs = [
@@ -690,47 +676,49 @@ def _joint_trial_failures(d: HypersurfaceDescriptor, f, fvars, seed, trial: int,
         yield from _probe_failures(d, trial, p, value % p, x, readings)
 
 
-def _hypersurface_lift(d: HypersurfaceDescriptor, f, fvars, seed: str, primes):
+def _hypersurface_lift(d: HypersurfaceDescriptor, f, fvars, seed, primes):
     """(z, degenerate): z is the matrix over Z/M, M the product of the
-    primes, that reduces mod each prime p to sample_hypersurface_point(d,
-    seed, p), and degenerate maps each prime whose sampler raised
-    DegenerateSample to that error (z holds an unsolved draw mod it).
+    primes, whose reduction mod each prime p is p's point of {f = 0}, and
+    degenerate maps each prime left unsolved after fifty draws to its
+    DegenerateSample (z holds its last draw mod it). For one prime M = p,
+    and this is sample_hypersurface_point.
 
-    Each prime draws from its own stream, as it does alone. The first
-    draws are combined by CRT, each prime's coefficient c being 1 mod it
-    and 0 mod the others (_crt), and solved together by the sampler's own
-    _solve_draw. A prime that draw leaves unsolved calls its own sampler,
-    which replays its stream from the start, and its point replaces z's
-    residues mod it.
+    Each prime draws from its own stream, as it does alone. Each round,
+    every prime still unsolved takes its next draw; the draws are combined
+    by CRT, each prime's coefficient c being 1 mod it and 0 mod the others
+    (_crt), and solved together by _solve_draw for the unsolved primes
+    only. So every prime solves its k-th draw for the variable it would
+    alone, and keeps that draw once it solves.
     """
     modulus, coeffs = _crt(primes)
     free = d.tau.free_positions
-    draws = []
-    for p in primes:
-        bits = random.Random(f"hyper:{seed}:{p}").getrandbits
-        draws.append([_below(bits, p) for _ in free])
-    lifted = [0] * len(free)
-    for draw, c in zip(draws, coeffs):
-        lifted = [t + r * c for t, r in zip(lifted, draw)]
-    vals = {pos: t % modulus for pos, t in zip(free, lifted)}
-    solved = _solve_draw(f, fvars, vals, primes, modulus)
-    rows = _point_rows(vals, d.n)
+    streams = {p: random.Random(f"hyper:{seed}:{p}").getrandbits for p in primes}
+    draws, solved, unsolved = {}, {}, primes
+    for _ in range(50):
+        for p in unsolved:
+            bits = streams[p]
+            draws[p] = [_below(bits, p) for _ in free]
+        lifted = [0] * len(free)
+        for p, c in zip(primes, coeffs):
+            lifted = [t + r * c for t, r in zip(lifted, draws[p])]
+        vals = {pos: t % modulus for pos, t in zip(free, lifted)}
+        solved.update(_solve_draw(f, fvars, vals, unsolved, modulus))
+        unsolved = [p for p in primes if p not in solved]
+        if not unsolved:
+            break
     degenerate = {}
     # adding c * (new - old) sets the residue mod p and keeps the others
     for p, c in zip(primes, coeffs):
         if p in solved:
-            (a, b), s = solved[p]
-            rows[a - 1][b - 1] = (rows[a - 1][b - 1] + c * (s - vals[a, b])) % modulus
-            continue
-        try:
-            point = sample_hypersurface_point(d, seed, p)
-        except DegenerateSample as exc:
-            degenerate[p] = exc
-            continue
-        rows = [
-            [(e + c * (new - e)) % modulus for e, new in zip(row, new_row)]
-            for row, new_row in zip(rows, point.rows)
-        ]
+            var, s = solved[p]
+            vals[var] = (vals[var] + c * (s - vals[var])) % modulus
+        else:
+            degenerate[p] = DegenerateSample(
+                f"no solvable coordinate for {d.descriptor_id} after 50 draws"
+            )
+    rows = [[0] * d.n for _ in range(d.n)]
+    for (a, b), v in vals.items():
+        rows[a - 1][b - 1] = v
     return FieldMatrix._reduced(rows, modulus), degenerate
 
 

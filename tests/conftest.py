@@ -9,11 +9,13 @@ permutations, minor_rank looks for the largest nonzero minor,
 naive_power_rank re-multiplies the powers of every window from scratch,
 sliced_power_rank ranks every window of every power on its own, and
 naive_variety_point conjugates with dense products and a Gauss-Jordan
-inverse, naive_descendants rebuilds and re-checks the whole tableau of
-every box drop, and per_prime_report runs each verify trial under one
-prime at a time. They choke past small sizes, which is the point; they exist only
-to cross-check the fast code. matrix_rank is no oracle: it ranks any square
-matrix with the program's own elimination, for minor_rank to check.
+inverse, naive_hypersurface_point solves each draw with randrange and two
+values of f per variable, naive_descendants rebuilds and re-checks the
+whole tableau of every box drop, and per_prime_report runs each verify
+trial under one prime at a time. They choke past small sizes, which is the
+point; they exist only to cross-check the fast code. matrix_rank is no
+oracle: it ranks any square matrix with the program's own elimination, for
+minor_rank to check.
 """
 
 import random
@@ -24,12 +26,15 @@ from itertools import combinations, permutations
 from math import prod
 
 from orbital import (
+    DegenerateSample,
     FieldMatrix,
     MultiPoly,
     PolyMatrix,
     StandardTableau,
     TableauError,
     chains,
+    generator_report,
+    poly_eval,
     projected_shape,
     remove_largest,
     rs_inverse,
@@ -274,6 +279,32 @@ def naive_variety_point(t: StandardTableau, seed, modulus):
     return naive_mat_mul(
         naive_mat_mul(nmat, u, modulus), naive_inverse(nmat, modulus), modulus
     )
+
+
+def naive_hypersurface_point(d, seed, p):
+    """The rows of the hypersurface sampler's point over GF(p), replaying
+    its stream one draw at a time: every free coordinate of m_tau from
+    randrange, then f = g * var + h solved for the first of f's variables
+    with g = f|var=1 - f|var=0 nonzero mod p, each value a fresh poly_eval
+    of generator_report(d).f. Raises DegenerateSample, with the sampler's
+    message, after fifty draws that solve for no variable."""
+    f = generator_report(d).f
+    forced = {(u, v + 1) for u, v in d.tau.positive_roots}
+    free = [
+        (a, b) for a in range(1, d.n) for b in range(a + 1, d.n + 1) if (a, b) not in forced
+    ]
+    rng = random.Random(f"hyper:{seed}:{p}")
+    for _ in range(50):
+        vals = {pos: rng.randrange(p) for pos in free}
+        for var in f.variables():
+            h = poly_eval(f, {**vals, var: 0}, prime=p)
+            g = (poly_eval(f, {**vals, var: 1}, prime=p) - h) % p
+            if g:
+                vals[var] = -h * pow(g, -1, p) % p
+                return [
+                    [vals.get((a, b), 0) for b in range(1, d.n + 1)] for a in range(1, d.n + 1)
+                ]
+    raise DegenerateSample(f"no solvable coordinate for {d.descriptor_id} after 50 draws")
 
 
 def naive_descendants(t_r: StandardTableau) -> list[tuple]:

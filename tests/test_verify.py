@@ -49,6 +49,7 @@ from conftest import (
     matrix_rank,
     minor_rank,
     naive_jordan_parts,
+    naive_hypersurface_point,
     naive_mat_mul,
     naive_power_rank,
     naive_variety_point,
@@ -631,30 +632,26 @@ def test_degenerate_sample_under_one_prime_fails_its_trial(monkeypatch):
     d = classify_hypersurface(tab(*SIX_BOX))
     clean = verify_conjecture(d, trials=3)
     assert clean.failures == ()
-    sampler = orbital.verify.sample_hypersurface_point
-
-    def degenerate_once(d, seed, prime):
-        if (seed, prime) == ("0:1", SECOND_PRIME):
-            raise DegenerateSample("injected")
-        return sampler(d, seed=seed, prime=prime)
-
-    # a trial solves the first draws of both primes at once, and only a
-    # prime that draw leaves unsolved calls its own sampler: SECOND_PRIME
-    # is sent there on every trial. The sampler solves its own draws with
-    # the same _solve_draw, one prime at a time, and is left alone
+    # every round of a trial's hypersurface loop solves the primes still
+    # unsolved together, so a trial's first round is the one call with
+    # both primes; on trial 1, SECOND_PRIME never solves
     solve = orbital.verify._solve_draw
+    trial = -1
 
     def without_second_prime(f, fvars, vals, primes, modulus):
+        nonlocal trial
+        if len(primes) == 2:
+            trial += 1
         solved = solve(f, fvars, vals, primes, modulus)
-        if len(primes) > 1:
-            del solved[SECOND_PRIME]
+        if trial == 1:
+            solved.pop(SECOND_PRIME, None)
         return solved
 
     monkeypatch.setattr(orbital.verify, "_solve_draw", without_second_prime)
-    monkeypatch.setattr(orbital.verify, "sample_hypersurface_point", degenerate_once)
     rep = verify_conjecture(d, trials=3)
+    message = f"no solvable coordinate for {d.descriptor_id} after 50 draws"
     assert rep.failures == (
-        orbital.verify.Failure("degenerate_sample", 1, SECOND_PRIME, "injected"),
+        orbital.verify.Failure("degenerate_sample", 1, SECOND_PRIME, message),
     )
     assert (rep.jordan_match, rep.power_rank_ok) == (2, 2)
     assert (rep.f_vanishes_on_v, rep.f_nonzero_on_richardson) == (3, 3)
@@ -664,13 +661,14 @@ def test_degenerate_sample_under_one_prime_fails_its_trial(monkeypatch):
 def test_joint_trial_matches_one_prime_at_a_time(monkeypatch):
     # a trial evaluates f, solves the hypersurface point and sweeps its
     # rank tables once modulo the product of its primes; every report must
-    # be the one each prime's own steps give. Over small primes both
-    # fallbacks fire: the sweep would take a pivot whose leading entry is
-    # not a unit, or a prime's first hypersurface draw leaves f unsolved
-    # and the prime calls its own sampler
+    # be the one each prime's own steps give. Over small primes the sweep
+    # falls back when it would take a pivot whose leading entry is not a
+    # unit, and a prime's first hypersurface draw can leave f unsolved, so
+    # that it draws again in the next round of the same loop
     sweeps, unsolved = Counter(), Counter()
     window_ranks = orbital.verify._window_ranks
-    sampler = orbital.verify.sample_hypersurface_point
+    lift, solve = orbital.verify._hypersurface_lift, orbital.verify._solve_draw
+    first_round = False
 
     def counting_ranks(pairs, n, p):
         try:
@@ -679,22 +677,47 @@ def test_joint_trial_matches_one_prime_at_a_time(monkeypatch):
             sweeps[p] += 1
             raise
 
-    def counting_sampler(d, seed, prime):
-        unsolved["sampler"] += 1
-        return sampler(d, seed, prime)
+    def counting_lift(*args):
+        nonlocal first_round
+        first_round = True
+        return lift(*args)
+
+    def counting_solve(f, fvars, vals, primes, modulus):
+        nonlocal first_round
+        solved = solve(f, fvars, vals, primes, modulus)
+        if first_round:
+            unsolved["lift"] += len(primes) - len(solved)
+            first_round = False
+        return solved
 
     monkeypatch.setattr(orbital.verify, "_window_ranks", counting_ranks)
-    monkeypatch.setattr(orbital.verify, "sample_hypersurface_point", counting_sampler)
+    monkeypatch.setattr(orbital.verify, "_hypersurface_lift", counting_lift)
+    monkeypatch.setattr(orbital.verify, "_solve_draw", counting_solve)
     for primes in [(DEFAULT_PRIME, SECOND_PRIME), (7, 11), (3, 5, 7), (1000003, 7), (3,)]:
         for d in iter_descriptors(7):
-            before = unsolved["sampler"]
+            before = unsolved["lift"]
             rep = verify_conjecture(d, trials=4, seed=3, primes=primes)
-            unsolved[primes] += unsolved["sampler"] - before
+            unsolved[primes] += unsolved["lift"] - before
             assert rep == per_prime_report(d, 4, 3, primes), (primes, d.descriptor_id)
-    del unsolved["sampler"]
+    del unsolved["lift"]
     # 296 trials per tuple of primes
     assert sweeps == {77: 168, 105: 289, 7000021: 166}
     assert +unsolved == {(7, 11): 1, (3, 5, 7): 18, (1000003, 7): 1, (3,): 8}
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 7, 3])
+def test_hypersurface_sampler_matches_its_oracle(p):
+    # the one-prime sampler and the joint trial run the same loop, and the
+    # joint trial's differential test replays it through the sampler; this
+    # checks the loop against a replay of the stream that shares none of it
+    points = 0
+    for d in iter_descriptors(7):
+        for seed in range(3):
+            assert sample_hypersurface_point(d, seed, p).rows == tuple(
+                map(tuple, naive_hypersurface_point(d, seed, p))
+            ), (d.descriptor_id, seed)
+            points += 1
+    assert points == 222
 
 
 def test_verify_conjecture_rejects_empty_or_bad_work():
