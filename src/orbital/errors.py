@@ -65,17 +65,10 @@ class NotSquare(OrbitalError, ValueError):
 
 
 class BadExponent(OrbitalError, ValueError):
-    """A matrix power asked for an exponent below 1, or a monomial carries
-    a negative or non-integral exponent; a ValueError too, as
-    PolyMatrix.power's rejection always was."""
-
-
-class NotHomogeneousWeight(OrbitalError):
-    """Polynomial mixes monomials of different weights."""
-
-
-class ZeroPolynomial(OrbitalError):
-    """The zero polynomial has no well-defined weight."""
+    """A matrix power asked for an exponent below 1, a rank bound for a
+    negative power, or a monomial carries a negative or non-integral
+    exponent; a ValueError too, as PolyMatrix.power's and rank_bound's
+    rejections always were."""
 
 
 # -- generator construction --------------------------------------------------
@@ -110,4 +103,6 @@ class DegenerateSample(OrbitalError):
 
 class BadProbeInput(OrbitalError):
     """verify_conjecture asked for fewer than one trial, for no prime, or
-    for a modulus that is not an odd prime below 2**64."""
+    for a modulus that is not an odd prime below 2**64; a FieldMatrix or a
+    sampler got such a modulus or an entry that is not an int; or
+    poly_eval got a modulus that is not an int of at least 1."""

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Mapping, TypeVar, Union
 
-from .errors import (
-    BadExponent,
-    MissingVariable,
-    NotHomogeneousWeight,
-    NotSquare,
-    ZeroPolynomial,
-)
+from .errors import BadExponent, BadProbeInput, MissingVariable, NotSquare
 
 T_VAR = "t"
 VarId = Union[tuple[int, int], str]
@@ -327,11 +321,14 @@ def format_poly(p: MultiPoly) -> str:
 def poly_eval(p: MultiPoly, assignment: Mapping[VarId, int], prime: int) -> int:
     """The value of p at the integer assignment, in GF(prime): an int in
     [0, prime). prime may be any modulus of at least 1, such as the
-    product of primes a verify trial evaluates f modulo.
+    product of primes a verify trial evaluates f modulo; one that is not
+    an int, is a bool or is below 1 raises BadProbeInput.
 
     Every variable of p must be present in the assignment; anything
     missing raises MissingVariable rather than silently defaulting.
     """
+    if not isinstance(prime, int) or isinstance(prime, bool) or prime < 1:
+        raise BadProbeInput(f"modulus {prime!r} is not an int of at least 1")
     total = 0
     for mono, coeff in p.terms.items():
         val = coeff
@@ -413,40 +410,6 @@ class WeightVector:
 
     def to_json(self) -> list[int]:
         return list(self.coeffs)
-
-
-def weight_of(p: MultiPoly, rank: int | None = None) -> WeightVector:
-    """Common weight of all monomials of p; t counts as weight zero.
-
-    The rank defaults to the largest column index seen minus one. A zero
-    polynomial raises ZeroPolynomial; mixed weights raise
-    NotHomogeneousWeight with both offending vectors named.
-    """
-    if p.is_zero:
-        raise ZeroPolynomial("the zero polynomial has no weight")
-    if rank is None:
-        cols = [v[1] for v in p.variables() if v != T_VAR]
-        rank = max(cols, default=1) - 1
-    monos = iter(p.terms)
-    wt = _mono_weight(next(monos), rank)
-    for mono in monos:
-        vec = _mono_weight(mono, rank)
-        if wt != vec:
-            raise NotHomogeneousWeight(f"monomial weights differ: {wt} vs {vec}")
-    return WeightVector(wt)
-
-
-def _mono_weight(mono: Monomial, rank: int) -> tuple[int, ...]:
-    coords = [0] * rank
-    for var, e in mono:
-        if var == T_VAR:
-            continue
-        i, j = var  # type: ignore[misc]
-        if not 1 <= i < j <= rank + 1:
-            raise ValueError(f"variable {_var_str(var)} outside rank {rank}")
-        for a in range(i, j):
-            coords[a - 1] += e
-    return tuple(coords)
 
 
 # -- symbolic matrices ------------------------------------------------------------

@@ -56,6 +56,7 @@ from operator import gt, mul
 from typing import Iterable, NamedTuple
 
 from .errors import (
+    BadExponent,
     BadProbeInput,
     DegenerateSample,
     NotApplicable,
@@ -79,7 +80,9 @@ class FieldMatrix:
     """Square matrix over GF(prime); the entries are stored reduced. A
     modulus that check_modulus rejects, or an entry that is not an int or
     is a bool, raises BadProbeInput; rows that do not make a square raise
-    NotSquare."""
+    NotSquare. The one exception to GF(prime) is the matrix over Z/M, M a
+    product of distinct primes, that _reduced builds for the sweep of a
+    whole verify trial (_hypersurface_lift)."""
 
     rows: tuple[tuple[int, ...], ...]
     prime: int = DEFAULT_PRIME
@@ -179,13 +182,13 @@ def _window_ranks(pairs, n: int, p: int) -> tuple[list, list]:
     already be reduced mod p. Returns (ranks, basis).
 
     p may also be a product M of distinct primes, for the sweep of a whole
-    verify trial (_joint_trial_failures). Raises _NonUnit when the leading
-    entry v of a new pivot has gcd(v, p) != 1, which never happens for a
-    prime p: a prime q that divides v would skip that column alone, and
-    the primes' eliminations would part. A leading entry that is
-    eliminated needs no check: where q divides v, e * row - v * vector is
-    e * row mod q, a unit multiple of the row q alone keeps, and unit
-    multiples leave every later zero test as it was.
+    verify trial (_joint_trial). Raises _NonUnit when the leading entry v
+    of a new pivot has gcd(v, p) != 1, which never happens for a prime p:
+    a prime q that divides v would skip that column alone, and the primes'
+    eliminations would part. A leading entry that is eliminated needs no
+    check: where q divides v, e * row - v * vector is e * row mod q, a
+    unit multiple of the row q alone keeps, and unit multiples leave every
+    later zero test as it was.
 
     ranks[i][j] (0-indexed) is the number of pivots in columns <= j once
     every vector with row index >= i is in, for every 0 <= i, j < n; rows
@@ -233,7 +236,7 @@ def rank_bound(lam: Partition, k: int) -> int:
     """Boxes beyond column k: the rank ceiling for the k-th power of any
     matrix whose restriction has Jordan type at most lam."""
     if k < 0:
-        raise ValueError("power must be nonnegative")
+        raise BadExponent(f"power must be nonnegative, got {k}")
     return sum(p - k for p in lam.parts if p > k)
 
 
@@ -587,11 +590,14 @@ def verify_conjecture(
     hold on every trial and the generic probes on the vast majority;
     f_nonzero_on_richardson holds on every trial by construction (module
     docstring), so no trial draws for it. A trial's ring arithmetic is
-    done once modulo the product of the primes (_joint_trial_failures),
-    and each prime records what it alone would (_trial_failures). primes
-    may be any iterable; it is read once. Raises BadProbeInput for trials
-    that is not an int of at least 1, no prime, a modulus that
-    check_modulus rejects, or a repeated prime, before any work is done.
+    done once modulo the product of the primes (_joint_trial), and each
+    prime records what it alone would find at its reduction of the variety
+    draw and at its own hypersurface point; per_prime_report in the tests'
+    conftest.py rebuilds every report that way from naive samplers and the
+    public probes, running none of the trial's own steps. primes may be
+    any iterable; it is read once. Raises BadProbeInput for trials that is
+    not an int of at least 1, no prime, a modulus that check_modulus
+    rejects, or a repeated prime, before any work is done.
     """
     if not isinstance(trials, int) or isinstance(trials, bool):
         raise BadProbeInput(f"trials must be an int, got {trials!r}")
@@ -607,41 +613,21 @@ def verify_conjecture(
     f = _descriptor_generator(d)
     fvars = f.variables()
     failures = chain.from_iterable(
-        _joint_trial_failures(d, f, fvars, seed, trial, primes) for trial in range(trials)
+        _joint_trial(d, f, fvars, seed, trial, primes) for trial in range(trials)
     )
     return VerificationReport(d.descriptor_id, trials, primes, tuple(failures))
 
 
-def _trial_failures(d: HypersurfaceDescriptor, f, fvars, seed, trial: int, p: int, modulus: int):
-    """Yields the failures of one trial under the prime p, in probe order.
-    f is d's generator and fvars its variables. The variety point is
-    drawn modulo modulus, the product of the run's primes, and the
-    hypersurface point over GF(p), both seeded from seed and trial, so
-    this call alone reproduces them; replaying a trial under p takes the
-    run's whole tuple of primes, as a one-prime run draws other points.
-    Every step runs under p alone: this is the oracle of
-    _joint_trial_failures."""
-    trial_seed = f"{seed}:{trial}"
-    x = sample_variety_point(d.tableau, seed=trial_seed, prime=p, modulus=modulus)
-    value = poly_eval(f, {v: x.entry(*v) for v in fvars}, prime=p)
-    try:
-        z = sample_hypersurface_point(d, seed=trial_seed, prime=p)
-    except DegenerateSample as exc:
-        readings = exc
-    else:
-        readings = _readings(z, d.tableau)
-    return _probe_failures(d, trial, p, value, x, readings)
-
-
-def _joint_trial_failures(d: HypersurfaceDescriptor, f, fvars, seed, trial: int, primes):
+def _joint_trial(d: HypersurfaceDescriptor, f, fvars, seed, trial: int, primes):
     """Yields the failures of one trial under every prime, by prime and
-    then probe: those of _trial_failures under each prime in turn, with
-    the ring arithmetic done once modulo M, the product of the primes
-    (module docstring). f is evaluated once at the variety draw mod M, of
-    which each prime's point is the reduction, and the hypersurface points
-    are solved and lifted to one matrix z mod M together, every draw of
-    every prime in the one loop of _hypersurface_lift. Each prime only
-    tests its residues.
+    then probe: for each prime in turn, the failures it alone would find
+    at its reduction of the variety draw and at its own hypersurface
+    point, with the ring arithmetic done once modulo M, the product of the
+    primes (module docstring). f is evaluated once at the variety draw mod
+    M, of which each prime's point is the reduction, and the hypersurface
+    points are solved and lifted to one matrix z mod M together, every
+    draw of every prime in the one loop of _hypersurface_lift. Each prime
+    only tests its residues.
 
     z is swept once, and its readings are those of its reduction mod every
     prime. Reduction mod p is a ring map, and _window_ranks and the power

@@ -7,15 +7,17 @@ define it, print_key spells out the printed term order variable by
 variable, leibniz_det expands a determinant as a sum over all
 permutations, minor_rank looks for the largest nonzero minor,
 naive_power_rank re-multiplies the powers of every window from scratch,
-sliced_power_rank ranks every window of every power on its own, and
+sliced_power_rank ranks every window of every power on its own,
 naive_variety_point conjugates with dense products and a Gauss-Jordan
 inverse, naive_hypersurface_point solves each draw with randrange and two
 values of f per variable, naive_descendants rebuilds and re-checks the
-whole tableau of every box drop, and per_prime_report runs each verify
-trial under one prime at a time. They choke past small sizes, which is the
-point; they exist only to cross-check the fast code. matrix_rank is no
-oracle: it ranks any square matrix with the program's own elimination, for
-minor_rank to check.
+whole tableau of every box drop, weight_of adds up the root weights of
+every term of a polynomial (the oracle of the generator's window weight),
+and per_prime_report runs each verify trial under one prime at a time,
+from the oracles above and the public probes and none of the trial's own
+steps. They choke past small sizes, which is the point; they exist only
+to cross-check the fast code. matrix_rank is no oracle: it ranks any
+square matrix with the program's own elimination, for minor_rank to check.
 """
 
 import random
@@ -27,13 +29,17 @@ from math import prod
 
 from orbital import (
     DegenerateSample,
+    Failure,
     FieldMatrix,
     MultiPoly,
     PolyMatrix,
     StandardTableau,
     TableauError,
+    WeightVector,
     chains,
+    check_power_rank,
     generator_report,
+    jordan_type,
     poly_eval,
     projected_shape,
     remove_largest,
@@ -43,12 +49,7 @@ from orbital import (
     validate_syt,
     variety_dim,
 )
-from orbital.verify import (
-    VerificationReport,
-    _descriptor_generator,
-    _trial_failures,
-    _window_ranks,
-)
+from orbital.verify import VerificationReport, _window_ranks
 
 
 def pytest_runtest_logreport(report):
@@ -136,6 +137,16 @@ def print_key(mono) -> tuple:
         (1, 0, 0) if var == "t" else (0, *var) for var, e in mono for _ in range(e)
     )
     return (-sum(e for _, e in mono), word)
+
+
+def shifted(p: MultiPoly, s: int) -> MultiPoly:
+    """p with every variable x_{ij} renamed x_{i+s, j+s}; t stays."""
+    return MultiPoly(
+        {
+            tuple((var if var == "t" else (var[0] + s, var[1] + s), e) for var, e in mono): c
+            for mono, c in p.terms.items()
+        }
+    )
 
 
 def same_up_to_sign(p: MultiPoly, q: MultiPoly) -> bool:
@@ -338,16 +349,73 @@ def naive_descendants(t_r: StandardTableau) -> list[tuple]:
 
 
 def per_prime_report(d, trials: int, seed, primes: tuple[int, ...]) -> VerificationReport:
-    """The report verify_conjecture(d, trials, seed, primes) must give,
-    assembled from _trial_failures, which runs every step of a trial under
-    one prime alone: its own f value, hypersurface solve and rank sweeps."""
-    f = _descriptor_generator(d)
-    fvars = f.variables()
+    """The report verify_conjecture(d, trials, seed, primes) must give, one
+    trial and then one prime at a time. A trial's variety point is
+    naive_variety_point drawn modulo the product of the primes and reduced
+    mod p, f is generator_report(d).f evaluated there mod p, and the
+    hypersurface point is naive_hypersurface_point's; its Jordan type and
+    window violations come from the public jordan_type and
+    check_power_rank, and every Failure record is written out here."""
+    f = generator_report(d).f
     modulus = prod(primes)
-    failures = tuple(
-        failure
-        for trial in range(trials)
-        for p in primes
-        for failure in _trial_failures(d, f, fvars, seed, trial, p, modulus)
-    )
-    return VerificationReport(d.descriptor_id, trials, primes, failures)
+    failures = []
+
+    def fail(probe, detail):  # under the trial and prime of the loops below
+        failures.append(Failure(probe, trial, p, detail))
+
+    for trial in range(trials):
+        trial_seed = f"{seed}:{trial}"
+        draw = naive_variety_point(d.tableau, trial_seed, modulus)
+        for p in primes:
+            x = [[e % p for e in row] for row in draw]
+            if poly_eval(f, {(a, b): x[a - 1][b - 1] for a, b in f.variables()}, prime=p):
+                fail("f_vanishes_on_v", "f nonzero at variety point")
+            for u, v in d.tau.positive_roots:
+                if x[u - 1][v]:
+                    fail("linear_conditions", f"x{u},{v + 1} nonzero at variety point")
+                    break
+            try:
+                z = FieldMatrix(naive_hypersurface_point(d, trial_seed, p), p)
+            except DegenerateSample as exc:
+                fail("degenerate_sample", str(exc))
+                continue
+            jt = jordan_type(z)
+            if jt != d.tableau.shape:
+                fail("jordan_match", f"jordan type {jt}")
+            violations = check_power_rank(z, d.tableau)
+            if violations:
+                fail("power_rank", f"{len(violations)} window violations")
+    return VerificationReport(d.descriptor_id, trials, primes, tuple(failures))
+
+
+def weight_of(p: MultiPoly, rank: int | None = None) -> WeightVector:
+    """The common weight of every term of p, from its definition: x_{ij}
+    weighs alpha_i + ... + alpha_{j-1} and t weighs nothing, each counted
+    with its exponent. The rank defaults to the largest column index seen
+    minus one. Raises ValueError for the zero polynomial, for terms of
+    different weights, naming both, and for a variable outside the rank."""
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no weight")
+    if rank is None:
+        rank = max((var[1] for var in p.variables() if var != "t"), default=1) - 1
+    monos = iter(p.terms)
+    wt = mono_weight(next(monos), rank)
+    for mono in monos:
+        vec = mono_weight(mono, rank)
+        if vec != wt:
+            raise ValueError(f"monomial weights differ: {wt} vs {vec}")
+    return WeightVector(wt)
+
+
+def mono_weight(mono, rank: int) -> tuple[int, ...]:
+    """The root weight of one monomial of (variable, exponent) pairs."""
+    coords = [0] * rank
+    for var, e in mono:
+        if var == "t":
+            continue
+        i, j = var
+        if not 1 <= i < j <= rank + 1:
+            raise ValueError(f"variable x{i},{j} outside rank {rank}")
+        for a in range(i, j):
+            coords[a - 1] += e
+    return tuple(coords)

@@ -24,11 +24,10 @@ from orbital import (
     t_coefficient,
     t_poly,
     variety_dim,
-    weight_of,
     x,
 )
 from orbital.generator import _generator, _path_systems, _report
-from conftest import FIVE_BOX, SIX_BOX, TWELVE_BOX, tab
+from conftest import FIVE_BOX, SIX_BOX, TWELVE_BOX, shifted, tab, weight_of
 
 F_SIX = (
     x(1, 2) * x(2, 4) * x(4, 6)
@@ -174,6 +173,20 @@ def test_f_only_walk_matches_the_full_ladder():
         buckets = _path_systems(tau_w, size, (1, size), i_thick, target)
         assert buckets[target] == f.terms
         assert not any(buckets[:target]) and not any(buckets[target + 1:])
+
+
+def test_f_is_its_window_problems_f_shifted():
+    # f depends on a descriptor only through its window problem: every
+    # descriptor with n <= 10 has the f of tau restricted to its window
+    # [a, b], with every index shifted by a - 1
+    count = 0
+    for d in iter_descriptors(10):
+        a, b = d.window
+        size = b - a + 1
+        f_w = _generator(d.tau.restrict(a, b), size, (1, size), d.thickness)
+        assert generator_report(d).f == shifted(f_w, a - 1), d.descriptor_id
+        count += 1
+    assert count == 1235
 
 
 @pytest.mark.parametrize(

@@ -5,13 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from orbital import (
     BadExponent,
+    BadProbeInput,
     MissingVariable,
     MultiPoly,
-    NotHomogeneousWeight,
     NotSquare,
     PolyMatrix,
     WeightVector,
-    ZeroPolynomial,
     cmin_window,
     determinant,
     format_poly,
@@ -20,11 +19,10 @@ from orbital import (
     remark_minor,
     t_coefficient,
     t_poly,
-    weight_of,
     x,
 )
 from orbital.polyalg import _mono, _mono_mul, _var_key
-from conftest import leibniz_det, print_key
+from conftest import leibniz_det, print_key, weight_of
 
 
 def test_canonical_construction():
@@ -160,6 +158,17 @@ def test_poly_eval_exact_modular_and_missing():
         poly_eval(p, {(1, 2): 3}, prime=7)
 
 
+@pytest.mark.parametrize("bad", [0, -5, 7.0, True, None])
+def test_poly_eval_rejects_a_bad_modulus(bad):
+    # 0 used to raise ZeroDivisionError, and -5 to return -2, outside the
+    # [0, prime) the docstring promises
+    p = x(1, 2) * x(2, 3) - 2
+    with pytest.raises(BadProbeInput, match=f"^modulus {bad!r} is not an int of at least 1$"):
+        poly_eval(p, {(1, 2): 3, (2, 3): 4}, prime=bad)
+    # 1 is a modulus, and every value is 0 mod 1
+    assert poly_eval(p, {(1, 2): 3, (2, 3): 4}, prime=1) == 0
+
+
 def test_t_coefficient():
     p = x(1, 6) * t_poly() * t_poly() + x(1, 2) * t_poly() - 5
     assert t_coefficient(p, 2) == x(1, 6)
@@ -177,14 +186,17 @@ def test_weight_vector_basics():
 
 
 def test_weight_of():
+    # the tests' oracle of the generator's window weight
     assert weight_of(x(1, 4), rank=5).coeffs == (1, 1, 1, 0, 0)
     assert weight_of(x(1, 2) * x(2, 4) * x(4, 6)).coeffs == (1, 1, 1, 1, 1)
     # t carries weight zero
     assert weight_of(x(1, 2) * t_poly(), rank=1).coeffs == (1,)
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(ValueError, match="^the zero polynomial has no weight$"):
         weight_of(MultiPoly.zero(), rank=3)
-    with pytest.raises(NotHomogeneousWeight):
+    with pytest.raises(ValueError, match=r"^monomial weights differ: \(1, 0, 0\) vs \(1, 1, 0\)$"):
         weight_of(x(1, 2) + x(1, 3), rank=3)
+    with pytest.raises(ValueError, match="^variable x1,5 outside rank 3$"):
+        weight_of(x(1, 5), rank=3)
 
 
 def test_matrix_basics():

@@ -13,6 +13,7 @@ import orbital.verify
 from orbital import (
     DEFAULT_PRIME,
     SECOND_PRIME,
+    BadExponent,
     BadProbeInput,
     DegenerateSample,
     FieldMatrix,
@@ -131,8 +132,10 @@ def test_rank_bound():
     assert rank_bound(lam, 1) == 2
     assert rank_bound(lam, 2) == 1
     assert rank_bound(lam, 3) == 0
-    with pytest.raises(ValueError):
+    # a BadExponent, which is still the ValueError it used to be
+    with pytest.raises(BadExponent, match="^power must be nonnegative, got -1$"):
         rank_bound(lam, -1)
+    assert issubclass(BadExponent, ValueError)
 
 
 def test_jordan_type():
@@ -705,11 +708,28 @@ def test_joint_trial_matches_one_prime_at_a_time(monkeypatch):
     assert +unsolved == {(7, 11): 1, (3, 5, 7): 18, (1000003, 7): 1, (3,): 8}
 
 
+def test_per_prime_report_runs_none_of_the_trial(monkeypatch):
+    # the oracle builds its own failures, so a trial that loses some of
+    # its failures must no longer match it: with every jordan_match
+    # failure dropped, some report at n <= 7 differs
+    probe = orbital.verify._probe_failures
+
+    def without_jordan_match(*args):
+        return (f for f in probe(*args) if f.probe != "jordan_match")
+
+    monkeypatch.setattr(orbital.verify, "_probe_failures", without_jordan_match)
+    differ = sum(
+        verify_conjecture(d, 4, 3, (7, 11)) != per_prime_report(d, 4, 3, (7, 11))
+        for d in iter_descriptors(7)
+    )
+    assert differ > 0
+
+
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 7, 3])
 def test_hypersurface_sampler_matches_its_oracle(p):
-    # the one-prime sampler and the joint trial run the same loop, and the
-    # joint trial's differential test replays it through the sampler; this
-    # checks the loop against a replay of the stream that shares none of it
+    # the one-prime sampler and the joint trial run the same loop; this
+    # checks the loop against a replay of the stream that shares none of
+    # it, the replay per_prime_report solves every hypersurface point with
     points = 0
     for d in iter_descriptors(7):
         for seed in range(3):
