@@ -66,9 +66,9 @@ class NotSquare(OrbitalError, ValueError):
 
 class BadExponent(OrbitalError, ValueError):
     """A matrix power asked for an exponent below 1, a rank bound for a
-    negative power, or a monomial carries a negative or non-integral
-    exponent; a ValueError too, as PolyMatrix.power's and rank_bound's
-    rejections always were."""
+    negative or non-int power, or a monomial carries a negative or
+    non-integral exponent; a ValueError too, as PolyMatrix.power's and
+    rank_bound's rejections always were."""
 
 
 # -- generator construction --------------------------------------------------

@@ -36,7 +36,6 @@ k < I of the roots alpha_{a+k} + ... + alpha_{b-1-k}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import BadWindow, InconsistentIndexing
 from .hypersurface import HypersurfaceDescriptor
@@ -215,7 +214,6 @@ def _window_weight(n: int, window: tuple[int, int], thickness: int) -> WeightVec
     ))
 
 
-@lru_cache(maxsize=128)
 def generator_report(d: HypersurfaceDescriptor) -> GeneratorReport:
     """Window determinant, coefficient ladder, and the candidate equation f.
 

@@ -47,6 +47,7 @@ from .tableaux import (
     Chain,
     StandardTableau,
     TauSet,
+    _richardson,
     _tau_chains,
     chains,
     richardson_tableau,
@@ -99,12 +100,12 @@ class HypersurfaceDescriptor:
         }
 
 
-def _drops(
-    t_r: StandardTableau, tau: TauSet, all_chains: list[Chain]
-) -> list[HypersurfaceDescriptor]:
-    """The admissible drops of t_r, the Richardson tableau of tau with
-    chains all_chains, by dropped box; each is decided from the rows it
-    changes (see the module docstring). Every descriptor holds this tau."""
+def _drops(tau: TauSet) -> list[HypersurfaceDescriptor]:
+    """The admissible drops of t_r, the Richardson tableau read off tau's
+    chains, by dropped box; each is decided from the rows it changes (see
+    the module docstring). Every descriptor holds this tau."""
+    all_chains = _tau_chains(tau)
+    t_r = _richardson(all_chains)
     rows = t_r.rows
     n = t_r.n
     top = variety_dim(t_r.shape, n)
@@ -164,25 +165,23 @@ def _drops(
 def hypersurface_descendants(t_r: StandardTableau) -> list[HypersurfaceDescriptor]:
     """All admissible one-box drops of a Richardson tableau, by dropped box.
 
-    Raises NotRichardson (via chains) when t_r is not the Richardson
-    tableau of its own tau-invariant.
+    Raises NotRichardson when t_r is not the Richardson tableau of its own
+    tau-invariant.
     """
     tau = tau_invariant(t_r)
-    return _drops(t_r, tau, chains(t_r))
+    if richardson_tableau(tau, t_r.n) != t_r:
+        raise NotRichardson("descendants are defined on Richardson tableaux only")
+    return _drops(tau)
 
 
 def classify_hypersurface(t: StandardTableau) -> HypersurfaceDescriptor | None:
     """Match t against the admissible drops of its tau's Richardson tableau.
 
-    Returns None when t is the Richardson tableau itself or not a
-    hypersurface component at all. A double match cannot happen (the moved
-    box is visible in the tableau) and would be an internal error.
+    Returns None when t is not a hypersurface component, the Richardson
+    tableau included (a drop moves a box to another row). A double match
+    cannot happen (the moved box is visible) and would be an internal error.
     """
-    tau = tau_invariant(t)
-    t_r = richardson_tableau(tau, t.n)
-    if t == t_r:
-        return None
-    matches = [d for d in _drops(t_r, tau, _tau_chains(tau)) if d.tableau == t]
+    matches = [d for d in _drops(tau_invariant(t)) if d.tableau == t]
     if not matches:
         return None
     if len(matches) > 1:
@@ -226,5 +225,4 @@ def iter_descriptors(n_max: int) -> Iterator[HypersurfaceDescriptor]:
             for tup in combinations(range(1, n), size)
         )
         for subset in subsets:
-            tau = TauSet(frozenset(subset), n)
-            yield from _drops(richardson_tableau(tau, n), tau, _tau_chains(tau))
+            yield from _drops(TauSet(frozenset(subset), n))

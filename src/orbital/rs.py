@@ -39,8 +39,9 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(int(v) for v in self.images))
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
+        object.__setattr__(self, "images", tuple(self.images))
+        ints = all(type(v) is int for v in self.images)
+        if not ints or sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
 
     @property

@@ -9,7 +9,7 @@ A standard Young tableau T with n boxes labels an irreducible component
 matrices, where O is the nilpotent orbit of Jordan type shape(T). The
 tau-invariant of T records which simple root coordinates vanish identically
 on that component, and each tau-set has a unique component of maximal
-dimension whose tableau is built greedily (the Richardson tableau).
+dimension, whose tableau (the Richardson tableau) is read off tau's chains.
 """
 
 from __future__ import annotations
@@ -36,8 +36,10 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
+        object.__setattr__(self, "parts", tuple(self.parts))
         for k, p in enumerate(self.parts):
+            if type(p) is not int:
+                raise ValueError(f"parts must be ints, got {p!r}")
             if p < 1:
                 raise ValueError(f"parts must be positive, got {p}")
             if k and self.parts[k - 1] < p:
@@ -164,10 +166,10 @@ def validate_syt(rows) -> StandardTableau:
     """Check standardness and build the tableau.
 
     Raises RaggedShape, DuplicateEntry, RowNotIncreasing or
-    ColumnNotIncreasing naming the offending boxes; a well-formed input
-    comes back as an immutable StandardTableau.
+    ColumnNotIncreasing naming the offending boxes, TableauError for a
+    non-int entry; a well-formed input comes back as a StandardTableau.
     """
-    rows = tuple(tuple(int(e) for e in row) for row in rows)
+    rows = tuple(map(tuple, rows))
     if not rows or any(len(r) == 0 for r in rows):
         raise RaggedShape("rows must be nonempty")
     for k in range(1, len(rows)):
@@ -179,6 +181,8 @@ def validate_syt(rows) -> StandardTableau:
     n = len(entries)
     seen: set[int] = set()
     for e in entries:
+        if type(e) is not int:
+            raise TableauError(f"entries must be ints, got {e!r}")
         if e in seen:
             raise DuplicateEntry(f"entry {e} appears twice")
         seen.add(e)
@@ -308,27 +312,20 @@ def tau_invariant(t: StandardTableau) -> TauSet:
 
 
 def richardson_tableau(tau, n: int) -> StandardTableau:
-    """Greedy filling that realizes tau with maximal-dimension shape.
+    """The filling that realizes tau with maximal-dimension shape (_richardson)."""
+    return _richardson(_tau_chains(_as_tau(tau, n)))
 
-    Box k goes to row 1 whenever alpha_{k-1} is not in tau (the constraint
-    row(k) <= row(k-1) is then free); otherwise it goes to the topmost row
-    strictly below row(k-1) where appending keeps the shape a partition.
-    """
-    tau = _as_tau(tau, n)
-    rows: list[list[int]] = []
-    prev_row = 0
-    for k in range(1, n + 1):
-        if k == 1 or (k - 1) not in tau.indices:
-            row = 1
-        else:
-            row = prev_row + 1
-            while row <= len(rows) and len(rows[row - 1]) >= len(rows[row - 2]):
-                row += 1
-        if row > len(rows):
-            rows.append([])
-        rows[row - 1].append(k)
-        prev_row = row
-    return StandardTableau(tuple(tuple(r) for r in rows))
+
+def _richardson(chains: list[Chain]) -> StandardTableau:
+    """The Richardson tableau with these chains: row r holds lo + r - 1 for
+    every chain of length at least r, in chain order. Filled box by box,
+    each next box of a chain fits in the row below the last: when a chain
+    reaches row r, every earlier chain that reached row r also reached row
+    r - 1, so row r - 1 is one box longer."""
+    return StandardTableau(tuple(
+        tuple(c.lo + r for c in chains if c.hi - c.lo >= r)
+        for r in range(max(c.hi - c.lo for c in chains) + 1)
+    ))
 
 
 @dataclass(frozen=True)
@@ -336,8 +333,8 @@ class Chain:
     """Maximal run of consecutive box labels linked through tau.
 
     Labels lo..hi with alpha_m in tau for lo <= m < hi; in the Richardson
-    tableau the run occupies one box per row, rows 1..(hi-lo+1), so the
-    chain lengths read off the column lengths.
+    tableau the run occupies one box per row, rows 1..(hi-lo+1) (as
+    _richardson builds it), so the chain lengths are the column lengths.
     """
 
     lo: int
@@ -363,10 +360,10 @@ def chains(t_r: StandardTableau) -> list[Chain]:
 
     Only defined for Richardson tableaux; anything else raises NotRichardson.
     """
-    tau = tau_invariant(t_r)
-    if richardson_tableau(tau, t_r.n) != t_r:
+    out = _tau_chains(tau_invariant(t_r))
+    if _richardson(out) != t_r:
         raise NotRichardson("chains are defined on Richardson tableaux only")
-    return _tau_chains(tau)
+    return out
 
 
 def _tau_chains(tau: TauSet) -> list[Chain]:

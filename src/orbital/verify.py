@@ -235,6 +235,8 @@ def _window_ranks(pairs, n: int, p: int) -> tuple[list, list]:
 def rank_bound(lam: Partition, k: int) -> int:
     """Boxes beyond column k: the rank ceiling for the k-th power of any
     matrix whose restriction has Jordan type at most lam."""
+    if type(k) is not int:
+        raise BadExponent(f"power must be an int, got {k!r}")
     if k < 0:
         raise BadExponent(f"power must be nonnegative, got {k}")
     return sum(p - k for p in lam.parts if p > k)

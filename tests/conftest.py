@@ -1,7 +1,8 @@
 """Shared helpers and deliberately naive oracles.
 
 The oracles trade speed for transparency: all_syt builds every standard
-tableau by recursion on the largest entry, slide_project restricts a
+tableau by recursion on the largest entry, greedy_richardson fills the
+Richardson tableau box by box with a row search, slide_project restricts a
 tableau to a window by the box removals and jeu de taquin slides that
 define it, print_key spells out the printed term order variable by
 variable, leibniz_det expands a determinant as a sum over all
@@ -97,6 +98,27 @@ def all_syt(n: int) -> tuple[StandardTableau, ...]:
                 out.append(StandardTableau(grown))
         out.append(StandardTableau(t.rows + ((n,),)))
     return tuple(out)
+
+
+def greedy_richardson(tau, n: int) -> StandardTableau:
+    """The Richardson tableau of the indices tau on n boxes, filled box by
+    box: box k goes to row 1 when alpha_{k-1} is not in tau, and otherwise
+    to the topmost row strictly below row(k-1) where appending keeps the
+    shape a partition."""
+    rows: list[list[int]] = []
+    prev_row = 0
+    for k in range(1, n + 1):
+        if k == 1 or (k - 1) not in tau:
+            row = 1
+        else:
+            row = prev_row + 1
+            while row <= len(rows) and len(rows[row - 1]) >= len(rows[row - 2]):
+                row += 1
+        if row > len(rows):
+            rows.append([])
+        rows[row - 1].append(k)
+        prev_row = row
+    return tab(*rows)
 
 
 def slide_project(t: StandardTableau, i: int, j: int) -> StandardTableau:

@@ -14,7 +14,8 @@ from types import SimpleNamespace
 import pytest
 
 import orbital.cli
-from orbital import NotApplicable, iter_descriptors, verify_conjecture
+import orbital.verify
+from orbital import MultiPoly, NotApplicable, iter_descriptors, verify_conjecture
 from orbital.cli import main
 
 
@@ -345,6 +346,29 @@ def test_verify_json(capsys):
     assert blob["necessity_failures"] == 0
     assert len(blob["reports"]) == 2
     assert all(r["f_vanishes_on_v"] == 2 for r in blob["reports"])
+
+
+def test_verify_necessity_failure_exits_1(capsys, monkeypatch):
+    # f + 1 is 1 on every variety point: each descriptor fails necessity
+    generator = orbital.verify._descriptor_generator
+    monkeypatch.setattr(
+        "orbital.verify._descriptor_generator", lambda d: generator(d) + MultiPoly.const(1)
+    )
+    code, out, _ = run(capsys, "verify", "--nmax", "4", "--trials", "1")
+    assert code == 1
+    *reports, summary = out.splitlines()
+    assert len(reports) == 2
+    for line in reports:
+        assert line.endswith("vanish 0/1  nonzero 1/1  jordan 0/1  rank 0/1  NECESSITY FAILURE")
+    assert summary.endswith("necessity failures: 2")
+    code, out, _ = run(capsys, "verify", "--nmax", "4", "--trials", "1", "--json")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["necessity_failures"] == 2
+    assert [r["f_vanishes_on_v"] for r in blob["reports"]] == [0, 0]
+    assert {f["probe"] for r in blob["reports"] for f in r["failures"]} == {
+        "f_vanishes_on_v", "jordan_match", "power_rank"
+    }
 
 
 def test_verify_json_report_is_pinned(capsys):

@@ -111,19 +111,6 @@ def test_generator_report_five_box():
     assert rep.weight.coeffs == (1, 2, 2, 1)
 
 
-def test_generator_report_is_cached():
-    d = classify_hypersurface(tab(*SIX_BOX))
-    assert generator_report(d) is generator_report(d)
-
-
-def test_generator_report_cache_is_bounded():
-    descriptors = list(iter_descriptors(8))[:129]
-    assert len(set(descriptors)) == 129
-    for d in descriptors:
-        generator_report(d)
-    assert generator_report.cache_info().currsize <= 128
-
-
 def test_ladder_covers_every_power_of_t():
     # the lowest surviving t-power is read off the ladder; check it, and
     # that the ladder holds every term, against the expanded determinant
@@ -143,10 +130,10 @@ def test_generator_report_inconsistent_indexing(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr("orbital.generator._tau_chains", lambda _: [Chain(1, 2), Chain(3, 4), Chain(5, 6)])
         with pytest.raises(InconsistentIndexing, match="lowest surviving t-power 2 but"):
-            generator_report.__wrapped__(d)
+            generator_report(d)
     monkeypatch.setattr("orbital.generator._path_systems", lambda *_: [{}] * 5)
     with pytest.raises(InconsistentIndexing, match="vanished identically"):
-        generator_report.__wrapped__(d)
+        generator_report(d)
 
 
 def test_f_only_walk_matches_the_full_ladder():
@@ -208,7 +195,7 @@ def test_f_only_walk_falls_back_to_the_full_report(monkeypatch, chains, message)
     d = classify_hypersurface(tab(*SIX_BOX))
     monkeypatch.setattr("orbital.generator._tau_chains", lambda _: chains)
     with pytest.raises(InconsistentIndexing) as full:
-        generator_report.__wrapped__(d)
+        generator_report(d)
     with pytest.raises(InconsistentIndexing) as f_only:
         _generator(d.tau, d.n, d.window, d.thickness)
     assert str(f_only.value) == str(full.value) == f"lowest surviving t-power 2 but {message}"

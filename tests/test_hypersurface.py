@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orbital import (
-    Chain,
     InconsistentIndexing,
     NotApplicable,
+    NotRichardson,
     TauSet,
     chains,
     classify_hypersurface,
@@ -51,11 +51,17 @@ def test_unique_descendant_golden():
 
 
 def test_chain_tail_off_its_row_is_typed_error(monkeypatch):
-    # box 2 sits in row 1 of EIGHT_RICH, so a chain {1,2} of length 2
-    # contradicts the Richardson layout
-    monkeypatch.setattr("orbital.hypersurface.chains", lambda _: [Chain(1, 2)])
+    # tau = {1} on 8 boxes starts with the chain {1,2} of length 2; box 2
+    # sits in row 1 of EIGHT_RICH, so that layout contradicts the chain
+    t_r = richardson_tableau({1}, 8)
+    monkeypatch.setattr("orbital.hypersurface._richardson", lambda _: tab(*EIGHT_RICH))
     with pytest.raises(InconsistentIndexing, match="chain tail 2 sits in row 1, not in row 2"):
-        hypersurface_descendants(tab(*EIGHT_RICH))
+        hypersurface_descendants(t_r)
+
+
+def test_descendants_reject_non_richardson():
+    with pytest.raises(NotRichardson):
+        hypersurface_descendants(tab(*EIGHT_DROP))
 
 
 def test_descriptor_json():

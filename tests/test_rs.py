@@ -34,6 +34,13 @@ def test_permutation_rejects_non_permutation():
         Permutation((0, 1))
 
 
+@pytest.mark.parametrize("images", [(1.5, 2), (1.0, 2.0), ("1", "2"), (True, 2)])
+def test_permutation_rejects_non_integral_images(images):
+    # each used to be read through int(): (1.5, 2) became [1 2]
+    with pytest.raises(ValueError, match="not a permutation of 1..2"):
+        Permutation(images)
+
+
 def test_rs_pair_golden():
     a, b = rs_pair(Permutation((2, 4, 1, 6, 3, 5)))
     assert a.rows == ((1, 3, 5), (2, 4, 6))

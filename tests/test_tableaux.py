@@ -1,6 +1,7 @@
 """Partitions, standard tableaux, tau-invariants, Richardson construction."""
 
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,7 +26,7 @@ from orbital import (
     validate_syt,
     variety_dim,
 )
-from conftest import EIGHT_DROP, EIGHT_RICH, all_syt, tab
+from conftest import EIGHT_DROP, EIGHT_RICH, all_syt, greedy_richardson, tab
 
 
 @st.composite
@@ -52,6 +53,13 @@ def test_partition_rejects_bad_parts():
         Partition((2, 3))
     with pytest.raises(ValueError):
         Partition((3, 0))
+
+
+@pytest.mark.parametrize("parts", [(2.5, 1), (2.0, 1), ("2", 1), (True,)])
+def test_partition_rejects_non_integral_parts(parts):
+    # each used to be read through int(): (2.5, 1) became (2, 1)
+    with pytest.raises(ValueError, match="parts must be ints"):
+        Partition(parts)
 
 
 def test_dual_partition_golden():
@@ -116,6 +124,13 @@ def test_validate_syt_error_cases():
         validate_syt([[2, 1], [3]])
     with pytest.raises(ColumnNotIncreasing):
         validate_syt([[2, 3], [1], [4]])
+
+
+@pytest.mark.parametrize("rows", [[[1.7, 2]], [["1", "2"]], [[1, 2.0]], [[True, 2]]])
+def test_validate_syt_rejects_non_integral_entries(rows):
+    # each used to be read through int(): [[1.7, 2]] became ((1, 2),)
+    with pytest.raises(TableauError, match="entries must be ints"):
+        validate_syt(rows)
 
 
 def test_validate_syt_accepts_and_freezes():
@@ -211,6 +226,18 @@ def test_richardson_golden():
     assert richardson_tableau(set(), 5).rows == ((1, 2, 3, 4, 5),)
     # full tau: a single column
     assert richardson_tableau({1, 2, 3, 4}, 5).rows == ((1,), (2,), (3,), (4,), (5,))
+
+
+def test_richardson_matches_the_greedy_filling():
+    # the rows read off the chains against the box-by-box row search, for
+    # every tau with n <= 12
+    count = 0
+    for n in range(1, 13):
+        for size in range(n):
+            for tau in combinations(range(1, n), size):
+                assert richardson_tableau(tau, n) == greedy_richardson(tau, n), (tau, n)
+                count += 1
+    assert count == 4095
 
 
 def test_richardson_rejects_mismatched_tau_size():

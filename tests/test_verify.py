@@ -17,6 +17,7 @@ from orbital import (
     BadProbeInput,
     DegenerateSample,
     FieldMatrix,
+    MultiPoly,
     NotApplicable,
     NotNilpotent,
     NotSquare,
@@ -38,10 +39,12 @@ from orbital import (
     remark_minor,
     sample_hypersurface_point,
     sample_variety_point,
+    tau_invariant,
     verify_conjecture,
     x,
 )
 from conftest import (
+    EIGHT_DROP,
     FIVE_BOX,
     NINE_BOX,
     SIX_BOX,
@@ -136,6 +139,13 @@ def test_rank_bound():
     with pytest.raises(BadExponent, match="^power must be nonnegative, got -1$"):
         rank_bound(lam, -1)
     assert issubclass(BadExponent, ValueError)
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, True, "1"])
+def test_rank_bound_rejects_non_integral_power(k):
+    # 1.5 used to give 1.5 boxes and True the bound at k = 1
+    with pytest.raises(BadExponent, match="power must be an int"):
+        rank_bound(Partition((3, 1)), k)
 
 
 def test_jordan_type():
@@ -604,6 +614,53 @@ def test_verify_conjecture_custom_prime():
     rep = verify_conjecture(d, trials=4, seed=1, primes=(1000003,))
     assert rep.primes == (1000003,)
     assert rep.necessity_ok
+
+
+def _f_plus_one(generator):
+    return lambda d: generator(d) + MultiPoly.const(1)
+
+
+def _root_entry_set(sample):
+    # x_{u,v+1} = 1 for the first root alpha_u + .. + alpha_v of tau
+    def patched(t, *args, **kwargs):
+        point = sample(t, *args, **kwargs)
+        u, v = tau_invariant(t).positive_roots[0]
+        rows = [list(row) for row in point.rows]
+        rows[u - 1][v] = 1
+        return FieldMatrix(rows, point.prime)
+
+    return patched
+
+
+def _bounds_lowered(bounds):
+    return lambda t: tuple(
+        tuple(tuple(b - 1 for b in row) for row in table) for table in bounds(t)
+    )
+
+
+@pytest.mark.parametrize(
+    "name, wrap, probes",
+    [
+        # the hypersurface point then solves f + 1 = 0, off {f = 0}
+        ("_descriptor_generator", _f_plus_one, {"f_vanishes_on_v", "jordan_match", "power_rank"}),
+        ("sample_variety_point", _root_entry_set, {"linear_conditions"}),
+        ("_rank_bounds", _bounds_lowered, {"power_rank"}),
+    ],
+)
+def test_broken_probes_are_recorded(monkeypatch, name, wrap, probes):
+    # each probe's failure path, reached by breaking what it checks: every
+    # trial fails the broken probes under every prime, and only the first
+    # two break necessity
+    d = classify_hypersurface(tab(*EIGHT_DROP))
+    monkeypatch.setattr(f"orbital.verify.{name}", wrap(getattr(orbital.verify, name)))
+    rep = verify_conjecture(d, trials=2)
+    assert {(f.probe, f.trial, f.prime) for f in rep.failures} == {
+        (probe, trial, p) for probe in probes for trial in (0, 1) for p in rep.primes
+    }
+    broken = bool(probes & {"f_vanishes_on_v", "linear_conditions"})
+    assert rep.necessity_ok is not broken
+    assert rep.f_vanishes_on_v == (0 if broken else 2)
+    assert rep.to_json()["failures"] == [f._asdict() for f in rep.failures]
 
 
 def test_small_prime_reports_are_pinned():
