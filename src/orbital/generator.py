@@ -16,6 +16,12 @@ from the factor w0_tau(a) .. w0_tau(b), the block reversal of the chains
 clipped to [a, b]. A chain of length L has a box in each of rows 1 .. L, so
 l(lambda) is the sum of min(L, I) over the restricted tau's chains, minus I.
 
+So f depends on a descriptor only through its window problem
+(tau.restrict(a, b), I), and the generator reads nothing else: its chains
+give l(lambda) and the zeros, as alpha_r + ... + alpha_{c-1} lies in the
+span of tau exactly when r and c share a chain. The walk runs on boxes
+1 .. size and names each x_{rc} as x_{r+a-1, c+a-1}, in d's coordinates.
+
 The determinant is never expanded by cofactors here. Corner entry (r, c)
 vanishes below the diagonal, so a Leibniz term is a bijection sigma from
 the rows to the columns with sigma(r) >= r: a system of I vertex-disjoint
@@ -47,7 +53,7 @@ from .polyalg import (
     t_poly,
     x,
 )
-from .tableaux import _as_tau, _tau_chains, variety_dim
+from .tableaux import Chain, TauSet, _as_tau, _tau_chains, variety_dim
 
 
 def _corner(tau, n: int, window: tuple[int, int], thickness: int):
@@ -55,13 +61,13 @@ def _corner(tau, n: int, window: tuple[int, int], thickness: int):
     thickness are checked to leave a corner of side size - thickness."""
     tau = _as_tau(tau, n)
     a, b = window
+    if not all(type(v) is int for v in (a, b, thickness)):
+        raise BadWindow(f"window [{a!r}, {b!r}] and thickness {thickness!r} must be ints")
     if not 1 <= a <= b <= n:
         raise BadWindow(f"window [{a}, {b}] outside 1..{n}")
     size = b - a + 1
     if thickness < 1 or size - 2 * thickness < 0:
-        raise BadWindow(
-            f"thickness {thickness} too large for window of size {size}"
-        )
+        raise BadWindow(f"thickness {thickness} too large for window of size {size}")
     return tau, a, b
 
 
@@ -128,32 +134,35 @@ class GeneratorReport:
 
 
 def _path_systems(
-    tau, n: int, window: tuple[int, int], thickness: int, max_ts: int
+    chains: list[Chain], thickness: int, max_ts: int, shift: int
 ) -> list[dict[Monomial, int]]:
-    """The terms of cmin_window's determinant that carry at most max_ts
-    t's, bucketed by power of t.
+    """The terms of the window problem's determinant that carry at most
+    max_ts t's, bucketed by power of t, each x_{rc} named x_{r+shift, c+shift}.
 
-    Bucket k maps each monomial of the coefficient of t^k, with t
-    stripped, to its sign; the size - 2*thickness + 1 buckets cover the
-    whole ladder, and those above max_ts stay empty. A depth-first walk
-    places rows a .. b-I in order, each in an unused column c >= r of
-    a+I .. b: column r holds t, a free position c > r holds x_{rc}. Used
+    The window problem's boxes 1 .. size split into these chains, and
+    x_{rc} is free unless r and c lie in one chain (module docstring).
+    Bucket k maps each monomial of the coefficient of t^k, with t stripped,
+    to its sign; the size - 2*thickness + 1 buckets cover the whole ladder,
+    and those above max_ts stay empty. A depth-first walk places rows
+    1 .. size-I in order, each in an unused column c >= r of 1+I .. size:
+    column r holds t, a column past the end of r's chain holds x_{rc}. Used
     columns are a bitmask, and each step flips the sign once per used
     column to the right of the new one, so the sign is
     (-1)^(inversions of sigma). Column r is out of reach of every later
     row, so when row r finds it unused it must take t there, and a branch
     whose count of t's has already reached max_ts stops. Rows are visited
-    in order, so the monomials come out canonical; no two coincide (see
-    the module docstring), so the buckets are the exact coefficients.
+    in order, so the monomials come out canonical; no two coincide (module
+    docstring), so the buckets are the exact coefficients.
     """
-    tau, a, b = _corner(tau, n, window, thickness)
-    first, last = a + thickness, b - thickness
-    free = set(tau.free_positions)
+    size = chains[-1].hi
+    first, last = 1 + thickness, size - thickness
     # column c is bit c - first; per row, the x_{rc} it may take
     moves = [
-        [(c - first, ((r, c), 1)) for c in range(max(r + 1, first), b + 1)
-         if (r, c) in free]
-        for r in range(a, last + 1)
+        [(c - first, ((r + shift, c + shift), 1))
+         for c in range(max(chain.hi + 1, first), size + 1)]
+        for chain in chains
+        for r in chain.members()
+        if r <= last
     ]
     buckets: list[dict[Monomial, int]] = [{} for _ in range(last - first + 2)]
     picked: list = []
@@ -170,7 +179,7 @@ def _path_systems(
                 sign = -sign
             walk(r + 1, used | 1 << q, sign, ts + 1)
             return
-        for q, var in moves[r - a]:
+        for q, var in moves[r - 1]:
             if used >> q & 1:
                 continue
             picked.append(var)
@@ -178,30 +187,43 @@ def _path_systems(
                  -sign if (used >> q).bit_count() & 1 else sign, ts)
             picked.pop()
 
-    walk(a, 0, 1, 0)
+    walk(1, 0, 1, 0)
     return buckets
 
 
-def _l_lambda(tau, window: tuple[int, int], thickness: int) -> int:
-    """l(lambda), the sum over the chains of tau restricted to the window
-    of min(length, thickness), minus thickness (module docstring)."""
-    chains = _tau_chains(tau.restrict(*window))
-    return sum(min(c.length, thickness) for c in chains) - thickness
+def _ladder(
+    tau_w: TauSet, i_thick: int, shift: int, f_only: bool = False, check: bool = True
+) -> tuple[int, list[dict[Monomial, int]]]:
+    """l(lambda) and _path_systems' buckets for the window problem
+    (tau_w, i_thick), both read off tau_w's chains.
 
-
-def _window_ladder(tau, n: int, window: tuple[int, int], thickness: int):
-    """l(lambda) and the ladder of (j, m_j) for j = thickness .. size-thickness,
-    which covers every power of t in the window determinant; m_j is the
-    bucket of t^(size-thickness-j) from the path-system walk, bounded by
-    the top of the ladder."""
-    a, b = window
-    size = b - a + 1
-    buckets = _path_systems(tau, n, window, thickness, size - 2 * thickness)
-    ladder = tuple(
-        (j, MultiPoly._raw(buckets[size - thickness - j]))
-        for j in range(thickness, size - thickness + 1)
-    )
-    return _l_lambda(tau, window, thickness), ladder
+    f is the bucket of t^target, target = size - i_thick - l(lambda). With
+    f_only the walk stops at target t's, and walks the whole ladder only
+    if target is off it or nothing was found, to tell a vanished
+    determinant from a higher surviving power. The buckets up to the bound
+    are complete, so with check InconsistentIndexing names the lowest
+    nonempty one unless it is f's.
+    """
+    top = tau_w.n - 2 * i_thick
+    if i_thick < 1 or top < 0:
+        raise BadWindow(f"thickness {i_thick} too large for window of size {tau_w.n}")
+    chains = _tau_chains(tau_w)
+    l_lambda = sum(min(c.length, i_thick) for c in chains) - i_thick
+    target = tau_w.n - i_thick - l_lambda
+    bounded = f_only and 0 <= target < top
+    buckets = _path_systems(chains, i_thick, target if bounded else top, shift)
+    if bounded and not any(buckets):
+        buckets = _path_systems(chains, i_thick, top, shift)
+    if check:
+        lowest = next((k for k, m in enumerate(buckets) if m), None)
+        if lowest is None:
+            raise InconsistentIndexing("window determinant vanished identically")
+        if lowest != target:
+            raise InconsistentIndexing(
+                f"lowest surviving t-power {lowest} but l(lambda)={l_lambda} "
+                f"predicts {target}"
+            )
+    return l_lambda, buckets
 
 
 def _window_weight(n: int, window: tuple[int, int], thickness: int) -> WeightVector:
@@ -220,51 +242,33 @@ def generator_report(d: HypersurfaceDescriptor) -> GeneratorReport:
     The determinant of the window matrix is sum of m_j t^(size-I-j) for
     j = I .. size-I; the generator is the coefficient of the lowest power
     of t that survives, which must be m_{l(lambda)} or the indexing is
-    inconsistent (InconsistentIndexing).
+    inconsistent (InconsistentIndexing). It walks d's window problem,
+    (tau.restrict(a, b), I), naming each variable in d's coordinates.
     """
-    return _report(d.tau, d.n, d.window, d.thickness)
-
-
-def _report(tau, n: int, window: tuple[int, int], i_thick: int) -> GeneratorReport:
-    """generator_report on the window problem (tau, n, window, i_thick)."""
-    size = window[1] - window[0] + 1
-    l_lambda, m_sequence = _window_ladder(tau, n, window, i_thick)
-    nonzero = [j for j, m in m_sequence if not m.is_zero]
-    if not nonzero:
-        raise InconsistentIndexing("window determinant vanished identically")
-    lowest = size - i_thick - max(nonzero)
-    if lowest != size - i_thick - l_lambda:
-        raise InconsistentIndexing(
-            f"lowest surviving t-power {lowest} but l(lambda)={l_lambda} "
-            f"predicts {size - i_thick - l_lambda}"
-        )
+    # bucket k holds t^k, so m_j for j = I, I+1, .. is bucket top, top-1, ..
+    l_lambda, buckets = _ladder(d.tau.restrict(*d.window), d.thickness, d.window[0] - 1)
     return GeneratorReport(
-        m_sequence=m_sequence,
+        m_sequence=tuple(
+            enumerate(map(MultiPoly._raw, reversed(buckets)), start=d.thickness)
+        ),
         l_lambda=l_lambda,
-        weight=_window_weight(n, window, i_thick),
-        window=window,
-        thickness=i_thick,
+        weight=_window_weight(d.n, d.window, d.thickness),
+        window=d.window,
+        thickness=d.thickness,
     )
 
 
-def _generator(tau, n: int, window: tuple[int, int], i_thick: int) -> MultiPoly:
-    """_report(tau, n, window, i_thick).f, from only the path systems with
-    at most f's count of t's, size - i_thick - l(lambda). When f is not
-    the lowest surviving rung, or l(lambda) falls outside the ladder, the
-    full _report raises its InconsistentIndexing."""
-    tau, a, b = _corner(tau, n, window, i_thick)
-    size = b - a + 1
-    target = size - i_thick - _l_lambda(tau, window, i_thick)
-    if 0 <= target <= size - 2 * i_thick:
-        buckets = _path_systems(tau, n, window, i_thick, target)
-        if buckets[target] and not any(buckets[:target]):
-            return MultiPoly._raw(buckets[target])
-    return _report(tau, n, window, i_thick).f
+def _generator(tau_w: TauSet, i_thick: int, shift: int = 0) -> MultiPoly:
+    """f of the window problem (tau_w, i_thick), variables shifted by
+    shift, from the path systems with at most f's count of t's; it raises
+    generator_report's InconsistentIndexing, word for word."""
+    l_lambda, buckets = _ladder(tau_w, i_thick, shift, f_only=True)
+    return MultiPoly._raw(buckets[tau_w.n - i_thick - l_lambda])
 
 
 def _descriptor_generator(d: HypersurfaceDescriptor) -> MultiPoly:
     """generator_report(d).f, walking only f's path systems."""
-    return _generator(d.tau, d.n, d.window, d.thickness)
+    return _generator(d.tau.restrict(*d.window), d.thickness, d.window[0] - 1)
 
 
 def lemma2_threshold(
@@ -273,10 +277,12 @@ def lemma2_threshold(
     """The cutoff l(lambda) and, per index j, whether m_j vanishes.
 
     Returns (l_lambda, [(j, is_zero), ...]) for j = thickness .. size-thickness.
-    The expected pattern is nonzero up to l(lambda) and zero beyond it.
+    The expected pattern is nonzero up to l(lambda) and zero beyond it;
+    any window is accepted, and the pattern is reported, not checked.
     """
-    l_lambda, ladder = _window_ladder(_as_tau(tau, n), n, window, thickness)
-    return l_lambda, [(j, m.is_zero) for j, m in ladder]
+    tau, a, b = _corner(tau, n, window, thickness)
+    l_lambda, buckets = _ladder(tau.restrict(a, b), thickness, 0, check=False)
+    return l_lambda, [(j, not m) for j, m in enumerate(reversed(buckets), start=thickness)]
 
 
 @dataclass(frozen=True)

@@ -366,7 +366,10 @@ class WeightVector:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        for c in self.coeffs:
+            if type(c) is not int:
+                raise ValueError(f"coefficients must be ints, got {c!r}")
 
     @property
     def rank(self) -> int:

@@ -228,10 +228,14 @@ class TauSet:
     n: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", frozenset(int(i) for i in self.indices))
+        object.__setattr__(self, "indices", frozenset(self.indices))
+        if type(self.n) is not int:
+            raise ValueError(f"n must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         for i in self.indices:
+            if type(i) is not int:
+                raise ValueError(f"indices must be ints, got {i!r}")
             if not 1 <= i <= self.n - 1:
                 raise ValueError(f"index {i} outside 1..{self.n - 1}")
 
@@ -246,35 +250,20 @@ class TauSet:
         kept = frozenset(i - a + 1 for i in self.indices if a <= i < b)
         return TauSet(kept, b - a + 1)
 
-    def runs(self) -> list[tuple[int, int]]:
-        """Maximal intervals [a, b] with a..b all in the set."""
-        out: list[tuple[int, int]] = []
-        start = None
-        for i in range(1, self.n):
-            if i in self.indices:
-                if start is None:
-                    start = i
-            elif start is not None:
-                out.append((start, i - 1))
-                start = None
-        if start is not None:
-            out.append((start, self.n - 1))
-        return out
-
     @cached_property
     def positive_roots(self) -> tuple[tuple[int, int], ...]:
-        """All (u, v) with alpha_u + ... + alpha_v supported inside one run,
-        sorted, computed once per set.
+        """All (u, v) with alpha_u + ... + alpha_v in the span of tau: the
+        lo <= u <= v < hi of each of tau's chains lo..hi, so already sorted.
 
         These index exactly the matrix positions (u, v+1) forced to zero on
         every orbital variety with this tau-invariant.
         """
-        return tuple(sorted(
+        return tuple(
             (u, v)
-            for a, b in self.runs()
-            for u in range(a, b + 1)
-            for v in range(u, b + 1)
-        ))
+            for c in _tau_chains(self)
+            for u in range(c.lo, c.hi)
+            for v in range(u, c.hi)
+        )
 
     @cached_property
     def free_positions(self) -> tuple[tuple[int, int], ...]:

@@ -787,7 +787,7 @@ def remark_check(d: HypersurfaceDescriptor, *, seed=0) -> RemarkResult:
 def _remark_window(tau_w: TauSet, i_thick: int) -> RemarkResult:
     """remark_check on the window problem (tau_w, i_thick)."""
     corner, _, _ = _window_minor(tau_w, i_thick)
-    f = _generator(tau_w, tau_w.n, (1, tau_w.n), i_thick)
+    f = _generator(tau_w, i_thick)
     det_m = determinant(corner)
 
     interior = _tau_chains(tau_w)[1:-1]

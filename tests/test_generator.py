@@ -10,6 +10,7 @@ from orbital import (
     BadWindow,
     Chain,
     InconsistentIndexing,
+    TauSet,
     WeightVector,
     char_poly,
     classify_hypersurface,
@@ -26,7 +27,8 @@ from orbital import (
     variety_dim,
     x,
 )
-from orbital.generator import _generator, _path_systems, _report
+from orbital.generator import _descriptor_generator, _generator, _ladder, _path_systems
+from orbital.tableaux import _tau_chains
 from conftest import FIVE_BOX, SIX_BOX, TWELVE_BOX, shifted, tab, weight_of
 
 F_SIX = (
@@ -123,12 +125,28 @@ def test_ladder_covers_every_power_of_t():
         assert lowest == b - a + 1 - d.thickness - rep.l_lambda
 
 
+def _fake_l_lambda(monkeypatch, d, chains) -> list:
+    """Read l(lambda) off these chains while the path-system walk keeps
+    the chains of d's own window problem; returns the list that records
+    the (thickness, max_ts, shift) of every walk."""
+    own = _tau_chains(d.tau.restrict(*d.window))
+    calls = []
+
+    def counted(_, *rest):
+        calls.append(rest)
+        return _path_systems(own, *rest)
+
+    monkeypatch.setattr("orbital.generator._tau_chains", lambda _: chains)
+    monkeypatch.setattr("orbital.generator._path_systems", counted)
+    return calls
+
+
 def test_generator_report_inconsistent_indexing(monkeypatch):
     d = classify_hypersurface(tab(*SIX_BOX))
     # l(lambda) is read from the chains of tau restricted to the window;
     # three chains of length 2 give the dropped shape (3, 3), not (4, 2)
     with monkeypatch.context() as m:
-        m.setattr("orbital.generator._tau_chains", lambda _: [Chain(1, 2), Chain(3, 4), Chain(5, 6)])
+        _fake_l_lambda(m, d, [Chain(1, 2), Chain(3, 4), Chain(5, 6)])
         with pytest.raises(InconsistentIndexing, match="lowest surviving t-power 2 but"):
             generator_report(d)
     monkeypatch.setattr("orbital.generator._path_systems", lambda *_: [{}] * 5)
@@ -139,10 +157,10 @@ def test_generator_report_inconsistent_indexing(monkeypatch):
 def test_f_only_walk_matches_the_full_ladder():
     # the walk bounded by f's count of t's against the full ladder: every
     # descriptor with n <= 10, and every window problem at n = 11 through
-    # _report, whose own walk is bounded by the top of the ladder
+    # the walk of its whole ladder
     count = 0
     for d in iter_descriptors(10):
-        assert _generator(d.tau, d.n, d.window, d.thickness) == generator_report(d).f
+        assert _descriptor_generator(d) == generator_report(d).f
         count += 1
     assert count == 1235
     problems = {
@@ -150,14 +168,13 @@ def test_f_only_walk_matches_the_full_ladder():
     }
     assert len(problems) == 137
     for tau_w, i_thick in problems:
-        size = tau_w.n
-        f = _generator(tau_w, size, (1, size), i_thick)
-        rep = _report(tau_w, size, (1, size), i_thick)
-        assert f == rep.f
+        f = _generator(tau_w, i_thick)
+        l_lambda, ladder = _ladder(tau_w, i_thick, 0)
+        target = tau_w.n - i_thick - l_lambda
+        assert f.terms == ladder[target]
         # f's rung is the lowest one that survives, and no system carrying
         # more t's than f's terms is walked
-        target = size - i_thick - rep.l_lambda
-        buckets = _path_systems(tau_w, size, (1, size), i_thick, target)
+        buckets = _path_systems(_tau_chains(tau_w), i_thick, target, 0)
         assert buckets[target] == f.terms
         assert not any(buckets[:target]) and not any(buckets[target + 1:])
 
@@ -165,13 +182,19 @@ def test_f_only_walk_matches_the_full_ladder():
 def test_f_is_its_window_problems_f_shifted():
     # f depends on a descriptor only through its window problem: every
     # descriptor with n <= 10 has the f of tau restricted to its window
-    # [a, b], with every index shifted by a - 1
+    # [a, b], with every index shifted by a - 1. The window problem's f is
+    # read both from the walk with shift 0 and from the cofactor expansion
+    # of the window problem's own matrix, which reads tau's positive roots
     count = 0
     for d in iter_descriptors(10):
         a, b = d.window
         size = b - a + 1
-        f_w = _generator(d.tau.restrict(a, b), size, (1, size), d.thickness)
-        assert generator_report(d).f == shifted(f_w, a - 1), d.descriptor_id
+        tau_w = d.tau.restrict(a, b)
+        rep = generator_report(d)
+        f_w = _generator(tau_w, d.thickness)
+        det_w = determinant(cmin_window(tau_w, size, (1, size), d.thickness))
+        assert f_w == t_coefficient(det_w, size - d.thickness - rep.l_lambda), d.descriptor_id
+        assert rep.f == shifted(f_w, a - 1), d.descriptor_id
         count += 1
     assert count == 1235
 
@@ -190,14 +213,15 @@ def test_f_is_its_window_problems_f_shifted():
 )
 def test_f_only_walk_falls_back_to_the_full_report(monkeypatch, chains, message):
     # the six-box window has size 6 and thickness 1, and its lowest
-    # surviving t-power is 2; a wrong l(lambda) sends the f-only walk to
-    # the full report, which raises as generator_report does
+    # surviving t-power is 2; with a wrong l(lambda) the f-only walk
+    # raises as generator_report does, walking the whole ladder when the
+    # walk bounded at f's rung finds nothing or f's rung is off the ladder
     d = classify_hypersurface(tab(*SIX_BOX))
-    monkeypatch.setattr("orbital.generator._tau_chains", lambda _: chains)
+    _fake_l_lambda(monkeypatch, d, chains)
     with pytest.raises(InconsistentIndexing) as full:
         generator_report(d)
     with pytest.raises(InconsistentIndexing) as f_only:
-        _generator(d.tau, d.n, d.window, d.thickness)
+        _descriptor_generator(d)
     assert str(f_only.value) == str(full.value) == f"lowest surviving t-power 2 but {message}"
 
 
@@ -205,16 +229,49 @@ def test_f_only_walk_reports_a_vanished_determinant(monkeypatch):
     d = classify_hypersurface(tab(*SIX_BOX))
     monkeypatch.setattr("orbital.generator._path_systems", lambda *_: [{}] * 5)
     with pytest.raises(InconsistentIndexing, match="vanished identically"):
-        _generator(d.tau, d.n, d.window, d.thickness)
+        _descriptor_generator(d)
+
+
+def test_a_nonempty_lower_rung_raises_after_one_walk(monkeypatch):
+    # l(lambda) = 2 puts f at t^3. The walk bounded there finds t^2
+    # nonempty, and every bucket up to the bound is complete, so t^2 is
+    # the lowest surviving power without a second walk
+    d = classify_hypersurface(tab(*SIX_BOX))
+    calls = _fake_l_lambda(monkeypatch, d, [Chain(1, 2), Chain(3, 4), Chain(5, 6)])
+    with pytest.raises(InconsistentIndexing) as err:
+        _descriptor_generator(d)
+    assert str(err.value) == "lowest surviving t-power 2 but l(lambda)=2 predicts 3"
+    assert calls == [(1, 3, 0)]
+
+
+def test_chain_rule_matches_free_positions():
+    # the walk takes x_rc unless r and c lie in one chain of tau: for
+    # every tau with n <= 10, those are the coordinates of m_tau
+    count = 0
+    for n in range(1, 11):
+        for bits in range(1 << (n - 1)):
+            tau = TauSet(frozenset(i for i in range(1, n) if bits >> (i - 1) & 1), n)
+            chain_of = {m: k for k, c in enumerate(_tau_chains(tau)) for m in c.members()}
+            taken = {
+                (r, c)
+                for r in range(1, n + 1)
+                for c in range(r + 1, n + 1)
+                if chain_of[r] != chain_of[c]
+            }
+            assert taken == set(tau.free_positions), tau
+            count += 1
+    assert count == 1023
 
 
 def test_ladder_matches_cofactor_expansion():
-    # the path-system walk against the memoized cofactor expansion, rung
-    # by rung, for every descriptor with n <= 9; every term has
-    # coefficient +-1 and exponents 1, so nothing cancels and each m_j is
-    # multilinear
+    # the path-system walk, on the window problem and named in d's own
+    # coordinates, against the memoized cofactor expansion of d's own
+    # window matrix, rung by rung, for every descriptor with n <= 10; the
+    # matrix reads tau's positive roots, not the walk's chain rule. Every
+    # term has coefficient +-1 and exponents 1, so nothing cancels and
+    # each m_j is multilinear
     count = 0
-    for d in iter_descriptors(9):
+    for d in iter_descriptors(10):
         a, b = d.window
         size = b - a + 1
         det = determinant(cmin_window(d.tau, d.n, d.window, d.thickness))
@@ -223,7 +280,7 @@ def test_ladder_matches_cofactor_expansion():
             assert all(c in (1, -1) for c in m.terms.values())
             assert all(e == 1 for mono in m.terms for _, e in mono)
         count += 1
-    assert count == 503
+    assert count == 1235
 
 
 @pytest.mark.parametrize(
@@ -233,11 +290,30 @@ def test_ladder_matches_cofactor_expansion():
         ((1, 6), 4, "thickness 4 too large for window of size 6"),
         ((0, 6), 1, "window [0, 6] outside 1..6"),
         ((5, 3), 1, "window [5, 3] outside 1..6"),
+        ((1, 6), True, "window [1, 6] and thickness True must be ints"),
+        ((1, 6), 1.5, "window [1, 6] and thickness 1.5 must be ints"),
+        ((True, 6), 1, "window [True, 6] and thickness 1 must be ints"),
+        ((1.0, 6), 1, "window [1.0, 6] and thickness 1 must be ints"),
+        ((1, 6.0), 1, "window [1, 6.0] and thickness 1 must be ints"),
     ],
 )
 def test_lemma2_threshold_rejects_bad_windows(window, thickness, message):
     with pytest.raises(BadWindow, match=re.escape(message)):
         lemma2_threshold({2, 4}, 6, window, thickness)
+    with pytest.raises(BadWindow, match=re.escape(message)):
+        cmin_window({2, 4}, 6, window, thickness)
+
+
+@pytest.mark.parametrize("thickness", [0, 4])
+def test_window_problem_rejects_a_bad_thickness(thickness):
+    # the walk reads only the window problem, so it checks the thickness
+    # against the window itself, as cmin_window does
+    d = replace(classify_hypersurface(tab(*SIX_BOX)), thickness=thickness)
+    message = f"thickness {thickness} too large for window of size 6"
+    with pytest.raises(BadWindow, match=message):
+        generator_report(d)
+    with pytest.raises(BadWindow, match=message):
+        _descriptor_generator(d)
 
 
 def test_lemma2_threshold_golden():

@@ -1,5 +1,6 @@
 """Partitions, standard tableaux, tau-invariants, Richardson construction."""
 
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -17,6 +18,7 @@ from orbital import (
     SizeMismatch,
     TableauError,
     TauSet,
+    WeightVector,
     chains,
     dominance_le,
     dual_partition,
@@ -167,7 +169,6 @@ def test_render_tableau_golden():
 
 def test_tau_set_runs_and_roots():
     tau = TauSet(frozenset({1, 4, 5, 7, 9, 10}), 12)
-    assert tau.runs() == [(1, 1), (4, 5), (7, 7), (9, 10)]
     assert tau.positive_roots == (
         (1, 1), (4, 4), (4, 5), (5, 5), (7, 7), (9, 9), (9, 10), (10, 10),
     )
@@ -175,6 +176,25 @@ def test_tau_set_runs_and_roots():
     assert (5, 7) not in tau.positive_roots
     assert str(tau) == "{1, 4, 5, 7, 9, 10}"
     assert tau.to_json() == [1, 4, 5, 7, 9, 10]
+
+
+@pytest.mark.parametrize(
+    "make, args, message",
+    [
+        (TauSet, ({1.7}, 5), "indices must be ints, got 1.7"),
+        (TauSet, ({"2"}, 5), "indices must be ints, got '2'"),
+        (TauSet, ({True}, 5), "indices must be ints, got True"),
+        (TauSet, ({1}, 5.0), "n must be an int, got 5.0"),
+        (richardson_tableau, ({1}, 4.0), "n must be an int, got 4.0"),
+        (WeightVector, ((1.5, 2),), "coefficients must be ints, got 1.5"),
+        (WeightVector, ((1, True),), "coefficients must be ints, got True"),
+    ],
+)
+def test_tau_and_weights_reject_non_integral_input(make, args, message):
+    # each used to be read through int(): TauSet({1.7}, 5) became {1} and
+    # WeightVector((1.5, 2)) printed as a1 + 2a2
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make(*args)
 
 
 def test_free_positions_complement_the_positive_roots():
