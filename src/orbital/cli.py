@@ -88,7 +88,7 @@ def _emit(payload: dict) -> None:
 
 
 def _chains_str(t_r: StandardTableau) -> str:
-    return " ".join(str(c) for c in chains(t_r))
+    return " ".join("{" + ",".join(map(str, c)) + "}" for c in chains(t_r))
 
 
 def cmd_richardson(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -105,7 +105,7 @@ def cmd_richardson(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
                 "tableau": t_r.to_json(),
                 "shape": t_r.shape.to_json(),
                 "dim": dim,
-                "chains": [[c.lo, c.hi] for c in chains(t_r)],
+                "chains": [[c[0], c[-1]] for c in chains(t_r)],
             }
         )
     else:

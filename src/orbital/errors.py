@@ -49,7 +49,9 @@ class TooSmall(OrbitalError):
 
 
 class BadRange(OrbitalError):
-    """Projection or window indices outside 1 <= i <= j <= n."""
+    """Projection or window indices outside 1 <= i <= j <= n, or bounds
+    that are not ints or are bools (project, TauSet.restrict), or a
+    PolyMatrix.power_top_right corner size outside 1..n."""
 
 
 # -- polynomial layer --------------------------------------------------------
@@ -65,10 +67,10 @@ class NotSquare(OrbitalError, ValueError):
 
 
 class BadExponent(OrbitalError, ValueError):
-    """A matrix power asked for an exponent below 1, a rank bound for a
-    negative or non-int power, or a monomial carries a negative or
-    non-integral exponent; a ValueError too, as PolyMatrix.power's and
-    rank_bound's rejections always were."""
+    """A matrix power asked for an exponent that is not an int, is a bool
+    or is below 1, a rank bound for a negative or non-int power, or a
+    monomial carries a negative or non-integral exponent; a ValueError
+    too, as PolyMatrix.power's and rank_bound's rejections always were."""
 
 
 # -- generator construction --------------------------------------------------
@@ -105,4 +107,5 @@ class BadProbeInput(OrbitalError):
     """verify_conjecture asked for fewer than one trial, for no prime, or
     for a modulus that is not an odd prime below 2**64; a FieldMatrix or a
     sampler got such a modulus or an entry that is not an int; or
-    poly_eval got a modulus that is not an int of at least 1."""
+    poly_eval got a modulus that is not an int of at least 1, or a value
+    that is not an int, or is a bool."""

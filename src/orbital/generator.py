@@ -53,7 +53,7 @@ from .polyalg import (
     t_poly,
     x,
 )
-from .tableaux import Chain, TauSet, _as_tau, _tau_chains, variety_dim
+from .tableaux import TauSet, _as_tau, _tau_chains, variety_dim
 
 
 def _corner(tau, n: int, window: tuple[int, int], thickness: int):
@@ -134,13 +134,14 @@ class GeneratorReport:
 
 
 def _path_systems(
-    chains: list[Chain], thickness: int, max_ts: int, shift: int
+    chains: list[range], thickness: int, max_ts: int, shift: int
 ) -> list[dict[Monomial, int]]:
     """The terms of the window problem's determinant that carry at most
     max_ts t's, bucketed by power of t, each x_{rc} named x_{r+shift, c+shift}.
 
-    The window problem's boxes 1 .. size split into these chains, and
-    x_{rc} is free unless r and c lie in one chain (module docstring).
+    The window problem's boxes 1 .. size split into these chains, ranges
+    of labels as _tau_chains gives them, and x_{rc} is free unless r and c
+    lie in one chain (module docstring).
     Bucket k maps each monomial of the coefficient of t^k, with t stripped,
     to its sign; the size - 2*thickness + 1 buckets cover the whole ladder,
     and those above max_ts stay empty. A depth-first walk places rows
@@ -154,14 +155,14 @@ def _path_systems(
     in order, so the monomials come out canonical; no two coincide (module
     docstring), so the buckets are the exact coefficients.
     """
-    size = chains[-1].hi
+    size = chains[-1][-1]
     first, last = 1 + thickness, size - thickness
     # column c is bit c - first; per row, the x_{rc} it may take
     moves = [
         [(c - first, ((r + shift, c + shift), 1))
-         for c in range(max(chain.hi + 1, first), size + 1)]
+         for c in range(max(chain.stop, first), size + 1)]
         for chain in chains
-        for r in chain.members()
+        for r in chain
         if r <= last
     ]
     buckets: list[dict[Monomial, int]] = [{} for _ in range(last - first + 2)]
@@ -208,7 +209,7 @@ def _ladder(
     if i_thick < 1 or top < 0:
         raise BadWindow(f"thickness {i_thick} too large for window of size {tau_w.n}")
     chains = _tau_chains(tau_w)
-    l_lambda = sum(min(c.length, i_thick) for c in chains) - i_thick
+    l_lambda = sum(min(len(c), i_thick) for c in chains) - i_thick
     target = tau_w.n - i_thick - l_lambda
     bounded = f_only and 0 <= target < top
     buckets = _path_systems(chains, i_thick, target if bounded else top, shift)

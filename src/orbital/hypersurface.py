@@ -44,7 +44,6 @@ from .errors import (
     NotRichardson,
 )
 from .tableaux import (
-    Chain,
     StandardTableau,
     TauSet,
     _richardson,
@@ -60,7 +59,8 @@ from .tableaux import (
 class HypersurfaceDescriptor:
     """Everything the downstream symbolic layer needs about one drop: the
     dropped tableau, the Richardson tableau, the window [i, j] and the
-    thickness I. The rest follows from the window and the thickness."""
+    thickness I. The rest follows from the window and the thickness; the
+    two chains are ranges of labels, as _tau_chains gives them."""
 
     tableau: StandardTableau
     richardson: StandardTableau
@@ -76,8 +76,8 @@ class HypersurfaceDescriptor:
     dropped_box = property(lambda d: d.window[1])
     sigma_lo = property(lambda d: d.window[0])
     sigma_hi = property(lambda d: d.window[1] - 1)
-    source_chain = property(lambda d: Chain(d.window[1] - d.thickness + 1, d.window[1]))
-    prev_chain = property(lambda d: Chain(d.window[0], d.window[0] + d.thickness - 1))
+    source_chain = property(lambda d: range(d.window[1] - d.thickness + 1, d.window[1] + 1))
+    prev_chain = property(lambda d: range(d.window[0], d.window[0] + d.thickness))
 
     @property
     def n(self) -> int:
@@ -111,11 +111,11 @@ def _drops(tau: TauSet) -> list[HypersurfaceDescriptor]:
     top = variety_dim(t_r.shape, n)
     # the latest chain of each length, and the lengths I whose drop shape
     # has passed the dimension check (that shape depends on I alone)
-    latest: dict[int, Chain] = {}
+    latest: dict[int, range] = {}
     checked: set[int] = set()
     out: list[HypersurfaceDescriptor] = []
     for chain in all_chains:
-        j, i_row = chain.hi, chain.length
+        j, i_row = chain[-1], len(chain)
         prev = latest.get(i_row)
         latest[i_row] = chain
         r = t_r.row_of(j)
@@ -154,7 +154,7 @@ def _drops(tau: TauSet) -> list[HypersurfaceDescriptor]:
             HypersurfaceDescriptor(
                 tableau=dropped,
                 richardson=t_r,
-                window=(prev.lo, j),
+                window=(prev[0], j),
                 thickness=i_row,
                 tau=tau,
             )
@@ -202,9 +202,9 @@ def sigma_is_full(t_r: StandardTableau) -> bool:
     except NotRichardson as exc:
         raise NotApplicable(str(exc)) from exc
     first, last = ch[0], ch[-1]
-    if first.length != last.length:
+    if len(first) != len(last):
         return False
-    i = first.length
+    i = len(first)
     lam = t_r.shape
     return lam.part(i) == lam.part(i + 1) + 2
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Mapping, TypeVar, Union
 
-from .errors import BadExponent, BadProbeInput, MissingVariable, NotSquare
+from .errors import BadExponent, BadProbeInput, BadRange, MissingVariable, NotSquare
 
 T_VAR = "t"
 VarId = Union[tuple[int, int], str]
@@ -322,7 +322,8 @@ def poly_eval(p: MultiPoly, assignment: Mapping[VarId, int], prime: int) -> int:
     """The value of p at the integer assignment, in GF(prime): an int in
     [0, prime). prime may be any modulus of at least 1, such as the
     product of primes a verify trial evaluates f modulo; one that is not
-    an int, is a bool or is below 1 raises BadProbeInput.
+    an int, is a bool or is below 1 raises BadProbeInput, and so does a
+    value of p's variables that is not an int, or is a bool.
 
     Every variable of p must be present in the assignment; anything
     missing raises MissingVariable rather than silently defaulting.
@@ -333,9 +334,12 @@ def poly_eval(p: MultiPoly, assignment: Mapping[VarId, int], prime: int) -> int:
     for mono, coeff in p.terms.items():
         val = coeff
         for var, e in mono:
-            if var not in assignment:
-                raise MissingVariable(f"no value for {_var_str(var)}")
-            val = val * (assignment[var] if e == 1 else pow(assignment[var], e, prime)) % prime
+            v = assignment.get(var)
+            if type(v) is not int:
+                if var not in assignment:
+                    raise MissingVariable(f"no value for {_var_str(var)}")
+                raise BadProbeInput(f"value {v!r} of {_var_str(var)} is not an int")
+            val = val * (v if e == 1 else pow(v, e, prime)) % prime
         total += val
     return total % prime
 
@@ -453,8 +457,8 @@ class PolyMatrix:
     def power(self, k: int) -> "PolyMatrix":
         if self.nrows != self.ncols:
             raise NotSquare("powers need a square matrix")
-        if k < 1:
-            raise BadExponent(f"power must be at least 1, got {k}")
+        if type(k) is not int or k < 1:
+            raise BadExponent(f"power must be an int of at least 1, got {k!r}")
         out = self
         for _ in range(k - 1):
             out = out @ self
@@ -465,13 +469,15 @@ class PolyMatrix:
 
         Rows 1..size of X^j are rows 1..size of X^(j-1) times X, and the
         last product forms only the corner's columns. power stays as the
-        oracle of this shortcut.
+        oracle of this shortcut. A size outside 1..n raises BadRange.
         """
         if self.nrows != self.ncols:
             raise NotSquare("powers need a square matrix")
-        if k < 1:
-            raise BadExponent(f"power must be at least 1, got {k}")
+        if type(k) is not int or k < 1:
+            raise BadExponent(f"power must be an int of at least 1, got {k!r}")
         n = self.ncols
+        if type(size) is not int or not 1 <= size <= n:
+            raise BadRange(f"corner size must be an int in 1..{n}, got {size!r}")
         ent = self.entries
         rows = ent[:size]
         for _ in range(k - 2):

@@ -101,8 +101,8 @@ def project(t: StandardTableau, i: int, j: int) -> StandardTableau:
     (Sagan, The Symmetric Group, section 3.9), so the subword's insertion
     tableau is t after n-j removals and i-1 strips.
     """
-    if not 1 <= i <= j <= t.n:
-        raise BadRange(f"need 1 <= i <= j <= {t.n}, got i={i}, j={j}")
+    if type(i) is not int or type(j) is not int or not 1 <= i <= j <= t.n:
+        raise BadRange(f"need 1 <= i <= j <= {t.n}, got i={i!r}, j={j!r}")
     for _, rec in _recordings(rs_inverse(t, t).images[i - 1 : j]):
         pass
     return StandardTableau(tuple(tuple(row) for row in rec))
@@ -112,6 +112,6 @@ def projected_shape(t: StandardTableau, i: int, j: int) -> Partition:
     """Shape of the window restriction; bounds ranks of matrix corners.
 
     The shape of project(t, i, j), which raises BadRange for a window
-    outside 1..n.
+    outside 1..n or a bound that is not an int, or is a bool.
     """
     return project(t, i, j).shape

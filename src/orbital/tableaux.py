@@ -9,7 +9,8 @@ A standard Young tableau T with n boxes labels an irreducible component
 matrices, where O is the nilpotent orbit of Jordan type shape(T). The
 tau-invariant of T records which simple root coordinates vanish identically
 on that component, and each tau-set has a unique component of maximal
-dimension, whose tableau (the Richardson tableau) is read off tau's chains.
+dimension, whose tableau (the Richardson tableau) is read off tau's chains:
+the maximal runs of labels linked through tau, each a range of labels.
 """
 
 from __future__ import annotations
@@ -101,6 +102,8 @@ def variety_dim(lam: Partition, n: int) -> int:
     A dual part d is the height of a column, and d^2 = 1 + 3 + .. + (2d-1)
     adds 2i-1 for each row i the column meets; so the sum of squared dual
     parts is the sum of (2i-1) * lambda_i over the rows i."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if lam.n != n:
         raise SizeMismatch(f"partition of {lam.n} cannot index an orbit in sl({n})")
     sq = sum((2 * i - 1) * part for i, part in enumerate(lam.parts, start=1))
@@ -245,8 +248,8 @@ class TauSet:
     def restrict(self, a: int, b: int) -> "TauSet":
         """The window problem on [a, b]: the indices in a .. b-1, relabelled
         from 1, on b - a + 1 boxes (its use is in the generator module)."""
-        if not 1 <= a <= b <= self.n:
-            raise BadRange(f"need 1 <= a <= b <= {self.n}, got a={a}, b={b}")
+        if type(a) is not int or type(b) is not int or not 1 <= a <= b <= self.n:
+            raise BadRange(f"need 1 <= a <= b <= {self.n}, got a={a!r}, b={b!r}")
         kept = frozenset(i - a + 1 for i in self.indices if a <= i < b)
         return TauSet(kept, b - a + 1)
 
@@ -261,8 +264,8 @@ class TauSet:
         return tuple(
             (u, v)
             for c in _tau_chains(self)
-            for u in range(c.lo, c.hi)
-            for v in range(u, c.hi)
+            for u in c[:-1]
+            for v in range(u, c[-1])
         )
 
     @cached_property
@@ -285,6 +288,8 @@ class TauSet:
 
 
 def _as_tau(tau, n: int) -> TauSet:
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if isinstance(tau, TauSet):
         if tau.n != n:
             raise SizeMismatch(f"tau has ambient size {tau.n}, expected {n}")
@@ -305,47 +310,22 @@ def richardson_tableau(tau, n: int) -> StandardTableau:
     return _richardson(_tau_chains(_as_tau(tau, n)))
 
 
-def _richardson(chains: list[Chain]) -> StandardTableau:
-    """The Richardson tableau with these chains: row r holds lo + r - 1 for
-    every chain of length at least r, in chain order. Filled box by box,
-    each next box of a chain fits in the row below the last: when a chain
-    reaches row r, every earlier chain that reached row r also reached row
-    r - 1, so row r - 1 is one box longer."""
+def _richardson(chains: list[range]) -> StandardTableau:
+    """The Richardson tableau with these chains (ranges, as _tau_chains
+    gives them): row r holds the r-th label of every chain of length at
+    least r, in chain order. Filled box by box, each next box of a chain
+    fits in the row below the last: when a chain reaches row r, every
+    earlier chain that reached row r also reached row r - 1, so row r - 1
+    is one box longer."""
     return StandardTableau(tuple(
-        tuple(c.lo + r for c in chains if c.hi - c.lo >= r)
-        for r in range(max(c.hi - c.lo for c in chains) + 1)
+        tuple(c[r] for c in chains if len(c) > r)
+        for r in range(max(map(len, chains)))
     ))
 
 
-@dataclass(frozen=True)
-class Chain:
-    """Maximal run of consecutive box labels linked through tau.
-
-    Labels lo..hi with alpha_m in tau for lo <= m < hi; in the Richardson
-    tableau the run occupies one box per row, rows 1..(hi-lo+1) (as
-    _richardson builds it), so the chain lengths are the column lengths.
-    """
-
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.lo <= self.hi:
-            raise ValueError(f"bad chain bounds [{self.lo}, {self.hi}]")
-
-    @property
-    def length(self) -> int:
-        return self.hi - self.lo + 1
-
-    def members(self) -> range:
-        return range(self.lo, self.hi + 1)
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(m) for m in self.members()) + "}"
-
-
-def chains(t_r: StandardTableau) -> list[Chain]:
-    """Split 1..n into chains at every m with alpha_m outside tau.
+def chains(t_r: StandardTableau) -> list[range]:
+    """Split 1..n into chains at every m with alpha_m outside tau, each a
+    range of labels (see _tau_chains).
 
     Only defined for Richardson tableaux; anything else raises NotRichardson.
     """
@@ -355,13 +335,17 @@ def chains(t_r: StandardTableau) -> list[Chain]:
     return out
 
 
-def _tau_chains(tau: TauSet) -> list[Chain]:
-    """The chains of the Richardson tableau of tau, read off tau alone."""
-    out: list[Chain] = []
+def _tau_chains(tau: TauSet) -> list[range]:
+    """The chains of the Richardson tableau of tau, read off tau alone: each
+    maximal run of labels lo..hi linked through tau (alpha_m in tau for
+    lo <= m < hi), as range(lo, hi + 1). In the Richardson tableau the run
+    occupies one box per row, rows 1..hi-lo+1 (as _richardson builds it),
+    so the chain lengths are the column lengths."""
+    out: list[range] = []
     lo = 1
     for m in range(1, tau.n):
         if m not in tau.indices:
-            out.append(Chain(lo, m))
+            out.append(range(lo, m + 1))
             lo = m + 1
-    out.append(Chain(lo, tau.n))
+    out.append(range(lo, tau.n + 1))
     return out

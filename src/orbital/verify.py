@@ -791,8 +791,8 @@ def _remark_window(tau_w: TauSet, i_thick: int) -> RemarkResult:
     det_m = determinant(corner)
 
     interior = _tau_chains(tau_w)[1:-1]
-    chain_condition = all(c.length < i_thick for c in interior) or all(
-        c.length > i_thick for c in interior
+    chain_condition = all(len(c) < i_thick for c in interior) or all(
+        len(c) > i_thick for c in interior
     )
     return RemarkResult(
         detm_equals_f=det_m == f or det_m == -f, chain_condition=chain_condition

@@ -353,7 +353,7 @@ def naive_descendants(t_r: StandardTableau) -> list[tuple]:
     ch = chains(t_r)
     out = []
     for k, chain in enumerate(ch):
-        j, thickness = chain.hi, chain.length
+        j, thickness = chain[-1], len(chain)
         rows = [list(row) for row in t_r.rows] + [[]]
         rows[thickness - 1].remove(j)
         insort(rows[thickness], j)
@@ -365,8 +365,8 @@ def naive_descendants(t_r: StandardTableau) -> list[tuple]:
             continue
         if tau_invariant(t) != tau or variety_dim(t.shape, t.n) != top - 1:
             continue
-        prev = next(c for c in reversed(ch[:k]) if c.length == thickness)
-        out.append((t, t_r, (prev.lo, j), thickness, tau))
+        prev = next(c for c in reversed(ch[:k]) if len(c) == thickness)
+        out.append((t, t_r, (prev[0], j), thickness, tau))
     return out
 
 

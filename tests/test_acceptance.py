@@ -71,7 +71,7 @@ def test_criterion_1_corpus_goldens():
     assert variety_dim(t_r.shape, 8) == 24
 
     # its chain decomposition
-    assert [str(c) for c in chains(t_r)] == ["{1}", "{2,3,4}", "{5}", "{6}", "{7,8}"]
+    assert [list(c) for c in chains(t_r)] == [[1], [2, 3, 4], [5], [6], [7, 8]]
 
     # the unique codimension-one descendant, one dimension down
     ds = hypersurface_descendants(t_r)

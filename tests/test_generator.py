@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from orbital import (
     BadWindow,
-    Chain,
     InconsistentIndexing,
     TauSet,
     WeightVector,
@@ -146,7 +145,7 @@ def test_generator_report_inconsistent_indexing(monkeypatch):
     # l(lambda) is read from the chains of tau restricted to the window;
     # three chains of length 2 give the dropped shape (3, 3), not (4, 2)
     with monkeypatch.context() as m:
-        _fake_l_lambda(m, d, [Chain(1, 2), Chain(3, 4), Chain(5, 6)])
+        _fake_l_lambda(m, d, [range(1, 3), range(3, 5), range(5, 7)])
         with pytest.raises(InconsistentIndexing, match="lowest surviving t-power 2 but"):
             generator_report(d)
     monkeypatch.setattr("orbital.generator._path_systems", lambda *_: [{}] * 5)
@@ -203,12 +202,12 @@ def test_f_is_its_window_problems_f_shifted():
     "chains, message",
     [
         # l(lambda) = 2: f's rung is empty and a lower one is not
-        ([Chain(1, 2), Chain(3, 4), Chain(5, 6)], "l(lambda)=2 predicts 3"),
+        ([range(1, 3), range(3, 5), range(5, 7)], "l(lambda)=2 predicts 3"),
         # l(lambda) = 4: f's rung and every lower one are empty
-        ([Chain(k, k) for k in range(1, 6)], "l(lambda)=4 predicts 1"),
+        ([range(k, k + 1) for k in range(1, 6)], "l(lambda)=4 predicts 1"),
         # l(lambda) = -1 and 7: f's rung lies above or below the ladder
         ([], "l(lambda)=-1 predicts 6"),
-        ([Chain(k, k) for k in range(1, 9)], "l(lambda)=7 predicts -2"),
+        ([range(k, k + 1) for k in range(1, 9)], "l(lambda)=7 predicts -2"),
     ],
 )
 def test_f_only_walk_falls_back_to_the_full_report(monkeypatch, chains, message):
@@ -237,7 +236,7 @@ def test_a_nonempty_lower_rung_raises_after_one_walk(monkeypatch):
     # nonempty, and every bucket up to the bound is complete, so t^2 is
     # the lowest surviving power without a second walk
     d = classify_hypersurface(tab(*SIX_BOX))
-    calls = _fake_l_lambda(monkeypatch, d, [Chain(1, 2), Chain(3, 4), Chain(5, 6)])
+    calls = _fake_l_lambda(monkeypatch, d, [range(1, 3), range(3, 5), range(5, 7)])
     with pytest.raises(InconsistentIndexing) as err:
         _descriptor_generator(d)
     assert str(err.value) == "lowest surviving t-power 2 but l(lambda)=2 predicts 3"
@@ -251,7 +250,7 @@ def test_chain_rule_matches_free_positions():
     for n in range(1, 11):
         for bits in range(1 << (n - 1)):
             tau = TauSet(frozenset(i for i in range(1, n) if bits >> (i - 1) & 1), n)
-            chain_of = {m: k for k, c in enumerate(_tau_chains(tau)) for m in c.members()}
+            chain_of = {m: k for k, c in enumerate(_tau_chains(tau)) for m in c}
             taken = {
                 (r, c)
                 for r in range(1, n + 1)

@@ -41,8 +41,8 @@ def test_unique_descendant_golden():
     assert d.thickness == 1
     assert (d.sigma_lo, d.sigma_hi) == (1, 4)
     assert d.window == (1, 5)
-    assert str(d.prev_chain) == "{1}"
-    assert str(d.source_chain) == "{5}"
+    assert list(d.prev_chain) == [1]
+    assert list(d.source_chain) == [5]
     assert d.descriptor_id == "n=8 tau={2,3,7} drop=5"
     assert variety_dim(d.richardson.shape, 8) == 24
     assert variety_dim(d.tableau.shape, 8) == 23
@@ -181,15 +181,15 @@ def test_descriptor_internal_consistency(tn):
     for d in hypersurface_descendants(t_r):
         assert d.window == (d.sigma_lo, d.dropped_box)
         assert d.sigma_hi == d.dropped_box - 1
-        assert d.thickness == d.source_chain.length == d.prev_chain.length
-        assert d.dropped_box == d.source_chain.hi
-        assert d.prev_chain.lo == d.sigma_lo
+        assert d.thickness == len(d.source_chain) == len(d.prev_chain)
+        assert d.dropped_box == d.source_chain[-1]
+        assert d.prev_chain[0] == d.sigma_lo
         # the derived chains are chains of the Richardson tableau: the
         # dropped one, and the nearest earlier one of the same length
         assert d.source_chain in ch
         earlier = ch[:ch.index(d.source_chain)]
         assert d.prev_chain == next(
-            c for c in reversed(earlier) if c.length == d.thickness
+            c for c in reversed(earlier) if len(c) == d.thickness
         )
         assert classify_hypersurface(d.tableau) == d
 

@@ -241,7 +241,7 @@ def test_power_rejects_exponents_below_one():
 def test_power_top_right_small():
     m = PolyMatrix(((0, x(1, 2), x(1, 3)), (0, 0, x(2, 3)), (0, 0, 0)))
     for k in (1, 2, 3):
-        for size in (0, 1, 2, 3):
+        for size in (1, 2, 3):
             assert m.power_top_right(k, size) == m.power(k).top_right(size), (k, size)
     assert m.power_top_right(2, 1).entries == ((x(1, 2) * x(2, 3),),)
 

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orbital import (
+    BadExponent,
+    BadProbeInput,
     BadRange,
     ColumnNotIncreasing,
     DuplicateEntry,
     NotRichardson,
     Partition,
+    PolyMatrix,
     RaggedShape,
     RowNotIncreasing,
     SizeMismatch,
@@ -22,11 +25,16 @@ from orbital import (
     chains,
     dominance_le,
     dual_partition,
+    generic_richardson_matrix,
+    poly_eval,
+    project,
+    projected_shape,
     render_tableau,
     richardson_tableau,
     tau_invariant,
     validate_syt,
     variety_dim,
+    x,
 )
 from conftest import EIGHT_DROP, EIGHT_RICH, all_syt, greedy_richardson, tab
 
@@ -197,6 +205,47 @@ def test_tau_and_weights_reject_non_integral_input(make, args, message):
         make(*args)
 
 
+_TAU = TauSet(frozenset({1}), 4)
+_T3 = validate_syt([[1, 2], [3]])
+_M1 = PolyMatrix(((x(1, 2),),))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        # a TauSet passed with an n that is not an int: the first was
+        # accepted, the second a raw TypeError, the third returned 2.0
+        (lambda: richardson_tableau(_TAU, 4.0), ValueError, "n must be an int, got 4.0"),
+        (lambda: generic_richardson_matrix(_TAU, 4.0), ValueError, "n must be an int, got 4.0"),
+        (lambda: variety_dim(Partition((2, 1)), 3.0), ValueError, "n must be an int, got 3.0"),
+        # window bounds: True was taken as 1, 1.0 named the wrong culprit
+        # or raised a raw TypeError
+        (lambda: TauSet(frozenset({1}), 3).restrict(True, 2), BadRange, "got a=True, b=2"),
+        (lambda: TauSet(frozenset({1}), 3).restrict(1.0, 2), BadRange, "got a=1.0, b=2"),
+        (lambda: TauSet(frozenset({1}), 3).restrict(1, 2.0), BadRange, "got a=1, b=2.0"),
+        (lambda: project(_T3, True, 3), BadRange, "got i=True, j=3"),
+        (lambda: project(_T3, 1.0, 3), BadRange, "got i=1.0, j=3"),
+        (lambda: projected_shape(_T3, 1, True), BadRange, "got i=1, j=True"),
+        # values outside GF(p): 3.5 came back as the value
+        (lambda: poly_eval(x(1, 2), {(1, 2): 3.5}, 7), BadProbeInput, "value 3.5 of x12 is not an int"),
+        (lambda: poly_eval(x(1, 2), {(1, 2): True}, 7), BadProbeInput, "value True of x12 is not an int"),
+        # exponents: True was taken as 1, 1.5 a raw TypeError
+        (lambda: _M1.power(True), BadExponent, "power must be an int of at least 1, got True"),
+        (lambda: _M1.power(1.5), BadExponent, "power must be an int of at least 1, got 1.5"),
+        (lambda: _M1.power_top_right(True, 1), BadExponent, "got True"),
+        (lambda: _M1.power_top_right(1.5, 1), BadExponent, "got 1.5"),
+        # corner sizes outside 1..n: an IndexError, or an empty matrix
+        (lambda: _M1.power_top_right(1, 3), BadRange, "int in 1..1, got 3"),
+        (lambda: _M1.power_top_right(2, 0), BadRange, "int in 1..1, got 0"),
+        (lambda: _M1.power_top_right(1, -1), BadRange, "int in 1..1, got -1"),
+        (lambda: _M1.power_top_right(1, 1.0), BadRange, "int in 1..1, got 1.0"),
+    ],
+)
+def test_non_int_bounds_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
 def test_free_positions_complement_the_positive_roots():
     # every strictly upper position (a, b) is either forced to zero by a
     # positive root (a, b - 1) or free, never both
@@ -267,8 +316,8 @@ def test_richardson_rejects_mismatched_tau_size():
 
 def test_chains_golden():
     cs = chains(tab(*EIGHT_RICH))
-    assert [str(c) for c in cs] == ["{1}", "{2,3,4}", "{5}", "{6}", "{7,8}"]
-    assert [c.length for c in cs] == [1, 3, 1, 1, 2]
+    assert [list(c) for c in cs] == [[1], [2, 3, 4], [5], [6], [7, 8]]
+    assert [len(c) for c in cs] == [1, 3, 1, 1, 2]
 
 
 def test_chains_rejects_non_richardson():
@@ -290,10 +339,10 @@ def test_chain_structure_matches_shape(tn):
     cs = chains(t_r)
     lam = t_r.shape
     assert len(cs) == lam.part(1)
-    assert Counter(c.length for c in cs) == Counter(dual_partition(lam).parts)
+    assert Counter(len(c) for c in cs) == Counter(dual_partition(lam).parts)
     # a chain occupies one box per row, top down
     for c in cs:
-        for offset, m in enumerate(c.members()):
+        for offset, m in enumerate(c):
             assert t_r.row_of(m) == offset + 1
 
 
