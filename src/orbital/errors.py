@@ -68,9 +68,11 @@ class NotSquare(OrbitalError, ValueError):
 
 class BadExponent(OrbitalError, ValueError):
     """A matrix power asked for an exponent that is not an int, is a bool
-    or is below 1, a rank bound for a negative or non-int power, or a
-    monomial carries a negative or non-integral exponent; a ValueError
-    too, as PolyMatrix.power's and rank_bound's rejections always were."""
+    or is below 1, a rank bound for a negative or non-int power,
+    t_coefficient for a power of t that is not an int or is a bool, or a
+    monomial carries a negative exponent, or one that is not an int or is
+    a bool; a ValueError too, as PolyMatrix.power's and rank_bound's
+    rejections always were."""
 
 
 # -- generator construction --------------------------------------------------

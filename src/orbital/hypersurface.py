@@ -10,18 +10,28 @@ chain of the same length I and i its smallest label, sigma spans the simple
 roots alpha_i .. alpha_{j-1}, the window [i, j] cuts out the submatrix the
 defining equation lives in, and I is the thickness of the window.
 
-Admissibility is decided from the rows the drop changes. Only j changes
-row, so only rows I and I+1 change, and the drop is standard exactly when
-row I stays at least as long as row I+1 (row I had at least two more boxes)
-and columns stay strict between rows I and I+1. Since alpha_m is in the
-tau-invariant when m sits in a higher row than m+1, and only j moves, only
-alpha_{j-1} and alpha_j could join or leave it. Three checks cannot fail
-in a Richardson tableau, so they are not made:
-- rows I-1, I: removing j shifts the rest of row I left; no entry shrinks;
-- rows I+1, I+2: inserting j shifts the rest of row I+1 right; none grows;
-- alpha_j stays out: j ends its chain, so j + 1 starts the next in row 1.
-This local test is exact: it accepts the same drops as rebuilding and
-checking the whole tableau, which the tests keep as the oracle.
+Admissibility is read off tau's chains C_1, ..., C_m, whose r-th labels,
+in chain order, fill row r of the Richardson tableau. Chain C_k, of length
+I, drops its last box j exactly when some earlier chain has length I and,
+for I = 1, the chain C_{k-1} just before it has at least two boxes. Only j
+moves, so only rows I and I+1 change:
+- Column strictness. Of the chains of length >= I, C_k is the p-th, and q
+  of those before it have length >= I+1. j lands in column q+1 of row I+1
+  and row I closes up over column p, so rows I and I+1 stay strict exactly
+  when j lands left of C_k's old column, q < p - 1: an earlier chain has
+  length exactly I. Every other column then sets a label of one chain over
+  one of the same or a later chain; row I only gains larger entries and
+  row I+1 smaller ones, so rows I-1 and I+2 stay strict against them. Two
+  chains of length I give lambda_I >= lambda_{I+1} + 2, so row I stays as
+  long as row I+1.
+- The tau-invariant. alpha_m is in it when m sits in a higher row than
+  m+1, so only alpha_{j-1} and alpha_j can change; alpha_j stays out, as
+  j + 1 starts the next chain in row 1. For I >= 2, j - 1 is in C_k, so
+  nothing changes. For I = 1, j - 1 ends C_{k-1}, and alpha_{j-1} joins
+  tau exactly when len(C_{k-1}) = 1.
+- Dimension. Moving one box from row I to row I+1 raises the sum of
+  (2i-1) lambda_i by 2, so the dimension always falls by exactly one.
+The tests keep rebuilding and checking the whole tableau as the oracle.
 
 A descriptor stores four facts: the dropped tableau, the Richardson
 tableau, the window [i, j] and the thickness I. The dropped box j, sigma
@@ -34,7 +44,6 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import combinations
-from operator import lt
 from typing import Iterator
 
 from .errors import (
@@ -51,7 +60,6 @@ from .tableaux import (
     chains,
     richardson_tableau,
     tau_invariant,
-    variety_dim,
 )
 
 
@@ -101,55 +109,35 @@ class HypersurfaceDescriptor:
 
 
 def _drops(tau: TauSet) -> list[HypersurfaceDescriptor]:
-    """The admissible drops of t_r, the Richardson tableau read off tau's
-    chains, by dropped box; each is decided from the rows it changes (see
-    the module docstring). Every descriptor holds this tau."""
+    """The drops of t_r, the Richardson tableau of tau's chains, by dropped
+    box: a chain of length I drops its last box when an earlier chain has
+    length I and, for I = 1, the chain just before it has two or more boxes
+    (module docstring). Every descriptor holds this tau."""
     all_chains = _tau_chains(tau)
     t_r = _richardson(all_chains)
     rows = t_r.rows
-    n = t_r.n
-    top = variety_dim(t_r.shape, n)
-    # the latest chain of each length, and the lengths I whose drop shape
-    # has passed the dimension check (that shape depends on I alone)
+    # the latest chain of each length
     latest: dict[int, range] = {}
-    checked: set[int] = set()
     out: list[HypersurfaceDescriptor] = []
     for chain in all_chains:
         j, i_row = chain[-1], len(chain)
         prev = latest.get(i_row)
         latest[i_row] = chain
-        r = t_r.row_of(j)
+        # for I = 1, the chain before ends at j - 1 and has two or more
+        # boxes exactly when alpha_{j-2} is in tau
+        if prev is None or (i_row == 1 and j - 2 not in tau.indices):
+            continue
+        r, c = t_r.position(j)
         if r != i_row:
-            raise InconsistentIndexing(
-                f"chain tail {j} sits in row {r}, not in row {i_row}"
-            )
+            raise InconsistentIndexing(f"chain tail {j} sits in row {r}, not in row {i_row}")
         upper = rows[i_row - 1]
         lower = rows[i_row] if i_row < len(rows) else ()
-        if len(upper) < len(lower) + 2:
-            continue
-        c = upper.index(j)
-        new_upper = upper[:c] + upper[c + 1 :]
         k = bisect(lower, j)
-        new_lower = lower[:k] + (j,) + lower[k:]
-        if not all(map(lt, new_upper, new_lower)):
-            continue
-        # j, now in row I+1, is the only label that moved: only alpha_{j-1}
-        # can join or leave tau (module docstring)
-        if j > 1 and ((j - 1) in tau.indices) != (t_r.row_of(j - 1) <= i_row):
-            continue
-        if prev is None:
-            raise ClassificationError(
-                f"admissible drop of box {j} has no earlier chain of length {i_row}"
-            )
         dropped = StandardTableau(
-            rows[: i_row - 1] + (new_upper, new_lower) + rows[i_row + 1 :]
+            rows[: i_row - 1]
+            + (upper[: c - 1] + upper[c:], lower[:k] + (j,) + lower[k:])
+            + rows[i_row + 1 :]
         )
-        if i_row not in checked:
-            if variety_dim(dropped.shape, n) != top - 1:
-                raise ClassificationError(
-                    f"drop of box {j} does not cut the dimension by one"
-                )
-            checked.add(i_row)
         out.append(
             HypersurfaceDescriptor(
                 tableau=dropped,
@@ -214,10 +202,12 @@ def iter_descriptors(n_max: int) -> Iterator[HypersurfaceDescriptor]:
 
     Tau-sets are enumerated in lexicographic order of their sorted tuples,
     so the stream is canonical and reproducible. Each Richardson tableau is
-    built from its tau, so it needs no Richardson check, and each candidate
-    drop is decided from rows I and I+1 and alpha_{j-1} alone, which is
-    exact because the dropped box j is the only label that changes row.
+    built from its tau, so it needs no Richardson check, and each drop is
+    read off the lengths of tau's chains (see the module docstring).
+    ValueError when n_max is not an int or is a bool.
     """
+    if type(n_max) is not int:
+        raise ValueError(f"n_max must be an int, got {n_max!r}")
     for n in range(1, n_max + 1):
         subsets = sorted(
             tup

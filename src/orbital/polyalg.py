@@ -56,7 +56,7 @@ def _checked_mono(pairs: Iterable[tuple[VarId, int]]) -> Monomial:
     integers; determinant's packed keys have room for nothing else."""
     pairs = tuple(pairs)
     for var, e in pairs:
-        if not isinstance(e, int) or e < 0:
+        if type(e) is not int or e < 0:
             raise BadExponent(
                 f"exponent of {var!r} must be a non-negative integer, got {e!r}"
             )
@@ -85,7 +85,7 @@ class MultiPoly:
         if terms:
             for mono, coeff in terms.items():
                 mono = _checked_mono(mono)
-                if not coeff:
+                if not _int_coeff(coeff):
                     continue
                 c = clean.get(mono, 0) + coeff
                 if c:
@@ -109,13 +109,13 @@ class MultiPoly:
 
     @classmethod
     def const(cls, c: int) -> "MultiPoly":
-        return cls._raw({(): c} if c else {})
+        return cls._raw({(): c} if _int_coeff(c) else {})
 
     @classmethod
     def variable(cls, var: VarId) -> "MultiPoly":
         if var != T_VAR:
             i, j = var  # type: ignore[misc]
-            if not (isinstance(i, int) and isinstance(j, int)):
+            if not (type(i) is int and type(j) is int):
                 raise ValueError(f"matrix variable must be an int pair, got {var!r}")
         return cls._raw({((var, 1),): 1})
 
@@ -169,18 +169,14 @@ class MultiPoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
-        if isinstance(other, int):
-            if not other:
-                return MultiPoly.zero()
-            return MultiPoly._raw({m: c * other for m, c in self.terms.items()})
         out: dict[Monomial, int] = {}
-        _add_product(out, self.terms, other.terms)
+        _add_product(out, self.terms, _coerce(other).terms)
         return _nonzero(out)
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
+        if type(other) is int:
             other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -239,7 +235,18 @@ def _nonzero(acc: dict[Monomial, int]) -> MultiPoly:
 
 
 def _coerce(p: MultiPoly | int) -> MultiPoly:
-    return MultiPoly.const(p) if isinstance(p, int) else p
+    if type(p) is int:
+        return MultiPoly.const(p)
+    if not isinstance(p, MultiPoly):
+        raise TypeError(f"expected an int or a MultiPoly, got {p!r}")
+    return p
+
+
+def _int_coeff(c: int) -> int:
+    """c if it is an int and no bool, as MultiPoly and WeightVector need."""
+    if type(c) is not int:
+        raise ValueError(f"coefficients must be ints, got {c!r}")
+    return c
 
 
 def x(i: int, j: int) -> MultiPoly:
@@ -345,7 +352,10 @@ def poly_eval(p: MultiPoly, assignment: Mapping[VarId, int], prime: int) -> int:
 
 
 def t_coefficient(p: MultiPoly, k: int) -> MultiPoly:
-    """Coefficient polynomial of t^k, with t stripped from the monomials."""
+    """Coefficient polynomial of t^k, with t stripped from the monomials;
+    BadExponent when k is not an int or is a bool."""
+    if type(k) is not int:
+        raise BadExponent(f"power of t must be an int, got {k!r}")
     out: dict[Monomial, int] = {}
     for mono, c in p.terms.items():
         te = 0
@@ -370,10 +380,7 @@ class WeightVector:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        for c in self.coeffs:
-            if type(c) is not int:
-                raise ValueError(f"coefficients must be ints, got {c!r}")
+        object.__setattr__(self, "coeffs", tuple(map(_int_coeff, self.coeffs)))
 
     @property
     def rank(self) -> int:

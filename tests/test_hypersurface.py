@@ -20,6 +20,7 @@ from orbital import (
     richardson_tableau,
     sigma_is_full,
     tau_invariant,
+    validate_syt,
     variety_dim,
 )
 from conftest import EIGHT_DROP, EIGHT_RICH, all_syt, naive_descendants, tab
@@ -51,11 +52,14 @@ def test_unique_descendant_golden():
 
 
 def test_chain_tail_off_its_row_is_typed_error(monkeypatch):
-    # tau = {1} on 8 boxes starts with the chain {1,2} of length 2; box 2
-    # sits in row 1 of EIGHT_RICH, so that layout contradicts the chain
-    t_r = richardson_tableau({1}, 8)
-    monkeypatch.setattr("orbital.hypersurface._richardson", lambda _: tab(*EIGHT_RICH))
-    with pytest.raises(InconsistentIndexing, match="chain tail 2 sits in row 1, not in row 2"):
+    # tau = {1, 3} on 4 boxes has the chains {1,2} and {3,4}, and {3,4}
+    # drops its box 4; box 4 sits in row 1 of the one-row layout, so that
+    # layout contradicts the chain
+    t_r = richardson_tableau({1, 3}, 4)
+    monkeypatch.setattr(
+        "orbital.hypersurface._richardson", lambda _: validate_syt([[1, 2, 3, 4]])
+    )
+    with pytest.raises(InconsistentIndexing, match="chain tail 4 sits in row 1, not in row 2"):
         hypersurface_descendants(t_r)
 
 
@@ -142,11 +146,11 @@ def _fields(d):
 
 
 def test_drops_match_whole_tableau_oracle():
-    # every tau with n <= 10, in iter_descriptors order: each drop decided
-    # from the rows it changes against the whole tableau rebuilt and
-    # re-checked, both through hypersurface_descendants and the stream
+    # every tau with n <= 12, in iter_descriptors order: each drop read off
+    # tau's chain lengths against the whole tableau rebuilt and re-checked,
+    # both through hypersurface_descendants and the stream
     expected = []
-    for n in range(1, 11):
+    for n in range(1, 13):
         for tau in sorted(
             tup for size in range(n) for tup in combinations(range(1, n), size)
         ):
@@ -154,8 +158,8 @@ def test_drops_match_whole_tableau_oracle():
             oracle = naive_descendants(t_r)
             assert [_fields(d) for d in hypersurface_descendants(t_r)] == oracle
             expected.extend(oracle)
-    assert len(expected) == 1235
-    assert [_fields(d) for d in iter_descriptors(10)] == expected
+    assert len(expected) == 6912
+    assert [_fields(d) for d in iter_descriptors(12)] == expected
 
 
 def test_descriptors_share_their_richardson_tau():

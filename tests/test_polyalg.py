@@ -1,5 +1,7 @@
 """Sparse exact polynomials, weights, matrices, symbolic determinants."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -59,6 +61,8 @@ def test_equality_and_hash():
     assert p == q and hash(p) == hash(q)
     assert MultiPoly.const(7) == 7
     assert p != x(1, 2)
+    # a bool is no coefficient, so it equals no polynomial (and raises nothing)
+    assert MultiPoly.const(1) != True and MultiPoly.zero() != False
 
 
 def test_format_golden():
@@ -83,6 +87,41 @@ def test_bad_exponents_are_rejected():
         MultiPoly.from_json([{"coeff": "1", "exps": {"t": -2}}])
     # a zero exponent is fine and drops out
     assert MultiPoly({(((1, 2), 1), ("t", 0)): 2}) == 2 * x(1, 2)
+
+
+_X12 = x(1, 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        # coefficients: floats and bools were stored as they came
+        (lambda: MultiPoly({(((1, 2), 1),): 1.5}), ValueError, "coefficients must be ints, got 1.5"),
+        (lambda: MultiPoly.const(2.5), ValueError, "coefficients must be ints, got 2.5"),
+        (lambda: MultiPoly.const(True), ValueError, "coefficients must be ints, got True"),
+        # a bool exponent and a bool index were accepted, x(True, 2) as xTrue2
+        (lambda: MultiPoly({(((1, 2), True),): 1}), BadExponent, "got True"),
+        (lambda: x(True, 2), ValueError, "matrix variable must be an int pair, got (True, 2)"),
+        # operands: floats raised a raw AttributeError, True was taken as 1
+        (lambda: _X12 * 2.0, TypeError, "expected an int or a MultiPoly, got 2.0"),
+        (lambda: 2.0 * _X12, TypeError, "expected an int or a MultiPoly, got 2.0"),
+        (lambda: _X12 * True, TypeError, "expected an int or a MultiPoly, got True"),
+        (lambda: _X12 + 1.5, TypeError, "expected an int or a MultiPoly, got 1.5"),
+        (lambda: _X12 - 1.5, TypeError, "expected an int or a MultiPoly, got 1.5"),
+        (lambda: _X12 + True, TypeError, "expected an int or a MultiPoly, got True"),
+        # a float entry failed only later, in determinant
+        (lambda: PolyMatrix(((1.5,),)), TypeError, "expected an int or a MultiPoly, got 1.5"),
+        # the power of t: 1.0 and True both gave the t^1 coefficient
+        (lambda: t_coefficient(t_poly(), 1.0), BadExponent, "power of t must be an int, got 1.0"),
+        (lambda: t_coefficient(t_poly(), True), BadExponent, "power of t must be an int, got True"),
+        # 5.0 raised a raw TypeError, True yielded nothing
+        (lambda: list(iter_descriptors(5.0)), ValueError, "n_max must be an int, got 5.0"),
+        (lambda: list(iter_descriptors(True)), ValueError, "n_max must be an int, got True"),
+    ],
+)
+def test_non_int_operands_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_json_round_trip():
