@@ -8,7 +8,9 @@ coefficients. Coefficients never overflow and nothing is ever floated.
 
 determinant packs each monomial into one int internally, with a bit field
 per variable, so multiplying two monomials is adding two ints; what it
-returns is an ordinary MultiPoly.
+returns is an ordinary MultiPoly. Its expansion on packed keys
+(_packed_det) and its unpacking (_unpacker) also serve the remark check,
+which packs its power minor itself.
 
 The weight of x_{ij} is the root-lattice vector alpha_i + ... + alpha_{j-1};
 t is weight-neutral. Weight-homogeneous polynomials (every construction in
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Mapping, TypeVar, Union
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .errors import BadExponent, BadProbeInput, BadRange, MissingVariable, NotSquare
 
@@ -113,10 +115,10 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, var: VarId) -> "MultiPoly":
-        if var != T_VAR:
-            i, j = var  # type: ignore[misc]
-            if not (type(i) is int and type(j) is int):
-                raise ValueError(f"matrix variable must be an int pair, got {var!r}")
+        if var != T_VAR and not (
+            type(var) is tuple and len(var) == 2 and type(var[0]) is type(var[1]) is int
+        ):
+            raise ValueError(f"matrix variable must be an int pair, got {var!r}")
         return cls._raw({((var, 1),): 1})
 
     # -- structure -----------------------------------------------------------
@@ -536,29 +538,26 @@ def _rows_times(
 
 
 def determinant(m: PolyMatrix) -> MultiPoly:
-    """Exact symbolic determinant by Laplace expansion along rows in order.
+    """Exact symbolic determinant by Laplace expansion along rows in order
+    (_packed_det), on packed exponent keys.
 
-    The row to expand is n minus the number of unused columns, so each
-    sub-determinant is memoized on the bitmask of its unused columns. The
-    sign starts at + and flips at each unused column passed. Terms are
-    summed exactly and may cancel, as remark_check's power minors do; the
-    tests use it as the oracle for the generator's path systems, which
-    never cancel.
+    Terms are summed exactly and may cancel; the tests use it as the oracle
+    for the generator's path systems, which never cancel, and for the
+    remark's power minors, which _remark_decision expands through the same
+    _packed_det without building a PolyMatrix.
 
-    The expansion runs on packed exponent keys. The entries' variables, in
-    _var_key order, each get a field of w = max(D, 1).bit_length() bits
-    of one int, where D sums each row's largest entry degree. A
-    sub-determinant's monomial takes one factor from each of its rows, so
-    its degree, and with it every exponent it carries, is at most D < 2^w.
-    No field can carry into the next, so adding two keys is exactly
-    multiplying the two monomials. Only the final terms are unpacked, low
-    field first, which is the canonical order; a 1x1 matrix returns its
-    entry without packing.
+    The entries' variables, in _var_key order, each get a field of
+    w = max(D, 1).bit_length() bits of one int, where D sums each row's
+    largest entry degree. A sub-determinant's monomial takes one factor
+    from each of its rows, so its degree, and with it every exponent it
+    carries, is at most D < 2^w. No field can carry into the next, so
+    adding two keys is exactly multiplying the two monomials. Only the
+    final terms are unpacked (_unpacker); a 1x1 matrix returns its entry
+    without packing.
     """
     if m.nrows != m.ncols:
         raise NotSquare(f"determinant of a {m.nrows}x{m.ncols} matrix")
-    n = m.nrows
-    if n == 1:
+    if m.nrows == 1:
         # the entry itself; packing its terms only to unpack them again
         # would make each of the many 1x1 remark minors several times slower
         return m.entries[0][0]
@@ -585,6 +584,19 @@ def determinant(m: PolyMatrix) -> MultiPoly:
         ]
         for row in m.entries
     ]
+    return _unpacker(variables, w)(_packed_det(ent))
+
+
+def _packed_det(ent: list[list[dict[int, int]]]) -> dict[int, int]:
+    """The determinant of a square matrix of packed-key term dicts, whose
+    fields are wide enough for every exponent of the result, as packed
+    terms without zeros.
+
+    The row to expand is n minus the number of unused columns, so each
+    sub-determinant is memoized on the bitmask of its unused columns. The
+    sign starts at + and flips at each unused column passed.
+    """
+    n = len(ent)
     memo: dict[int, dict[int, int]] = {0: {0: 1}}
 
     def det(unused: int) -> dict[int, int]:
@@ -608,16 +620,27 @@ def determinant(m: PolyMatrix) -> MultiPoly:
         memo[unused] = out = {k: c for k, c in acc.items() if c}
         return out
 
-    # the final terms share low and high halves, so each half is unpacked
-    # once and the monomial is the two halves joined
+    return det((1 << n) - 1)
+
+
+def _unpacker(variables: Sequence[VarId], w: int) -> Callable[[dict[int, int]], MultiPoly]:
+    """Packed terms -> MultiPoly, for keys with a field of w bits per
+    variable from the lowest, the variables in _var_key order. Keys share
+    low and high halves, so each half is unpacked once across every call
+    and a monomial is the two halves joined, low field first, which is the
+    canonical order."""
     half = len(variables) // 2
     cut = half * w
     low = (1 << cut) - 1
     lows = _Unpacked(variables[:half], w)
     highs = _Unpacked(variables[half:], w)
-    return MultiPoly._raw(
-        {lows[key & low] + highs[key >> cut]: c for key, c in det((1 << n) - 1).items()}
-    )
+
+    def unpack(terms: dict[int, int]) -> MultiPoly:
+        return MultiPoly._raw(
+            {lows[key & low] + highs[key >> cut]: c for key, c in terms.items()}
+        )
+
+    return unpack
 
 
 class _Unpacked(dict):

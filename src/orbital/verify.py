@@ -63,9 +63,9 @@ from .errors import (
     NotNilpotent,
     NotSquare,
 )
-from .generator import _descriptor_generator, _generator, generic_richardson_matrix
+from .generator import _descriptor_generator, _generator
 from .hypersurface import HypersurfaceDescriptor
-from .polyalg import PolyMatrix, determinant, poly_eval
+from .polyalg import PolyMatrix, _packed_det, _unpacker, poly_eval
 from .rs import _recordings, rs_inverse
 from .tableaux import (
     Partition, StandardTableau, TauSet, _tau_chains, dual_partition, richardson_tableau
@@ -744,13 +744,53 @@ class RemarkResult(NamedTuple):
     chain_condition: bool
 
 
-def _window_minor(tau_w: TauSet, i_thick: int) -> tuple[PolyMatrix, int, int]:
-    """remark_minor's (corner, k, r) on the window problem (tau_w, i_thick)."""
-    lam = richardson_tableau(tau_w, tau_w.n).shape
+def _packed_minor(tau_w: TauSet, i_thick: int):
+    """remark_minor's corner on the window problem (tau_w, i_thick), on
+    packed exponent keys: (corner, variables, w, k, r), the corner as r
+    rows of r packed term dicts.
+
+    Each free position of x_R, in free_positions order, which is _var_key
+    order, gets a field of w = max(r*k, 1).bit_length() bits. An entry of
+    x_R^k has degree k and the corner's determinant degree r*k, so no
+    exponent of either reaches 2^w, and adding two keys multiplies two
+    monomials, as in determinant. x_R's entries are single variables, so
+    entry (i, c) of x_R^j sums, over the free x_{mc} of column c, entry
+    (i, m) of x_R^(j-1) with x_{mc}'s bit added to every key. Only rows
+    1..r are formed, and the last product forms only the corner's
+    columns. Every coefficient is positive, so no term cancels.
+    """
+    n = tau_w.n
+    lam = richardson_tableau(tau_w, n).shape
     k = lam.part(i_thick) - 1
     r = rank_bound(lam, k)
-    corner = generic_richardson_matrix(tau_w, tau_w.n).power_top_right(k, r)
-    return corner, k, r
+    variables = tau_w.free_positions
+    w = max(r * k, 1).bit_length()
+    column: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for m, (a, b) in enumerate(variables):
+        column[b - 1].append((a - 1, 1 << m * w))
+    rows = [[{} for _ in range(n)] for _ in range(r)]
+    for c, bits in enumerate(column):
+        for i, bit in bits:
+            if i < r:
+                rows[i][c] = {bit: 1}
+    for j in range(2, k + 1):
+        rows = [
+            [_times_variables(row, column[c]) for c in range(n - r if j == k else 0, n)]
+            for row in rows
+        ]
+    return [row[-r:] for row in rows], variables, w, k, r
+
+
+def _times_variables(row: list[dict[int, int]], bits: list[tuple[int, int]]) -> dict[int, int]:
+    """The sum over (m, bit) in bits of row[m] with bit added to every key:
+    one entry of a packed row times a column of single variables."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for m, bit in bits:
+        for key, c in row[m].items():
+            key += bit
+            acc[key] = get(key, 0) + c
+    return acc
 
 
 def remark_minor(d: HypersurfaceDescriptor) -> tuple[PolyMatrix, int, int]:
@@ -760,9 +800,12 @@ def remark_minor(d: HypersurfaceDescriptor) -> tuple[PolyMatrix, int, int]:
     spans everything and whose Richardson tableau is d's projected to the
     window; sets k one less than the column of the last box in that
     tableau, and r the rank bound of its shape at k. Returns (top-right
-    r x r corner of x_R^k, k, r).
+    r x r corner of x_R^k, k, r), unpacked from the packed corner that
+    remark_check decides on (_packed_minor).
     """
-    return _window_minor(d.tau.restrict(*d.window), d.thickness)
+    corner, variables, w, k, r = _packed_minor(d.tau.restrict(*d.window), d.thickness)
+    unpack = _unpacker(variables, w)
+    return PolyMatrix(tuple(tuple(map(unpack, row)) for row in corner)), k, r
 
 
 def remark_check(d: HypersurfaceDescriptor, *, seed=0) -> RemarkResult:
@@ -770,30 +813,72 @@ def remark_check(d: HypersurfaceDescriptor, *, seed=0) -> RemarkResult:
     predict it?
 
     Equality is decided exactly, up to one global sign: det(M) == f or
-    det(M) == -f as polynomials. f is never zero, because the generator
-    raises InconsistentIndexing when the window determinant vanishes. The
-    chain condition asks that the interior chains of the projected
-    Richardson tableau all be shorter, or all longer, than the thickness.
-    `seed` is accepted and ignored: the check draws no random numbers.
+    det(M) == -f as polynomials, compared on packed exponent keys. f is
+    never zero, because the generator raises InconsistentIndexing when the
+    window determinant vanishes. The chain condition asks that the
+    interior chains of the projected Richardson tableau all be shorter, or
+    all longer, than the thickness. `seed` is accepted and ignored: the
+    check draws no random numbers.
 
     The outcome depends on d only through its window problem, named by
-    d.tau.restrict(*d.window) and the thickness, so it is worked out once
-    per window problem and memoized (_remark_window).
+    d.tau.restrict(*d.window) and the thickness, and is the same for the
+    problem's reversal partner; so it is decided once per reversal orbit
+    and memoized per window problem (_remark_window).
     """
     return _remark_window(d.tau.restrict(*d.window), d.thickness)
 
 
 @lru_cache(maxsize=None)
 def _remark_window(tau_w: TauSet, i_thick: int) -> RemarkResult:
-    """remark_check on the window problem (tau_w, i_thick)."""
-    corner, _, _ = _window_minor(tau_w, i_thick)
-    f = _generator(tau_w, i_thick)
-    det_m = determinant(corner)
+    """remark_check on the window problem (tau_w, i_thick), decided on
+    whichever of it and its reversal partner has the smaller sorted tau.
+
+    With s = tau_w.n, the partner is ({s - i : i in tau_w}, i_thick), and
+    both give the same RemarkResult:
+    - theta(X) = J X^T J, with J the s x s antidiagonal permutation, is an
+      anti-automorphism: theta(XY) = theta(Y) theta(X), so
+      theta(X^k) = theta(X)^k.
+    - theta maps each chain lo..hi of tau_w to s+1-hi..s+1-lo, the chains of
+      the partner, so it maps m_tau to m_tau* and the generic matrix x_R
+      of tau_w to that of the partner under the renaming
+      rho: x_rc -> x_{s+1-c, s+1-r}.
+    - The chain lengths come in reverse order, so the Richardson shape
+      lambda, and with it k and r, are unchanged.
+    - theta maps the top-right corner of a matrix to the anti-transpose
+      of the same corner, which has the same determinant. So the
+      partner's power minor has det M* = rho(det M), and, through the
+      window matrix x_R + t*id (t is fixed by theta), f* = rho(f). rho is a
+      one-to-one renaming, so det M* = +-f* exactly when det M = +-f.
+    - The interior chain lengths are the same set, so the chain condition
+      is unchanged.
+    The delegation goes through this cache, so a hit costs what it did,
+    and each orbit is decided once (_remark_decision).
+    """
+    partner = TauSet(frozenset(tau_w.n - i for i in tau_w.indices), tau_w.n)
+    if partner.sorted() < tau_w.sorted():
+        return _remark_window(partner, i_thick)
+    return _remark_decision(tau_w, i_thick)
+
+
+def _remark_decision(tau_w: TauSet, i_thick: int) -> RemarkResult:
+    """remark_check on the window problem (tau_w, i_thick), decided afresh.
+
+    The packed corner is expanded by determinant's core (_packed_det), and
+    f is packed into the same fields. f is multilinear, so each of its
+    factors is a pair (x_ab, 1), whose key is x_ab's lowest field bit, and
+    the packing is one-to-one on both sides. So det(M) == +-f is two dict
+    comparisons, and no term is unpacked.
+    """
+    corner, variables, w, _, _ = _packed_minor(tau_w, i_thick)
+    det_m = _packed_det(corner)
+    bit = {(v, 1): 1 << m * w for m, v in enumerate(variables)}.__getitem__
+    f = {sum(map(bit, mono)): c for mono, c in _generator(tau_w, i_thick).terms.items()}
 
     interior = _tau_chains(tau_w)[1:-1]
     chain_condition = all(len(c) < i_thick for c in interior) or all(
         len(c) > i_thick for c in interior
     )
     return RemarkResult(
-        detm_equals_f=det_m == f or det_m == -f, chain_condition=chain_condition
+        detm_equals_f=det_m == f or det_m == {key: -c for key, c in f.items()},
+        chain_condition=chain_condition,
     )

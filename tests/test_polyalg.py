@@ -124,6 +124,15 @@ def test_non_int_operands_raise_typed_errors(call, error, message):
         call()
 
 
+# neither "t" nor a pair: 5 and (1,) raised a raw TypeError or ValueError
+# from unpacking, and (1, 2, 3) a raw ValueError
+@pytest.mark.parametrize("var", [5, (1, 2, 3), (1,), None, (1.0, 2)])
+def test_variable_that_is_no_int_pair_raises_typed_error(var):
+    message = f"matrix variable must be an int pair, got {var!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MultiPoly.variable(var)
+
+
 def test_json_round_trip():
     p = 5 * x(1, 2) * x(2, 4) - x(1, 3) * t_poly() * t_poly() + 7
     assert MultiPoly.from_json(p.to_json()) == p

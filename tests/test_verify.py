@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 import orbital.verify
+from orbital.generator import _generator
 from orbital import (
     DEFAULT_PRIME,
     SECOND_PRIME,
@@ -22,6 +23,7 @@ from orbital import (
     NotNilpotent,
     NotSquare,
     Partition,
+    TauSet,
     Violation,
     check_power_rank,
     classify_hypersurface,
@@ -907,15 +909,77 @@ def test_power_corner_matches_full_power():
     assert ks == {1: 94, 2: 86, 3: 17, 4: 1}
 
 
-def test_remark_check_works_once_per_window():
+def _window_problems(n_max: int) -> dict:
+    """Each distinct window problem (tau_w, thickness) with n <= n_max, with
+    the first descriptor that names it."""
+    problems: dict = {}
+    for d in iter_descriptors(n_max):
+        problems.setdefault((d.tau.restrict(*d.window), d.thickness), d)
+    return problems
+
+
+def test_packed_remark_matches_dense_oracles():
+    # the decision runs on packed keys; the corner it expands, unpacked, must
+    # be the dense power's, and its outcome that of determinant against f,
+    # on every window problem with n <= 10, without the memo or the orbit
+    problems = _window_problems(10)
+    for (tau_w, i_thick), d in problems.items():
+        corner, k, r = remark_minor(d)
+        full = generic_richardson_matrix(tau_w, tau_w.n).power(k).top_right(r)
+        assert corner == full, d.descriptor_id
+        f = _generator(tau_w, i_thick)
+        decided = orbital.verify._remark_decision(tau_w, i_thick)
+        assert decided.detm_equals_f == same_up_to_sign(determinant(full), f), d.descriptor_id
+    assert len(problems) == 79
+
+
+def test_remark_is_invariant_under_reversal():
+    # remark_check decides one window problem per reversal orbit: the
+    # partner of every window problem with n <= 10 is a window problem too,
+    # with the same outcome and f renamed by x_rc -> x_{s+1-c, s+1-r}
+    problems = _window_problems(10)
+    decide = orbital.verify._remark_decision
+    orbits = set()
+    for tau_w, i_thick in problems:
+        partner = TauSet(frozenset(tau_w.n - i for i in tau_w.indices), tau_w.n)
+        assert (partner, i_thick) in problems, (tau_w, i_thick)
+        assert decide(tau_w, i_thick) == decide(partner, i_thick), (tau_w, i_thick)
+        s = tau_w.n
+        renamed = {
+            tuple(sorted(((s + 1 - c, s + 1 - r), e) for (r, c), e in mono)): coeff
+            for mono, coeff in _generator(tau_w, i_thick).terms.items()
+        }
+        assert _generator(partner, i_thick).terms == renamed, (tau_w, i_thick)
+        orbits.add(frozenset({(tau_w, i_thick), (partner, i_thick)}))
+    assert (len(problems), len(orbits)) == (79, 61)
+
+
+def test_remark_check_works_once_per_window(monkeypatch):
     # the outcome depends on a descriptor only through its projected window
-    # tableau, and the 198 descriptors with n <= 8 share 26 of them
+    # tableau, and the 198 descriptors with n <= 8 share 26 of them; a window
+    # problem and its reversal partner share the outcome, so the 26 fall in
+    # 23 orbits, and each is decided once, on the same representative in
+    # either order. Each problem still misses the cache once; in the
+    # backward order each of the 3 that delegate finds its partner's outcome
+    # cached, 3 more hits than the 172 repeat sightings
     memo = orbital.verify._remark_window
+    decide = orbital.verify._remark_decision
+    decided = []
+
+    def counted(tau_w, i_thick):
+        decided.append((tau_w, i_thick))
+        return decide(tau_w, i_thick)
+
+    monkeypatch.setattr(orbital.verify, "_remark_decision", counted)
     descriptors = list(iter_descriptors(8))
     memo.cache_clear()
     backward = [remark_check(d, seed=3) for d in reversed(descriptors)]
     info = memo.cache_info()
-    assert (info.misses, info.hits) == (26, 172)
+    assert (info.misses, info.hits) == (26, 175)
+    assert len(decided) == len(set(decided)) == 23
+    backward_decided = set(decided)
+    decided.clear()
     memo.cache_clear()
     forward = [remark_check(d) for d in descriptors]
+    assert len(decided) == 23 and set(decided) == backward_decided
     assert forward == backward[::-1]
