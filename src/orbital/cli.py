@@ -16,9 +16,8 @@ verify streams its sweep: it holds one descriptor at a time, prints each
 text line as that descriptor's report is ready, and with --json prints
 the whole document once, after the last descriptor.
 
-Output is deterministic: same flags, same bytes. The ORBITAL_PRIME
-environment variable overrides the default sampling prime; the --prime
-flag overrides both.
+Output is deterministic: same flags, same bytes; no environment variable
+changes it.
 """
 
 from __future__ import annotations
@@ -231,21 +230,12 @@ def cmd_project(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def _resolve_primes(parser: argparse.ArgumentParser, flag: int | None) -> tuple[int, ...]:
-    def checked(p: int) -> int:
-        try:
-            return check_modulus(p)
-        except BadProbeInput as exc:
-            parser.error(str(exc))
-
-    if flag is not None:
-        return (checked(flag),)
-    env = os.environ.get("ORBITAL_PRIME")
-    if env is not None:
-        try:
-            return (checked(int(env)),)
-        except ValueError:
-            parser.error(f"ORBITAL_PRIME is not an integer: {env!r}")
-    return (DEFAULT_PRIME, SECOND_PRIME)
+    if flag is None:
+        return (DEFAULT_PRIME, SECOND_PRIME)
+    try:
+        return (check_modulus(flag),)
+    except BadProbeInput as exc:
+        parser.error(str(exc))
 
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

@@ -51,7 +51,8 @@ class TooSmall(OrbitalError):
 class BadRange(OrbitalError):
     """Projection or window indices outside 1 <= i <= j <= n, or bounds
     that are not ints or are bools (project, TauSet.restrict), or a
-    PolyMatrix.power_top_right corner size outside 1..n."""
+    PolyMatrix.top_right corner size or PolyMatrix.entry index outside
+    the matrix."""
 
 
 # -- polynomial layer --------------------------------------------------------
@@ -67,8 +68,8 @@ class NotSquare(OrbitalError, ValueError):
 
 
 class BadExponent(OrbitalError, ValueError):
-    """A matrix power asked for an exponent that is not an int, is a bool
-    or is below 1, a rank bound for a negative or non-int power,
+    """PolyMatrix.power asked for an exponent that is not an int, is a
+    bool or is below 1, a rank bound for a negative or non-int power,
     t_coefficient for a power of t that is not an int or is a bool, or a
     monomial carries a negative exponent, or one that is not an int or is
     a bool; a ValueError too, as PolyMatrix.power's and rank_bound's

@@ -10,7 +10,9 @@ determinant packs each monomial into one int internally, with a bit field
 per variable, so multiplying two monomials is adding two ints; what it
 returns is an ordinary MultiPoly. Its expansion on packed keys
 (_packed_det) and its unpacking (_unpacker) also serve the remark check,
-which packs its power minor itself.
+which packs its power minor itself. PolyMatrix is the dense oracle:
+power(k).top_right(r) is the corner the remark's packed one is tested
+against.
 
 The weight of x_{ij} is the root-lattice vector alpha_i + ... + alpha_{j-1};
 t is weight-neutral. Weight-homogeneous polynomials (every construction in
@@ -455,13 +457,31 @@ class PolyMatrix:
         return len(self.entries[0]) if self.entries else 0
 
     def entry(self, i: int, j: int) -> MultiPoly:
-        """1-indexed access."""
+        """1-indexed access; an index outside 1..nrows or 1..ncols raises
+        BadRange."""
+        if not (type(i) is type(j) is int and 1 <= i <= self.nrows and 1 <= j <= self.ncols):
+            raise BadRange(
+                f"entry indices must be ints in 1..{self.nrows} and 1..{self.ncols},"
+                f" got ({i!r}, {j!r})"
+            )
         return self.entries[i - 1][j - 1]
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """The product; each entry's terms are summed in one dict."""
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.ncols} columns into {other.nrows} rows")
-        return PolyMatrix(_rows_times(self.entries, other.entries, range(other.ncols)))
+        ent = other.entries
+        out = []
+        for row in self.entries:
+            nonzero = [(a.terms, ent[k]) for k, a in enumerate(row) if a.terms]
+            prods = []
+            for j in range(other.ncols):
+                acc: dict[Monomial, int] = {}
+                for a, brow in nonzero:
+                    _add_product(acc, a, brow[j].terms)
+                prods.append(_nonzero(acc))
+            out.append(tuple(prods))
+        return PolyMatrix(tuple(out))
 
     def power(self, k: int) -> "PolyMatrix":
         if self.nrows != self.ncols:
@@ -473,40 +493,13 @@ class PolyMatrix:
             out = out @ self
         return out
 
-    def power_top_right(self, k: int, size: int) -> "PolyMatrix":
-        """power(k).top_right(size), forming only rows 1..size of each power.
-
-        Rows 1..size of X^j are rows 1..size of X^(j-1) times X, and the
-        last product forms only the corner's columns. power stays as the
-        oracle of this shortcut. A size outside 1..n raises BadRange.
-        """
-        if self.nrows != self.ncols:
-            raise NotSquare("powers need a square matrix")
-        if type(k) is not int or k < 1:
-            raise BadExponent(f"power must be an int of at least 1, got {k!r}")
-        n = self.ncols
+    def top_right(self, size: int) -> "PolyMatrix":
+        """Rows 1..size and the last size columns; a size outside
+        1..min(nrows, ncols) raises BadRange."""
+        n = min(self.nrows, self.ncols)
         if type(size) is not int or not 1 <= size <= n:
             raise BadRange(f"corner size must be an int in 1..{n}, got {size!r}")
-        ent = self.entries
-        rows = ent[:size]
-        for _ in range(k - 2):
-            rows = _rows_times(rows, ent, range(n))
-        if k == 1:
-            return PolyMatrix(tuple(row[n - size :] for row in rows))
-        return PolyMatrix(_rows_times(rows, ent, range(n - size, n)))
-
-    def submatrix(self, rows: Iterable[int], cols: Iterable[int]) -> "PolyMatrix":
-        """1-indexed row and column selections."""
-        return PolyMatrix(
-            tuple(
-                tuple(self.entries[r - 1][c - 1] for c in cols) for r in rows
-            )
-        )
-
-    def top_right(self, size: int) -> "PolyMatrix":
-        return self.submatrix(
-            range(1, size + 1), range(self.ncols - size + 1, self.ncols + 1)
-        )
+        return PolyMatrix(tuple(row[self.ncols - size :] for row in self.entries[:size]))
 
     def __str__(self) -> str:
         cells = [[format_poly(e) for e in row] for row in self.entries]
@@ -514,27 +507,6 @@ class PolyMatrix:
         return "\n".join(
             "[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells
         )
-
-
-def _rows_times(
-    rows: tuple[tuple[MultiPoly, ...], ...],
-    ent: tuple[tuple[MultiPoly, ...], ...],
-    cols: range,
-) -> tuple[tuple[MultiPoly, ...], ...]:
-    """Columns cols (0-indexed) of the product of rows with the matrix ent,
-    which has one row per entry of a row; each entry's terms are summed in
-    one dict."""
-    out = []
-    for row in rows:
-        nonzero = [(a.terms, ent[k]) for k, a in enumerate(row) if a.terms]
-        prods = []
-        for j in cols:
-            acc: dict[Monomial, int] = {}
-            for a, brow in nonzero:
-                _add_product(acc, a, brow[j].terms)
-            prods.append(_nonzero(acc))
-        out.append(tuple(prods))
-    return tuple(out)
 
 
 def determinant(m: PolyMatrix) -> MultiPoly:
@@ -552,15 +524,10 @@ def determinant(m: PolyMatrix) -> MultiPoly:
     from each of its rows, so its degree, and with it every exponent it
     carries, is at most D < 2^w. No field can carry into the next, so
     adding two keys is exactly multiplying the two monomials. Only the
-    final terms are unpacked (_unpacker); a 1x1 matrix returns its entry
-    without packing.
+    final terms are unpacked (_unpacker).
     """
     if m.nrows != m.ncols:
         raise NotSquare(f"determinant of a {m.nrows}x{m.ncols} matrix")
-    if m.nrows == 1:
-        # the entry itself; packing its terms only to unpack them again
-        # would make each of the many 1x1 remark minors several times slower
-        return m.entries[0][0]
     found: set[VarId] = set()
     degree = 0
     for row in m.entries:

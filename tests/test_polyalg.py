@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from orbital import (
     BadExponent,
     BadProbeInput,
+    BadRange,
     MissingVariable,
     MultiPoly,
     NotSquare,
@@ -256,8 +257,27 @@ def test_matrix_basics():
     assert sq.entry(1, 1) == x(1, 2) * x(1, 2)
     assert sq.entry(1, 2) == x(1, 2) + t_poly()
     assert m.power(3) == m @ m @ m
-    assert m.submatrix((2,), (1, 2)).entries == ((MultiPoly.zero(), t_poly()),)
     assert m.top_right(1).entries == ((MultiPoly.const(1),),)
+    assert m.top_right(2) == m
+
+
+def test_top_right_of_a_rectangular_matrix():
+    # the corner of a 1x3 matrix is its last entry, and no corner is larger
+    m = PolyMatrix(((x(1, 2), x(1, 3), t_poly()),))
+    assert m.top_right(1).entries == ((t_poly(),),)
+    with pytest.raises(BadRange, match=re.escape("int in 1..1, got 2")):
+        m.top_right(2)
+    assert PolyMatrix(((1,), (x(1, 2),), (2,))).top_right(1).entries == ((MultiPoly.const(1),),)
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (3, 1), (1, 0), (1, 3), (-1, -1), (True, 1), (1, 1.0)])
+def test_entry_rejects_indices_outside_the_matrix(i, j):
+    # (0, 1) returned row 2's entry, (-1, -1) the last one, and (True, 1)
+    # the first
+    m = PolyMatrix(((x(1, 2), 1), (0, t_poly())))
+    message = f"entry indices must be ints in 1..2 and 1..2, got ({i!r}, {j!r})"
+    with pytest.raises(BadRange, match=re.escape(message)):
+        m.entry(i, j)
 
 
 def test_matmul_rectangular():
@@ -279,19 +299,9 @@ def test_power_rejects_exponents_below_one():
     for k in (0, -1):
         with pytest.raises(BadExponent, match=f"at least 1, got {k}"):
             m.power(k)
-        with pytest.raises(BadExponent, match=f"at least 1, got {k}"):
-            m.power_top_right(k, 1)
     # power's rejection was a ValueError, and still is one
     with pytest.raises(ValueError):
         m.power(0)
-
-
-def test_power_top_right_small():
-    m = PolyMatrix(((0, x(1, 2), x(1, 3)), (0, 0, x(2, 3)), (0, 0, 0)))
-    for k in (1, 2, 3):
-        for size in (1, 2, 3):
-            assert m.power_top_right(k, size) == m.power(k).top_right(size), (k, size)
-    assert m.power_top_right(2, 1).entries == ((x(1, 2) * x(2, 3),),)
 
 
 def test_matrix_rejects_ragged():
@@ -304,6 +314,10 @@ def test_determinant_golden():
     assert determinant(m) == x(1, 2) * t_poly() - x(1, 3) * x(2, 3)
     assert determinant(PolyMatrix(())) == 1
     assert determinant(PolyMatrix(((7,),))) == 7
+    # a 1x1 matrix is packed and unpacked like any other: D = 5 gives 3-bit
+    # fields, and the entry's exponents above 1 come back whole
+    entry = x(1, 2) * x(1, 2) * t_poly() * t_poly() * t_poly() - x(1, 3)
+    assert determinant(PolyMatrix(((entry,),))) == entry
     # D = 1 + 2 = 3 gives 2-bit fields, and the result's exponent fills
     # its field: 3 = 2^2 - 1
     x12 = x(1, 2)

@@ -232,13 +232,12 @@ _M1 = PolyMatrix(((x(1, 2),),))
         # exponents: True was taken as 1, 1.5 a raw TypeError
         (lambda: _M1.power(True), BadExponent, "power must be an int of at least 1, got True"),
         (lambda: _M1.power(1.5), BadExponent, "power must be an int of at least 1, got 1.5"),
-        (lambda: _M1.power_top_right(True, 1), BadExponent, "got True"),
-        (lambda: _M1.power_top_right(1.5, 1), BadExponent, "got 1.5"),
-        # corner sizes outside 1..n: an IndexError, or an empty matrix
-        (lambda: _M1.power_top_right(1, 3), BadRange, "int in 1..1, got 3"),
-        (lambda: _M1.power_top_right(2, 0), BadRange, "int in 1..1, got 0"),
-        (lambda: _M1.power_top_right(1, -1), BadRange, "int in 1..1, got -1"),
-        (lambda: _M1.power_top_right(1, 1.0), BadRange, "int in 1..1, got 1.0"),
+        # corner sizes outside 1..n: an IndexError, an empty matrix, or a
+        # raw TypeError
+        (lambda: _M1.top_right(3), BadRange, "int in 1..1, got 3"),
+        (lambda: _M1.top_right(0), BadRange, "int in 1..1, got 0"),
+        (lambda: _M1.top_right(-1), BadRange, "int in 1..1, got -1"),
+        (lambda: _M1.top_right(1.0), BadRange, "int in 1..1, got 1.0"),
     ],
 )
 def test_non_int_bounds_raise_typed_errors(call, error, message):
