@@ -20,7 +20,9 @@ So f depends on a descriptor only through its window problem
 (tau.restrict(a, b), I), and the generator reads nothing else: its chains
 give l(lambda) and the zeros, as alpha_r + ... + alpha_{c-1} lies in the
 span of tau exactly when r and c share a chain. The walk runs on boxes
-1 .. size and names each x_{rc} as x_{r+a-1, c+a-1}, in d's coordinates.
+1 .. size, one row layer at a time (the layered branching program of a
+determinant, Mahajan & Vinay 1997), and names each x_{rc} as its caller
+asks: x_{r+a-1, c+a-1} in d's coordinates, or one bit of a packed key.
 
 The determinant is never expanded by cofactors here. Corner entry (r, c)
 vanishes below the diagonal, so a Leibniz term is a bijection sigma from
@@ -42,6 +44,7 @@ k < I of the roots alpha_{a+k} + ... + alpha_{b-1-k}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import BadWindow, InconsistentIndexing
 from .hypersurface import HypersurfaceDescriptor
@@ -134,69 +137,65 @@ class GeneratorReport:
 
 
 def _path_systems(
-    chains: list[range], thickness: int, max_ts: int, shift: int
-) -> list[dict[Monomial, int]]:
-    """The terms of the window problem's determinant that carry at most
-    max_ts t's, bucketed by power of t, each x_{rc} named x_{r+shift, c+shift}.
+    chains: list[range], thickness: int, max_ts: int, names: Callable
+) -> list[dict]:
+    """The terms of the window problem's determinant with at most max_ts
+    t's, bucketed by power of t: bucket k maps each term of t^k's
+    coefficient, keyed by the sum of names(r, c) over its x_{rc}, to its
+    sign. Tuple names (((r+s, c+s), 1),) spell the canonical monomial, int
+    names one bit per variable a packed key. The size - 2*thickness + 1
+    buckets cover the whole ladder; those above max_ts stay empty.
 
-    The window problem's boxes 1 .. size split into these chains, ranges
-    of labels as _tau_chains gives them, and x_{rc} is free unless r and c
-    lie in one chain (module docstring).
-    Bucket k maps each monomial of the coefficient of t^k, with t stripped,
-    to its sign; the size - 2*thickness + 1 buckets cover the whole ladder,
-    and those above max_ts stay empty. A depth-first walk places rows
-    1 .. size-I in order, each in an unused column c >= r of 1+I .. size:
-    column r holds t, a column past the end of r's chain holds x_{rc}. Used
-    columns are a bitmask, and each step flips the sign once per used
-    column to the right of the new one, so the sign is
-    (-1)^(inversions of sigma). Column r is out of reach of every later
-    row, so when row r finds it unused it must take t there, and a branch
-    whose count of t's has already reached max_ts stops. Rows are visited
-    in order, so the monomials come out canonical; no two coincide (module
-    docstring), so the buckets are the exact coefficients.
+    x_{rc} is free unless r and c lie in one of these chains (ranges, from
+    _tau_chains). Rows 1 .. size-I are placed in order, one layer of (used
+    columns as bits, t count, key, inversions) per row, each row in an
+    unused column c >= r of 1+I .. size: column r holds t, any past the end
+    of r's chain x_{rc}. Columns 1 .. I start used, so row 1's moves are
+    the first layer. Column r is out of reach of later rows, so a row that
+    finds it unused takes t, and an entry past max_ts t's is dropped. The
+    sign is (-1)^(inversions of sigma), one per used column right of each
+    new one. Entries grow by their row's moves in column order, so buckets
+    keep depth-first order, _print_order's for tuple names; no two systems
+    share a monomial (module docstring), so they are the exact coefficients.
     """
     size = chains[-1][-1]
     first, last = 1 + thickness, size - thickness
-    # column c is bit c - first; per row, the x_{rc} it may take
+    # per row, the x_{rc} it may take: (c, column c's bit, the name of x_{rc})
     moves = [
-        [(c - first, ((r + shift, c + shift), 1))
-         for c in range(max(chain.stop, first), size + 1)]
+        [(c, 1 << c, names(r, c)) for c in range(max(chain.stop, first), size + 1)]
         for chain in chains
         for r in chain
         if r <= last
     ]
-    buckets: list[dict[Monomial, int]] = [{} for _ in range(last - first + 2)]
-    picked: list = []
-
-    def walk(r: int, used: int, sign: int, ts: int) -> None:
-        if r > last:
-            buckets[ts][tuple(picked)] = sign
-            return
-        q = r - first
-        if q >= 0 and not used >> q & 1:
-            if ts == max_ts:
-                return
-            if (used >> q).bit_count() & 1:
-                sign = -sign
-            walk(r + 1, used | 1 << q, sign, ts + 1)
-            return
-        for q, var in moves[r - 1]:
-            if used >> q & 1:
-                continue
-            picked.append(var)
-            walk(r + 1, used | 1 << q,
-                 -sign if (used >> q).bit_count() & 1 else sign, ts)
-            picked.pop()
-
-    walk(1, 0, 1, 0)
+    layer = [((1 << first) - 2 | bit, 0, name, 0) for _, bit, name in moves[0]]
+    for r in range(2, last + 1):
+        row, t = moves[r - 1], 1 << r
+        grown: list = []
+        append = grown.append
+        for used, ts, key, inv in layer:
+            if used & t:
+                for c, bit, name in row:
+                    if not used & bit:
+                        append((used | bit, ts, key + name, inv + (used >> c).bit_count()))
+            elif ts < max_ts:
+                append((used | t, ts + 1, key, inv + (used >> r).bit_count()))
+        layer = grown
+    buckets: list[dict] = [{} for _ in range(last - first + 2)]
+    for _, ts, key, inv in layer:
+        buckets[ts][key] = -1 if inv & 1 else 1
     return buckets
 
 
+def _named(shift: int) -> Callable[[int, int], Monomial]:
+    """_path_systems' tuple names, x_{rc} as the monomial x_{r+shift, c+shift}."""
+    return lambda r, c: (((r + shift, c + shift), 1),)
+
+
 def _ladder(
-    tau_w: TauSet, i_thick: int, shift: int, f_only: bool = False, check: bool = True
-) -> tuple[int, list[dict[Monomial, int]]]:
+    tau_w: TauSet, i_thick: int, names: Callable, f_only: bool = False, check: bool = True
+) -> tuple[int, list[dict]]:
     """l(lambda) and _path_systems' buckets for the window problem
-    (tau_w, i_thick), both read off tau_w's chains.
+    (tau_w, i_thick), both read off tau_w's chains, keyed by names.
 
     f is the bucket of t^target, target = size - i_thick - l(lambda). With
     f_only the walk stops at target t's, and walks the whole ladder only
@@ -212,9 +211,9 @@ def _ladder(
     l_lambda = sum(min(len(c), i_thick) for c in chains) - i_thick
     target = tau_w.n - i_thick - l_lambda
     bounded = f_only and 0 <= target < top
-    buckets = _path_systems(chains, i_thick, target if bounded else top, shift)
+    buckets = _path_systems(chains, i_thick, target if bounded else top, names)
     if bounded and not any(buckets):
-        buckets = _path_systems(chains, i_thick, top, shift)
+        buckets = _path_systems(chains, i_thick, top, names)
     if check:
         lowest = next((k for k, m in enumerate(buckets) if m), None)
         if lowest is None:
@@ -247,7 +246,7 @@ def generator_report(d: HypersurfaceDescriptor) -> GeneratorReport:
     (tau.restrict(a, b), I), naming each variable in d's coordinates.
     """
     # bucket k holds t^k, so m_j for j = I, I+1, .. is bucket top, top-1, ..
-    l_lambda, buckets = _ladder(d.tau.restrict(*d.window), d.thickness, d.window[0] - 1)
+    l_lambda, buckets = _ladder(d.tau.restrict(*d.window), d.thickness, _named(d.window[0] - 1))
     return GeneratorReport(
         m_sequence=tuple(
             enumerate(map(MultiPoly._raw, reversed(buckets)), start=d.thickness)
@@ -263,7 +262,7 @@ def _generator(tau_w: TauSet, i_thick: int, shift: int = 0) -> MultiPoly:
     """f of the window problem (tau_w, i_thick), variables shifted by
     shift, from the path systems with at most f's count of t's; it raises
     generator_report's InconsistentIndexing, word for word."""
-    l_lambda, buckets = _ladder(tau_w, i_thick, shift, f_only=True)
+    l_lambda, buckets = _ladder(tau_w, i_thick, _named(shift), f_only=True)
     return MultiPoly._raw(buckets[tau_w.n - i_thick - l_lambda])
 
 
@@ -282,7 +281,7 @@ def lemma2_threshold(
     any window is accepted, and the pattern is reported, not checked.
     """
     tau, a, b = _corner(tau, n, window, thickness)
-    l_lambda, buckets = _ladder(tau.restrict(a, b), thickness, 0, check=False)
+    l_lambda, buckets = _ladder(tau.restrict(a, b), thickness, _named(0), check=False)
     return l_lambda, [(j, not m) for j, m in enumerate(reversed(buckets), start=thickness)]
 
 

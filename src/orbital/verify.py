@@ -63,7 +63,7 @@ from .errors import (
     NotNilpotent,
     NotSquare,
 )
-from .generator import _descriptor_generator, _generator
+from .generator import _descriptor_generator, _ladder
 from .hypersurface import HypersurfaceDescriptor
 from .polyalg import PolyMatrix, _packed_det, _unpacker, poly_eval
 from .rs import _recordings, rs_inverse
@@ -864,15 +864,16 @@ def _remark_decision(tau_w: TauSet, i_thick: int) -> RemarkResult:
     """remark_check on the window problem (tau_w, i_thick), decided afresh.
 
     The packed corner is expanded by determinant's core (_packed_det), and
-    f is packed into the same fields. f is multilinear, so each of its
-    factors is a pair (x_ab, 1), whose key is x_ab's lowest field bit, and
-    the packing is one-to-one on both sides. So det(M) == +-f is two dict
-    comparisons, and no term is unpacked.
+    f's path systems are walked with each x_ab named by its field's lowest
+    bit, so f comes out packed into the same fields. f is multilinear, so
+    the packing is one-to-one on both sides, and det(M) == +-f is two dict
+    comparisons, with no term unpacked.
     """
     corner, variables, w, _, _ = _packed_minor(tau_w, i_thick)
     det_m = _packed_det(corner)
-    bit = {(v, 1): 1 << m * w for m, v in enumerate(variables)}.__getitem__
-    f = {sum(map(bit, mono)): c for mono, c in _generator(tau_w, i_thick).terms.items()}
+    bit = {v: 1 << m * w for m, v in enumerate(variables)}
+    l_lambda, buckets = _ladder(tau_w, i_thick, lambda r, c: bit[r, c], f_only=True)
+    f = buckets[tau_w.n - i_thick - l_lambda]
 
     interior = _tau_chains(tau_w)[1:-1]
     chain_condition = all(len(c) < i_thick for c in interior) or all(

@@ -26,9 +26,9 @@ from orbital import (
     variety_dim,
     x,
 )
-from orbital.generator import _descriptor_generator, _generator, _ladder, _path_systems
+from orbital.generator import _descriptor_generator, _generator, _ladder, _named, _path_systems
 from orbital.tableaux import _tau_chains
-from conftest import FIVE_BOX, SIX_BOX, TWELVE_BOX, shifted, tab, weight_of
+from conftest import FIVE_BOX, SIX_BOX, TWELVE_BOX, print_key, shifted, tab, weight_of
 
 F_SIX = (
     x(1, 2) * x(2, 4) * x(4, 6)
@@ -127,13 +127,13 @@ def test_ladder_covers_every_power_of_t():
 def _fake_l_lambda(monkeypatch, d, chains) -> list:
     """Read l(lambda) off these chains while the path-system walk keeps
     the chains of d's own window problem; returns the list that records
-    the (thickness, max_ts, shift) of every walk."""
+    the (thickness, max_ts) of every walk."""
     own = _tau_chains(d.tau.restrict(*d.window))
     calls = []
 
-    def counted(_, *rest):
-        calls.append(rest)
-        return _path_systems(own, *rest)
+    def counted(_, thickness, max_ts, names):
+        calls.append((thickness, max_ts))
+        return _path_systems(own, thickness, max_ts, names)
 
     monkeypatch.setattr("orbital.generator._tau_chains", lambda _: chains)
     monkeypatch.setattr("orbital.generator._path_systems", counted)
@@ -168,14 +168,27 @@ def test_f_only_walk_matches_the_full_ladder():
     assert len(problems) == 137
     for tau_w, i_thick in problems:
         f = _generator(tau_w, i_thick)
-        l_lambda, ladder = _ladder(tau_w, i_thick, 0)
+        l_lambda, ladder = _ladder(tau_w, i_thick, _named(0))
         target = tau_w.n - i_thick - l_lambda
         assert f.terms == ladder[target]
         # f's rung is the lowest one that survives, and no system carrying
         # more t's than f's terms is walked
-        buckets = _path_systems(_tau_chains(tau_w), i_thick, target, 0)
+        buckets = _path_systems(_tau_chains(tau_w), i_thick, target, _named(0))
         assert buckets[target] == f.terms
         assert not any(buckets[:target]) and not any(buckets[target + 1:])
+
+
+def test_every_rung_lists_its_terms_in_print_order():
+    # the walk grows its layers in depth-first order, which _print_order
+    # takes for the printed order and sorts in linear time: every rung of
+    # every window problem with n <= 10, named with and without a shift,
+    # lists its monomials in print_key order
+    problems = {(d.tau.restrict(*d.window), d.thickness) for d in iter_descriptors(10)}
+    assert len(problems) == 79
+    for tau_w, i_thick in problems:
+        for shift in (0, 3):
+            for rung in _ladder(tau_w, i_thick, _named(shift))[1]:
+                assert list(rung) == sorted(rung, key=print_key), (tau_w, i_thick, shift)
 
 
 def test_f_is_its_window_problems_f_shifted():
@@ -240,7 +253,7 @@ def test_a_nonempty_lower_rung_raises_after_one_walk(monkeypatch):
     with pytest.raises(InconsistentIndexing) as err:
         _descriptor_generator(d)
     assert str(err.value) == "lowest surviving t-power 2 but l(lambda)=2 predicts 3"
-    assert calls == [(1, 3, 0)]
+    assert calls == [(1, 3)]
 
 
 def test_chain_rule_matches_free_positions():

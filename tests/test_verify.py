@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 import orbital.verify
-from orbital.generator import _generator
+from orbital.generator import _generator, _ladder
 from orbital import (
     DEFAULT_PRIME,
     SECOND_PRIME,
@@ -930,6 +930,30 @@ def test_packed_remark_matches_dense_oracles():
         f = _generator(tau_w, i_thick)
         decided = orbital.verify._remark_decision(tau_w, i_thick)
         assert decided.detm_equals_f == same_up_to_sign(determinant(full), f), d.descriptor_id
+    assert len(problems) == 79
+
+
+def test_remark_walks_f_already_packed(monkeypatch):
+    # the remark walks f's path systems with int names, one field bit per
+    # variable; the f it compares must be the tuple f packed term by term
+    # into the same fields, in the same order, on every window problem
+    # with n <= 10
+    walks = []
+
+    def recorded(*args, **kwargs):
+        walks.append(_ladder(*args, **kwargs))
+        return walks[-1]
+
+    monkeypatch.setattr(orbital.verify, "_ladder", recorded)
+    problems = _window_problems(10)
+    for tau_w, i_thick in problems:
+        walks.clear()
+        orbital.verify._remark_decision(tau_w, i_thick)
+        [(l_lambda, buckets)] = walks
+        _, variables, w, _, _ = orbital.verify._packed_minor(tau_w, i_thick)
+        bit = {(v, 1): 1 << m * w for m, v in enumerate(variables)}.__getitem__
+        packed = {sum(map(bit, mono)): c for mono, c in _generator(tau_w, i_thick).terms.items()}
+        assert list(buckets[tau_w.n - i_thick - l_lambda].items()) == list(packed.items())
     assert len(problems) == 79
 
 
