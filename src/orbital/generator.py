@@ -68,10 +68,16 @@ def _corner(tau, n: int, window: tuple[int, int], thickness: int):
         raise BadWindow(f"window [{a!r}, {b!r}] and thickness {thickness!r} must be ints")
     if not 1 <= a <= b <= n:
         raise BadWindow(f"window [{a}, {b}] outside 1..{n}")
-    size = b - a + 1
-    if thickness < 1 or size - 2 * thickness < 0:
-        raise BadWindow(f"thickness {thickness} too large for window of size {size}")
+    _check_thickness(thickness, b - a + 1)
     return tau, a, b
+
+
+def _check_thickness(thickness: int, size: int) -> None:
+    """BadWindow unless 1 <= thickness and 2*thickness <= size."""
+    if thickness < 1:
+        raise BadWindow(f"thickness {thickness} must be at least 1")
+    if size - 2 * thickness < 0:
+        raise BadWindow(f"thickness {thickness} too large for window of size {size}")
 
 
 def generic_richardson_matrix(tau, n: int) -> PolyMatrix:
@@ -204,9 +210,8 @@ def _ladder(
     are complete, so with check InconsistentIndexing names the lowest
     nonempty one unless it is f's.
     """
+    _check_thickness(i_thick, tau_w.n)
     top = tau_w.n - 2 * i_thick
-    if i_thick < 1 or top < 0:
-        raise BadWindow(f"thickness {i_thick} too large for window of size {tau_w.n}")
     chains = _tau_chains(tau_w)
     l_lambda = sum(min(len(c), i_thick) for c in chains) - i_thick
     target = tau_w.n - i_thick - l_lambda

@@ -59,6 +59,7 @@ from .errors import (
     BadExponent,
     BadProbeInput,
     DegenerateSample,
+    InconsistentIndexing,
     NotApplicable,
     NotNilpotent,
     NotSquare,
@@ -760,9 +761,7 @@ def _packed_minor(tau_w: TauSet, i_thick: int):
     columns. Every coefficient is positive, so no term cancels.
     """
     n = tau_w.n
-    lam = richardson_tableau(tau_w, n).shape
-    k = lam.part(i_thick) - 1
-    r = rank_bound(lam, k)
+    k, r = _power_and_rank(tau_w, i_thick)
     variables = tau_w.free_positions
     w = max(r * k, 1).bit_length()
     column: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -779,6 +778,15 @@ def _packed_minor(tau_w: TauSet, i_thick: int):
             for row in rows
         ]
     return [row[-r:] for row in rows], variables, w, k, r
+
+
+def _power_and_rank(tau_w: TauSet, i_thick: int) -> tuple[int, int]:
+    """(k, r) of remark_minor on the window problem (tau_w, i_thick): k is
+    one less than the i_thick-th part of the Richardson shape lambda, the
+    column of the last box, and r the rank bound of lambda at k."""
+    lam = richardson_tableau(tau_w, tau_w.n).shape
+    k = lam.part(i_thick) - 1
+    return k, rank_bound(lam, k)
 
 
 def _times_variables(row: list[dict[int, int]], bits: list[tuple[int, int]]) -> dict[int, int]:
@@ -813,12 +821,16 @@ def remark_check(d: HypersurfaceDescriptor, *, seed=0) -> RemarkResult:
     predict it?
 
     Equality is decided exactly, up to one global sign: det(M) == f or
-    det(M) == -f as polynomials, compared on packed exponent keys. f is
-    never zero, because the generator raises InconsistentIndexing when the
-    window determinant vanishes. The chain condition asks that the
-    interior chains of the projected Richardson tableau all be shorter, or
-    all longer, than the thickness. `seed` is accepted and ignored: the
-    check draws no random numbers.
+    det(M) == -f as polynomials. f is never zero, because the generator
+    raises InconsistentIndexing when the window determinant vanishes. Two
+    exact facts decide most window problems with no expansion: for k = 1,
+    M is the window matrix at t = 0 and det(M) is f; otherwise det(M) is 0
+    or homogeneous of degree r*k and f of degree l(lambda), so they differ
+    when those do. Only where neither decides are det(M) and f expanded
+    and compared on packed exponent keys (_remark_decision). The chain
+    condition asks that the interior chains of the projected Richardson
+    tableau all be shorter, or all longer, than the thickness. `seed` is
+    accepted and ignored: the check draws no random numbers.
 
     The outcome depends on d only through its window problem, named by
     d.tau.restrict(*d.window) and the thickness, and is the same for the
@@ -861,7 +873,51 @@ def _remark_window(tau_w: TauSet, i_thick: int) -> RemarkResult:
 
 
 def _remark_decision(tau_w: TauSet, i_thick: int) -> RemarkResult:
-    """remark_check on the window problem (tau_w, i_thick), decided afresh.
+    """remark_check on the window problem (tau_w, i_thick), decided afresh,
+    by identity or by degree where either decides, else by expansion
+    (_remark_expanded). k and r are read as _packed_minor reads them, and
+    l(lambda) and the chains from tau_w, as the generator reads them; size
+    is tau_w.n and target = size - i_thick - l(lambda) is f's power of t.
+
+    Identity, k = 1. The first and last chains have length i_thick, and
+    k + 1 = lambda_{i_thick} counts the chains of length >= i_thick, so
+    k = 1 exactly when every interior chain is shorter than i_thick. Then
+    no chain is longer than i_thick, which is checked as a witness: every
+    x_{r, r+i_thick} with r <= size - i_thick is free, as r and r+i_thick
+    lie in different chains. So lambda has i_thick rows, r = size - i_thick,
+    l(lambda) = size - i_thick and target = 0. M is the top-right r x r
+    corner of x_R, rows 1..r and columns i_thick+1..size: the window matrix
+    (cmin_window) at t = 0, so det M is the window determinant's t^0 rung,
+    which is f. The system sigma(r) = r + i_thick of the witnesses takes no
+    t, so that rung is nonempty, which is all _ladder's consistency check
+    asks when target = 0; without the witness InconsistentIndexing is
+    raised. Nothing is expanded.
+
+    Degree, r*k != l(lambda). Every entry of x_R^k is 0 or homogeneous of
+    degree k in the x's, so det M is 0 or homogeneous of degree r*k. f is
+    the t^target coefficient of a determinant of side size - i_thick, so
+    each of its terms takes size - i_thick - target = l(lambda) x's: f is
+    homogeneous of degree l(lambda), and not zero once _ladder's check
+    passes. So det M != +-f, and M is never formed; f's walk runs only for
+    that check, which reads whether the rungs are empty and not their keys.
+    """
+    chains = _tau_chains(tau_w)
+    k, r = _power_and_rank(tau_w, i_thick)
+    if k == 1:
+        if any(len(c) > i_thick for c in chains):
+            raise InconsistentIndexing(
+                f"k = 1 but a chain is longer than the thickness {i_thick}: "
+                f"some x_(r, r+{i_thick}) is not free"
+            )
+        return RemarkResult(True, _chain_condition(chains, i_thick))
+    if r * k != sum(min(len(c), i_thick) for c in chains) - i_thick:
+        _ladder(tau_w, i_thick, lambda row, col: 0, f_only=True)
+        return RemarkResult(False, _chain_condition(chains, i_thick))
+    return _remark_expanded(tau_w, i_thick)
+
+
+def _remark_expanded(tau_w: TauSet, i_thick: int) -> RemarkResult:
+    """_remark_decision by expansion, on any window problem.
 
     The packed corner is expanded by determinant's core (_packed_det), and
     f's path systems are walked with each x_ab named by its field's lowest
@@ -874,12 +930,13 @@ def _remark_decision(tau_w: TauSet, i_thick: int) -> RemarkResult:
     bit = {v: 1 << m * w for m, v in enumerate(variables)}
     l_lambda, buckets = _ladder(tau_w, i_thick, lambda r, c: bit[r, c], f_only=True)
     f = buckets[tau_w.n - i_thick - l_lambda]
-
-    interior = _tau_chains(tau_w)[1:-1]
-    chain_condition = all(len(c) < i_thick for c in interior) or all(
-        len(c) > i_thick for c in interior
-    )
     return RemarkResult(
         detm_equals_f=det_m == f or det_m == {key: -c for key, c in f.items()},
-        chain_condition=chain_condition,
+        chain_condition=_chain_condition(_tau_chains(tau_w), i_thick),
     )
+
+
+def _chain_condition(chains: list[range], i_thick: int) -> bool:
+    """The interior chains all shorter, or all longer, than the thickness."""
+    interior = chains[1:-1]
+    return all(len(c) < i_thick for c in interior) or all(len(c) > i_thick for c in interior)

@@ -227,11 +227,16 @@ def test_criterion_7_minor_remark():
     assert not r9.detm_equals_f
 
     # the nine-box minor misses f by the quadratic cofactor
-    # x36*x47 - x46*x37: confirmed at twenty random points
-    corner, _, _ = remark_minor(d9)
+    # x36*x47 - x46*x37: confirmed at twenty random points. Its degree is
+    # the gap r*k - l(lambda) between det M's degree and f's, which is
+    # what lets remark_check decide without expanding det M
+    corner, k, r = remark_minor(d9)
     det_m = determinant(corner)
-    f9 = generator_report(d9).f
+    report9 = generator_report(d9)
+    f9 = report9.f
     cofactor = x(3, 6) * x(4, 7) - x(4, 6) * x(3, 7)
+    assert {sum(e for _, e in mono) for mono in cofactor.terms} == {2}
+    assert r * k - report9.l_lambda == 2
     variables = sorted(
         set(det_m.variables()) | set(f9.variables()) | set(cofactor.variables())
     )

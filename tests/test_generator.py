@@ -298,7 +298,7 @@ def test_ladder_matches_cofactor_expansion():
 @pytest.mark.parametrize(
     "window, thickness, message",
     [
-        ((1, 6), 0, "thickness 0 too large for window of size 6"),
+        ((1, 6), 0, "thickness 0 must be at least 1"),
         ((1, 6), 4, "thickness 4 too large for window of size 6"),
         ((0, 6), 1, "window [0, 6] outside 1..6"),
         ((5, 3), 1, "window [5, 3] outside 1..6"),
@@ -307,6 +307,7 @@ def test_ladder_matches_cofactor_expansion():
         ((True, 6), 1, "window [True, 6] and thickness 1 must be ints"),
         ((1.0, 6), 1, "window [1.0, 6] and thickness 1 must be ints"),
         ((1, 6.0), 1, "window [1, 6.0] and thickness 1 must be ints"),
+        ((1, 6), -1, "thickness -1 must be at least 1"),
     ],
 )
 def test_lemma2_threshold_rejects_bad_windows(window, thickness, message):
@@ -321,7 +322,10 @@ def test_window_problem_rejects_a_bad_thickness(thickness):
     # the walk reads only the window problem, so it checks the thickness
     # against the window itself, as cmin_window does
     d = replace(classify_hypersurface(tab(*SIX_BOX)), thickness=thickness)
-    message = f"thickness {thickness} too large for window of size 6"
+    message = {
+        0: "thickness 0 must be at least 1",
+        4: "thickness 4 too large for window of size 6",
+    }[thickness]
     with pytest.raises(BadWindow, match=message):
         generator_report(d)
     with pytest.raises(BadWindow, match=message):

@@ -27,6 +27,7 @@ from orbital import (
     Violation,
     check_power_rank,
     classify_hypersurface,
+    cmin_window,
     determinant,
     dominance_le,
     find_word_for_tableau,
@@ -39,8 +40,10 @@ from orbital import (
     rank_bound,
     remark_check,
     remark_minor,
+    richardson_tableau,
     sample_hypersurface_point,
     sample_variety_point,
+    t_coefficient,
     tau_invariant,
     verify_conjecture,
     x,
@@ -934,9 +937,9 @@ def test_packed_remark_matches_dense_oracles():
 
 
 def test_remark_walks_f_already_packed(monkeypatch):
-    # the remark walks f's path systems with int names, one field bit per
-    # variable; the f it compares must be the tuple f packed term by term
-    # into the same fields, in the same order, on every window problem
+    # the expansion walks f's path systems with int names, one field bit
+    # per variable; the f it compares must be the tuple f packed term by
+    # term into the same fields, in the same order, on every window problem
     # with n <= 10
     walks = []
 
@@ -948,13 +951,106 @@ def test_remark_walks_f_already_packed(monkeypatch):
     problems = _window_problems(10)
     for tau_w, i_thick in problems:
         walks.clear()
-        orbital.verify._remark_decision(tau_w, i_thick)
+        orbital.verify._remark_expanded(tau_w, i_thick)
         [(l_lambda, buckets)] = walks
         _, variables, w, _, _ = orbital.verify._packed_minor(tau_w, i_thick)
         bit = {(v, 1): 1 << m * w for m, v in enumerate(variables)}.__getitem__
         packed = {sum(map(bit, mono)): c for mono, c in _generator(tau_w, i_thick).terms.items()}
         assert list(buckets[tau_w.n - i_thick - l_lambda].items()) == list(packed.items())
     assert len(problems) == 79
+
+
+def _shape_readings(tau_w: TauSet, i_thick: int) -> tuple[int, int, int]:
+    """(k, r, l(lambda)) of the window problem, read off its Richardson
+    shape lambda: k = lambda_I - 1, r the rank bound at k, and
+    l(lambda) = lambda_1 + ... + lambda_I - I."""
+    lam = richardson_tableau(tau_w, tau_w.n).shape
+    k = lam.part(i_thick) - 1
+    return k, rank_bound(lam, k), sum(lam.part(j) for j in range(1, i_thick + 1)) - i_thick
+
+
+def _recording(calls: list, fn):
+    """fn, appending the arguments of each call to calls."""
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def test_remark_shortcuts_match_the_expansion(monkeypatch):
+    # the decision skips the expansion where k = 1 (det M is f) or where
+    # det M and f differ in degree; on every window problem with n <= 10,
+    # without the memo or the orbit, it must give the expansion's result,
+    # and each shortcut must rest on what it claims
+    expand = orbital.verify._remark_expanded
+    expansions, walks = [], []
+    monkeypatch.setattr(orbital.verify, "_remark_expanded", _recording(expansions, expand))
+    monkeypatch.setattr(orbital.verify, "_ladder", _recording(walks, _ladder))
+    problems = _window_problems(10)
+    branches = Counter()
+    for (tau_w, i_thick), d in problems.items():
+        expansions.clear()
+        walks.clear()
+        decided = orbital.verify._remark_decision(tau_w, i_thick)
+        branch = "expanded" if expansions else "degree" if walks else "identity"
+        branches[branch] += 1
+        assert decided == expand(tau_w, i_thick), (tau_w, i_thick)
+        size = tau_w.n
+        k, r, l_lambda = _shape_readings(tau_w, i_thick)
+        if branch == "identity":
+            assert (k, r, size - i_thick - l_lambda) == (1, size - i_thick, 0)
+            window = cmin_window(tau_w, size, (1, size), i_thick).entries
+            assert remark_minor(d)[0].entries == tuple(
+                tuple(t_coefficient(e, 0) for e in row) for row in window
+            ), (tau_w, i_thick)
+        elif branch == "degree":
+            assert r * k != l_lambda and not decided.detm_equals_f
+            det_m = determinant(remark_minor(d)[0])
+            assert all(sum(e for _, e in mono) == r * k for mono in det_m.terms)
+        else:
+            assert r * k == l_lambda
+    assert len(problems) == 79
+    assert branches == {"identity": 24, "degree": 16, "expanded": 39}
+
+
+def test_remark_expands_30_of_61_decisions_at_n_10(monkeypatch):
+    # the 732 descriptors at n = 10 (remark-survey's pass) name 79 window
+    # problems in 61 reversal orbits; the shortcuts decide 31 of those
+    decisions, expansions = [], []
+    monkeypatch.setattr(
+        orbital.verify, "_remark_decision", _recording(decisions, orbital.verify._remark_decision)
+    )
+    monkeypatch.setattr(
+        orbital.verify, "_remark_expanded", _recording(expansions, orbital.verify._remark_expanded)
+    )
+    orbital.verify._remark_window.cache_clear()
+    for d in iter_descriptors(10):
+        if d.n == 10:
+            remark_check(d)
+    orbital.verify._remark_window.cache_clear()
+    assert (len(decisions), len(expansions)) == (61, 30)
+
+
+def test_remark_degree_gap_is_the_cofactor_degree():
+    # ROADMAP item 6's table: at each n, the window problems whose det M is
+    # not +-f, by the total degree of the cofactor det M / f. That degree is
+    # the gap r*k - l(lambda) between the two homogeneous degrees, and the
+    # gap is 0 exactly where det M = +-f
+    table = {
+        8: {1: 2},
+        9: {1: 4, 2: 3},
+        10: {1: 6, 2: 6, 3: 4},
+        11: {1: 10, 2: 12, 3: 8, 4: 5},
+    }
+    for n, degrees in table.items():
+        gaps = Counter()
+        for (tau_w, i_thick), d in _window_problems(n).items():
+            k, r, l_lambda = _shape_readings(tau_w, i_thick)
+            gap = r * k - l_lambda
+            assert (gap == 0) == remark_check(d).detm_equals_f, (tau_w, i_thick)
+            if gap:
+                gaps[gap] += 1
+        assert gaps == degrees, n
 
 
 def test_remark_is_invariant_under_reversal():
