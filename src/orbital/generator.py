@@ -197,37 +197,45 @@ def _named(shift: int) -> Callable[[int, int], Monomial]:
     return lambda r, c: (((r + shift, c + shift), 1),)
 
 
-def _ladder(
-    tau_w: TauSet, i_thick: int, names: Callable, f_only: bool = False, check: bool = True
-) -> tuple[int, list[dict]]:
-    """l(lambda) and _path_systems' buckets for the window problem
-    (tau_w, i_thick), both read off tau_w's chains, keyed by names.
+def _shape_numbers(chains: list[range], i_thick: int) -> tuple[int, int, int]:
+    """(l(lambda), k, r) of the window problem with these chains and
+    thickness I. The chain lengths L, longest first, are the columns of its
+    Richardson shape lambda: l(lambda) = lambda_1 + ... + lambda_I - I is
+    the sum of min(L, I), minus I; remark_minor's k = lambda_I - 1 is one
+    less than the number of chains with L >= I; and r, the rank bound of
+    lambda at k, is the total length of all but the k longest chains."""
+    lengths = sorted(map(len, chains), reverse=True)
+    k = sum(length >= i_thick for length in lengths) - 1
+    return sum(min(length, i_thick) for length in lengths) - i_thick, k, sum(lengths[k:])
+
+
+def _ladder(tau_w: TauSet, i_thick: int, names: Callable, f_only=False) -> tuple[int, list[dict]]:
+    """l(lambda) (_shape_numbers) and _path_systems' buckets, keyed by
+    names, for the window problem (tau_w, i_thick), both read off its chains.
 
     f is the bucket of t^target, target = size - i_thick - l(lambda). With
-    f_only the walk stops at target t's, and walks the whole ladder only
-    if target is off it or nothing was found, to tell a vanished
-    determinant from a higher surviving power. The buckets up to the bound
-    are complete, so with check InconsistentIndexing names the lowest
-    nonempty one unless it is f's.
+    f_only the walk stops at target t's, and walks the whole ladder only if
+    target is off it or nothing was found, to tell a vanished determinant
+    from a higher surviving power. The buckets up to the bound are complete,
+    so InconsistentIndexing names the lowest nonempty one unless it is f's.
     """
     _check_thickness(i_thick, tau_w.n)
     top = tau_w.n - 2 * i_thick
     chains = _tau_chains(tau_w)
-    l_lambda = sum(min(len(c), i_thick) for c in chains) - i_thick
+    l_lambda = _shape_numbers(chains, i_thick)[0]
     target = tau_w.n - i_thick - l_lambda
     bounded = f_only and 0 <= target < top
     buckets = _path_systems(chains, i_thick, target if bounded else top, names)
     if bounded and not any(buckets):
         buckets = _path_systems(chains, i_thick, top, names)
-    if check:
-        lowest = next((k for k, m in enumerate(buckets) if m), None)
-        if lowest is None:
-            raise InconsistentIndexing("window determinant vanished identically")
-        if lowest != target:
-            raise InconsistentIndexing(
-                f"lowest surviving t-power {lowest} but l(lambda)={l_lambda} "
-                f"predicts {target}"
-            )
+    lowest = next((k for k, m in enumerate(buckets) if m), None)
+    if lowest is None:
+        raise InconsistentIndexing("window determinant vanished identically")
+    if lowest != target:
+        raise InconsistentIndexing(
+            f"lowest surviving t-power {lowest} but l(lambda)={l_lambda} "
+            f"predicts {target}"
+        )
     return l_lambda, buckets
 
 
@@ -247,11 +255,11 @@ def generator_report(d: HypersurfaceDescriptor) -> GeneratorReport:
     The determinant of the window matrix is sum of m_j t^(size-I-j) for
     j = I .. size-I; the generator is the coefficient of the lowest power
     of t that survives, which must be m_{l(lambda)} or the indexing is
-    inconsistent (InconsistentIndexing). It walks d's window problem,
+    inconsistent (InconsistentIndexing). It walks d.window_problem,
     (tau.restrict(a, b), I), naming each variable in d's coordinates.
     """
     # bucket k holds t^k, so m_j for j = I, I+1, .. is bucket top, top-1, ..
-    l_lambda, buckets = _ladder(d.tau.restrict(*d.window), d.thickness, _named(d.window[0] - 1))
+    l_lambda, buckets = _ladder(*d.window_problem, _named(d.window[0] - 1))
     return GeneratorReport(
         m_sequence=tuple(
             enumerate(map(MultiPoly._raw, reversed(buckets)), start=d.thickness)
@@ -273,7 +281,7 @@ def _generator(tau_w: TauSet, i_thick: int, shift: int = 0) -> MultiPoly:
 
 def _descriptor_generator(d: HypersurfaceDescriptor) -> MultiPoly:
     """generator_report(d).f, walking only f's path systems."""
-    return _generator(d.tau.restrict(*d.window), d.thickness, d.window[0] - 1)
+    return _generator(*d.window_problem, d.window[0] - 1)
 
 
 def lemma2_threshold(
@@ -286,8 +294,10 @@ def lemma2_threshold(
     any window is accepted, and the pattern is reported, not checked.
     """
     tau, a, b = _corner(tau, n, window, thickness)
-    l_lambda, buckets = _ladder(tau.restrict(a, b), thickness, _named(0), check=False)
-    return l_lambda, [(j, not m) for j, m in enumerate(reversed(buckets), start=thickness)]
+    chains = _tau_chains(tau.restrict(a, b))
+    buckets = _path_systems(chains, thickness, b - a + 1 - 2 * thickness, _named(0))
+    flags = [(j, not m) for j, m in enumerate(reversed(buckets), start=thickness)]
+    return _shape_numbers(chains, thickness)[0], flags
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,8 @@ class HypersurfaceDescriptor:
     sigma_hi = property(lambda d: d.window[1] - 1)
     source_chain = property(lambda d: range(d.window[1] - d.thickness + 1, d.window[1] + 1))
     prev_chain = property(lambda d: range(d.window[0], d.window[0] + d.thickness))
+    # (tau restricted to the window, thickness), all the generator reads of d
+    window_problem = property(lambda d: (d.tau.restrict(*d.window), d.thickness))
 
     @property
     def n(self) -> int:

@@ -64,13 +64,11 @@ from .errors import (
     NotNilpotent,
     NotSquare,
 )
-from .generator import _descriptor_generator, _ladder
+from .generator import _descriptor_generator, _ladder, _shape_numbers
 from .hypersurface import HypersurfaceDescriptor
 from .polyalg import PolyMatrix, _packed_det, _unpacker, poly_eval
 from .rs import _recordings, rs_inverse
-from .tableaux import (
-    Partition, StandardTableau, TauSet, _tau_chains, dual_partition, richardson_tableau
-)
+from .tableaux import Partition, StandardTableau, TauSet, _tau_chains, dual_partition
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1
 SECOND_PRIME = 2147483629  # largest prime below it
@@ -761,7 +759,7 @@ def _packed_minor(tau_w: TauSet, i_thick: int):
     columns. Every coefficient is positive, so no term cancels.
     """
     n = tau_w.n
-    k, r = _power_and_rank(tau_w, i_thick)
+    _, k, r = _shape_numbers(_tau_chains(tau_w), i_thick)
     variables = tau_w.free_positions
     w = max(r * k, 1).bit_length()
     column: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -780,15 +778,6 @@ def _packed_minor(tau_w: TauSet, i_thick: int):
     return [row[-r:] for row in rows], variables, w, k, r
 
 
-def _power_and_rank(tau_w: TauSet, i_thick: int) -> tuple[int, int]:
-    """(k, r) of remark_minor on the window problem (tau_w, i_thick): k is
-    one less than the i_thick-th part of the Richardson shape lambda, the
-    column of the last box, and r the rank bound of lambda at k."""
-    lam = richardson_tableau(tau_w, tau_w.n).shape
-    k = lam.part(i_thick) - 1
-    return k, rank_bound(lam, k)
-
-
 def _times_variables(row: list[dict[int, int]], bits: list[tuple[int, int]]) -> dict[int, int]:
     """The sum over (m, bit) in bits of row[m] with bit added to every key:
     one entry of a packed row times a column of single variables."""
@@ -804,14 +793,14 @@ def _times_variables(row: list[dict[int, int]], bits: list[tuple[int, int]]) -> 
 def remark_minor(d: HypersurfaceDescriptor) -> tuple[PolyMatrix, int, int]:
     """Symbolic minor matching the generator on the window problem.
 
-    Works on d.tau.restrict(*d.window), the window problem, whose window
-    spans everything and whose Richardson tableau is d's projected to the
-    window; sets k one less than the column of the last box in that
-    tableau, and r the rank bound of its shape at k. Returns (top-right
-    r x r corner of x_R^k, k, r), unpacked from the packed corner that
-    remark_check decides on (_packed_minor).
+    Works on d.window_problem, whose window spans everything and whose
+    Richardson tableau, of shape lambda, is d's projected to the window.
+    k = lambda_I - 1 is one less than the number of its chains of length
+    >= I, and r, the rank bound of lambda at k, the total length of all
+    but the k longest (_shape_numbers). Returns (top-right r x r corner of
+    x_R^k, k, r), unpacked from the packed corner remark_check decides on.
     """
-    corner, variables, w, k, r = _packed_minor(d.tau.restrict(*d.window), d.thickness)
+    corner, variables, w, k, r = _packed_minor(*d.window_problem)
     unpack = _unpacker(variables, w)
     return PolyMatrix(tuple(tuple(map(unpack, row)) for row in corner)), k, r
 
@@ -832,12 +821,12 @@ def remark_check(d: HypersurfaceDescriptor, *, seed=0) -> RemarkResult:
     tableau all be shorter, or all longer, than the thickness. `seed` is
     accepted and ignored: the check draws no random numbers.
 
-    The outcome depends on d only through its window problem, named by
-    d.tau.restrict(*d.window) and the thickness, and is the same for the
-    problem's reversal partner; so it is decided once per reversal orbit
-    and memoized per window problem (_remark_window).
+    The outcome depends on d only through d.window_problem, tau restricted
+    to the window and the thickness, and is the same for the problem's
+    reversal partner; so it is decided once per reversal orbit and
+    memoized per window problem (_remark_window).
     """
-    return _remark_window(d.tau.restrict(*d.window), d.thickness)
+    return _remark_window(*d.window_problem)
 
 
 @lru_cache(maxsize=None)
@@ -875,23 +864,22 @@ def _remark_window(tau_w: TauSet, i_thick: int) -> RemarkResult:
 def _remark_decision(tau_w: TauSet, i_thick: int) -> RemarkResult:
     """remark_check on the window problem (tau_w, i_thick), decided afresh,
     by identity or by degree where either decides, else by expansion
-    (_remark_expanded). k and r are read as _packed_minor reads them, and
-    l(lambda) and the chains from tau_w, as the generator reads them; size
+    (_remark_expanded). l(lambda), k and r are read off tau_w's chains
+    (_shape_numbers), as the generator and _packed_minor read them; size
     is tau_w.n and target = size - i_thick - l(lambda) is f's power of t.
 
     Identity, k = 1. The first and last chains have length i_thick, and
-    k + 1 = lambda_{i_thick} counts the chains of length >= i_thick, so
-    k = 1 exactly when every interior chain is shorter than i_thick. Then
-    no chain is longer than i_thick, which is checked as a witness: every
-    x_{r, r+i_thick} with r <= size - i_thick is free, as r and r+i_thick
-    lie in different chains. So lambda has i_thick rows, r = size - i_thick,
-    l(lambda) = size - i_thick and target = 0. M is the top-right r x r
-    corner of x_R, rows 1..r and columns i_thick+1..size: the window matrix
-    (cmin_window) at t = 0, so det M is the window determinant's t^0 rung,
-    which is f. The system sigma(r) = r + i_thick of the witnesses takes no
-    t, so that rung is nonempty, which is all _ladder's consistency check
-    asks when target = 0; without the witness InconsistentIndexing is
-    raised. Nothing is expanded.
+    k + 1 counts the chains of length >= i_thick, so k = 1 exactly when
+    every interior chain is shorter than i_thick. Then no chain is longer
+    than i_thick, which is checked as a witness: every x_{r, r+i_thick}
+    with r <= size - i_thick is free, as r and r+i_thick lie in different
+    chains. So lambda has i_thick rows, and r and l(lambda) are both
+    size - i_thick: target = 0. M is the top-right r x r corner of x_R,
+    rows 1..r and columns i_thick+1..size: the window matrix (cmin_window)
+    at t = 0, so det M is the window determinant's t^0 rung, which is f.
+    The system sigma(r) = r + i_thick of the witnesses takes no t, so that
+    rung is nonempty, all _ladder's consistency check asks when target = 0;
+    without the witness InconsistentIndexing is raised. Nothing is expanded.
 
     Degree, r*k != l(lambda). Every entry of x_R^k is 0 or homogeneous of
     degree k in the x's, so det M is 0 or homogeneous of degree r*k. f is
@@ -902,7 +890,7 @@ def _remark_decision(tau_w: TauSet, i_thick: int) -> RemarkResult:
     that check, which reads whether the rungs are empty and not their keys.
     """
     chains = _tau_chains(tau_w)
-    k, r = _power_and_rank(tau_w, i_thick)
+    l_lambda, k, r = _shape_numbers(chains, i_thick)
     if k == 1:
         if any(len(c) > i_thick for c in chains):
             raise InconsistentIndexing(
@@ -910,7 +898,7 @@ def _remark_decision(tau_w: TauSet, i_thick: int) -> RemarkResult:
                 f"some x_(r, r+{i_thick}) is not free"
             )
         return RemarkResult(True, _chain_condition(chains, i_thick))
-    if r * k != sum(min(len(c), i_thick) for c in chains) - i_thick:
+    if r * k != l_lambda:
         _ladder(tau_w, i_thick, lambda row, col: 0, f_only=True)
         return RemarkResult(False, _chain_condition(chains, i_thick))
     return _remark_expanded(tau_w, i_thick)

@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,7 +129,7 @@ def _fake_l_lambda(monkeypatch, d, chains) -> list:
     """Read l(lambda) off these chains while the path-system walk keeps
     the chains of d's own window problem; returns the list that records
     the (thickness, max_ts) of every walk."""
-    own = _tau_chains(d.tau.restrict(*d.window))
+    own = _tau_chains(d.window_problem[0])
     calls = []
 
     def counted(_, thickness, max_ts, names):
@@ -162,9 +163,7 @@ def test_f_only_walk_matches_the_full_ladder():
         assert _descriptor_generator(d) == generator_report(d).f
         count += 1
     assert count == 1235
-    problems = {
-        (d.tau.restrict(*d.window), d.thickness) for d in iter_descriptors(11) if d.n == 11
-    }
+    problems = {d.window_problem for d in iter_descriptors(11) if d.n == 11}
     assert len(problems) == 137
     for tau_w, i_thick in problems:
         f = _generator(tau_w, i_thick)
@@ -183,7 +182,7 @@ def test_every_rung_lists_its_terms_in_print_order():
     # takes for the printed order and sorts in linear time: every rung of
     # every window problem with n <= 10, named with and without a shift,
     # lists its monomials in print_key order
-    problems = {(d.tau.restrict(*d.window), d.thickness) for d in iter_descriptors(10)}
+    problems = {d.window_problem for d in iter_descriptors(10)}
     assert len(problems) == 79
     for tau_w, i_thick in problems:
         for shift in (0, 3):
@@ -336,6 +335,35 @@ def test_lemma2_threshold_golden():
     l, flags = lemma2_threshold({2, 4}, 6, (1, 6), 1)
     assert l == 3
     assert flags == [(1, False), (2, False), (3, False), (4, True), (5, True)]
+
+
+def test_lemma2_threshold_reports_what_the_checked_walk_rejects():
+    # the pattern is reported, never checked: with tau = {1} at n = 2 the
+    # window [1, 2] is one chain, so its 1 x 1 corner x_12 vanishes, which
+    # the generator's checked walk rejects. Of the 982 windows with n <= 6,
+    # 278 are rejected so; on every window the pattern is read off the
+    # expanded window matrix
+    assert lemma2_threshold({1}, 2, (1, 2), 1) == (0, [(1, True)])
+    with pytest.raises(InconsistentIndexing, match="vanished identically"):
+        _ladder(TauSet(frozenset({1}), 2), 1, _named(0))
+    windows, rejected = 0, 0
+    for n in range(2, 7):
+        for tau in (set(c) for k in range(n) for c in combinations(range(1, n), k)):
+            for a in range(1, n + 1):
+                for b in range(a + 1, n + 1):
+                    for i_thick in range(1, (b - a + 1) // 2 + 1):
+                        windows += 1
+                        det = determinant(cmin_window(tau, n, (a, b), i_thick))
+                        top = b - a + 1 - i_thick
+                        assert lemma2_threshold(tau, n, (a, b), i_thick)[1] == [
+                            (j, not t_coefficient(det, top - j).terms)
+                            for j in range(i_thick, top + 1)
+                        ], (tau, n, a, b, i_thick)
+                        try:
+                            _ladder(TauSet(frozenset(tau), n).restrict(a, b), i_thick, _named(0))
+                        except InconsistentIndexing:
+                            rejected += 1
+    assert (windows, rejected) == (982, 278)
 
 
 def test_char_poly_six_box():

@@ -208,6 +208,7 @@ def test_projected_problem_is_the_restricted_tau():
         assert inner.tau == d.tau.restrict(a, b)
         assert inner.window == (1, b - a + 1)
         assert inner.thickness == d.thickness
+        assert d.window_problem == (inner.tau, inner.thickness)
         count += 1
     assert count == 1235
 

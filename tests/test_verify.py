@@ -10,7 +10,8 @@ from collections import Counter
 import pytest
 
 import orbital.verify
-from orbital.generator import _generator, _ladder
+from orbital.generator import _generator, _ladder, _shape_numbers
+from orbital.tableaux import _tau_chains
 from orbital import (
     DEFAULT_PRIME,
     SECOND_PRIME,
@@ -917,7 +918,7 @@ def _window_problems(n_max: int) -> dict:
     the first descriptor that names it."""
     problems: dict = {}
     for d in iter_descriptors(n_max):
-        problems.setdefault((d.tau.restrict(*d.window), d.thickness), d)
+        problems.setdefault(d.window_problem, d)
     return problems
 
 
@@ -967,6 +968,16 @@ def _shape_readings(tau_w: TauSet, i_thick: int) -> tuple[int, int, int]:
     lam = richardson_tableau(tau_w, tau_w.n).shape
     k = lam.part(i_thick) - 1
     return k, rank_bound(lam, k), sum(lam.part(j) for j in range(1, i_thick + 1)) - i_thick
+
+
+def test_shape_numbers_read_the_richardson_shape():
+    # l(lambda), k and r are read off the chain lengths alone; on every
+    # window problem with n <= 12 they must be the Richardson shape's
+    problems = _window_problems(12)
+    for tau_w, i_thick in problems:
+        k, r, l_lambda = _shape_readings(tau_w, i_thick)
+        assert _shape_numbers(_tau_chains(tau_w), i_thick) == (l_lambda, k, r), (tau_w, i_thick)
+    assert len(problems) == 239
 
 
 def _recording(calls: list, fn):
