@@ -61,6 +61,11 @@ class MissingVariable(OrbitalError):
     """Evaluation point does not cover every variable."""
 
 
+class BadVariable(OrbitalError, ValueError):
+    """MultiPoly.variable got neither "t" nor a pair of ints; a ValueError
+    too, as its rejection always was."""
+
+
 class NotSquare(OrbitalError, ValueError):
     """A determinant, a matrix power or a FieldMatrix was given rows that do
     not make a square matrix; a ValueError too, as FieldMatrix's rejection

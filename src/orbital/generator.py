@@ -21,8 +21,8 @@ So f depends on a descriptor only through its window problem
 give l(lambda) and the zeros, as alpha_r + ... + alpha_{c-1} lies in the
 span of tau exactly when r and c share a chain. The walk runs on boxes
 1 .. size, one row layer at a time (the layered branching program of a
-determinant, Mahajan & Vinay 1997), and names each x_{rc} as its caller
-asks: x_{r+a-1, c+a-1} in d's coordinates, or one bit of a packed key.
+determinant, Mahajan & Vinay 1997), and names each x_{rc} as
+x_{r+a-1, c+a-1}, in d's coordinates.
 
 The determinant is never expanded by cofactors here. Corner entry (r, c)
 vanishes below the diagonal, so a Leibniz term is a bijection sigma from
@@ -44,7 +44,6 @@ k < I of the roots alpha_{a+k} + ... + alpha_{b-1-k}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import BadWindow, InconsistentIndexing
 from .hypersurface import HypersurfaceDescriptor
@@ -143,32 +142,32 @@ class GeneratorReport:
 
 
 def _path_systems(
-    chains: list[range], thickness: int, max_ts: int, names: Callable
-) -> list[dict]:
+    chains: list[range], thickness: int, max_ts: int, shift: int
+) -> list[dict[Monomial, int]]:
     """The terms of the window problem's determinant with at most max_ts
-    t's, bucketed by power of t: bucket k maps each term of t^k's
-    coefficient, keyed by the sum of names(r, c) over its x_{rc}, to its
-    sign. Tuple names (((r+s, c+s), 1),) spell the canonical monomial, int
-    names one bit per variable a packed key. The size - 2*thickness + 1
-    buckets cover the whole ladder; those above max_ts stay empty.
+    t's, bucketed by power of t: bucket k maps each monomial of t^k's
+    coefficient, t stripped and each x_{rc} named x_{r+shift, c+shift}, to
+    its sign. The size - 2*thickness + 1 buckets cover the whole ladder;
+    those above max_ts stay empty.
 
     x_{rc} is free unless r and c lie in one of these chains (ranges, from
     _tau_chains). Rows 1 .. size-I are placed in order, one layer of (used
-    columns as bits, t count, key, inversions) per row, each row in an
+    columns as bits, t count, monomial, inversions) per row, each row in an
     unused column c >= r of 1+I .. size: column r holds t, any past the end
     of r's chain x_{rc}. Columns 1 .. I start used, so row 1's moves are
     the first layer. Column r is out of reach of later rows, so a row that
     finds it unused takes t, and an entry past max_ts t's is dropped. The
     sign is (-1)^(inversions of sigma), one per used column right of each
     new one. Entries grow by their row's moves in column order, so buckets
-    keep depth-first order, _print_order's for tuple names; no two systems
-    share a monomial (module docstring), so they are the exact coefficients.
+    keep depth-first order, _print_order's; no two systems share a
+    monomial (module docstring), so they are the exact coefficients.
     """
     size = chains[-1][-1]
     first, last = 1 + thickness, size - thickness
-    # per row, the x_{rc} it may take: (c, column c's bit, the name of x_{rc})
+    # per row, the x_{rc} it may take: (c, column c's bit, x_{rc}'s monomial)
     moves = [
-        [(c, 1 << c, names(r, c)) for c in range(max(chain.stop, first), size + 1)]
+        [(c, 1 << c, (((r + shift, c + shift), 1),))
+         for c in range(max(chain.stop, first), size + 1)]
         for chain in chains
         for r in chain
         if r <= last
@@ -192,11 +191,6 @@ def _path_systems(
     return buckets
 
 
-def _named(shift: int) -> Callable[[int, int], Monomial]:
-    """_path_systems' tuple names, x_{rc} as the monomial x_{r+shift, c+shift}."""
-    return lambda r, c: (((r + shift, c + shift), 1),)
-
-
 def _shape_numbers(chains: list[range], i_thick: int) -> tuple[int, int, int]:
     """(l(lambda), k, r) of the window problem with these chains and
     thickness I. The chain lengths L, longest first, are the columns of its
@@ -209,9 +203,10 @@ def _shape_numbers(chains: list[range], i_thick: int) -> tuple[int, int, int]:
     return sum(min(length, i_thick) for length in lengths) - i_thick, k, sum(lengths[k:])
 
 
-def _ladder(tau_w: TauSet, i_thick: int, names: Callable, f_only=False) -> tuple[int, list[dict]]:
-    """l(lambda) (_shape_numbers) and _path_systems' buckets, keyed by
-    names, for the window problem (tau_w, i_thick), both read off its chains.
+def _ladder(tau_w: TauSet, i_thick: int, shift: int, f_only=False) -> tuple[int, list[dict]]:
+    """l(lambda) (_shape_numbers) and _path_systems' buckets, variables
+    shifted by shift, for the window problem (tau_w, i_thick), both read
+    off its chains.
 
     f is the bucket of t^target, target = size - i_thick - l(lambda). With
     f_only the walk stops at target t's, and walks the whole ladder only if
@@ -225,9 +220,9 @@ def _ladder(tau_w: TauSet, i_thick: int, names: Callable, f_only=False) -> tuple
     l_lambda = _shape_numbers(chains, i_thick)[0]
     target = tau_w.n - i_thick - l_lambda
     bounded = f_only and 0 <= target < top
-    buckets = _path_systems(chains, i_thick, target if bounded else top, names)
+    buckets = _path_systems(chains, i_thick, target if bounded else top, shift)
     if bounded and not any(buckets):
-        buckets = _path_systems(chains, i_thick, top, names)
+        buckets = _path_systems(chains, i_thick, top, shift)
     lowest = next((k for k, m in enumerate(buckets) if m), None)
     if lowest is None:
         raise InconsistentIndexing("window determinant vanished identically")
@@ -259,7 +254,7 @@ def generator_report(d: HypersurfaceDescriptor) -> GeneratorReport:
     (tau.restrict(a, b), I), naming each variable in d's coordinates.
     """
     # bucket k holds t^k, so m_j for j = I, I+1, .. is bucket top, top-1, ..
-    l_lambda, buckets = _ladder(*d.window_problem, _named(d.window[0] - 1))
+    l_lambda, buckets = _ladder(*d.window_problem, d.window[0] - 1)
     return GeneratorReport(
         m_sequence=tuple(
             enumerate(map(MultiPoly._raw, reversed(buckets)), start=d.thickness)
@@ -275,7 +270,7 @@ def _generator(tau_w: TauSet, i_thick: int, shift: int = 0) -> MultiPoly:
     """f of the window problem (tau_w, i_thick), variables shifted by
     shift, from the path systems with at most f's count of t's; it raises
     generator_report's InconsistentIndexing, word for word."""
-    l_lambda, buckets = _ladder(tau_w, i_thick, _named(shift), f_only=True)
+    l_lambda, buckets = _ladder(tau_w, i_thick, shift, f_only=True)
     return MultiPoly._raw(buckets[tau_w.n - i_thick - l_lambda])
 
 
@@ -295,7 +290,7 @@ def lemma2_threshold(
     """
     tau, a, b = _corner(tau, n, window, thickness)
     chains = _tau_chains(tau.restrict(a, b))
-    buckets = _path_systems(chains, thickness, b - a + 1 - 2 * thickness, _named(0))
+    buckets = _path_systems(chains, thickness, b - a + 1 - 2 * thickness, 0)
     flags = [(j, not m) for j, m in enumerate(reversed(buckets), start=thickness)]
     return _shape_numbers(chains, thickness)[0], flags
 

@@ -9,10 +9,10 @@ coefficients. Coefficients never overflow and nothing is ever floated.
 determinant packs each monomial into one int internally, with a bit field
 per variable, so multiplying two monomials is adding two ints; what it
 returns is an ordinary MultiPoly. Its expansion on packed keys
-(_packed_det) and its unpacking (_unpacker) also serve the remark check,
-which packs its power minor itself. PolyMatrix is the dense oracle:
-power(k).top_right(r) is the corner the remark's packed one is tested
-against.
+(_packed_det) also serves the tests' expansion of the remark's packed
+power minor, and its unpacking (_unpacker) remark_minor. PolyMatrix is
+the dense oracle: power(k).top_right(r) is the corner the packed one is
+tested against.
 
 The weight of x_{ij} is the root-lattice vector alpha_i + ... + alpha_{j-1};
 t is weight-neutral. Weight-homogeneous polynomials (every construction in
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
-from .errors import BadExponent, BadProbeInput, BadRange, MissingVariable, NotSquare
+from .errors import BadExponent, BadProbeInput, BadRange, BadVariable, MissingVariable, NotSquare
 
 T_VAR = "t"
 VarId = Union[tuple[int, int], str]
@@ -120,7 +120,7 @@ class MultiPoly:
         if var != T_VAR and not (
             type(var) is tuple and len(var) == 2 and type(var[0]) is type(var[1]) is int
         ):
-            raise ValueError(f"matrix variable must be an int pair, got {var!r}")
+            raise BadVariable(f"matrix variable must be an int pair, got {var!r}")
         return cls._raw({((var, 1),): 1})
 
     # -- structure -----------------------------------------------------------
@@ -515,7 +515,7 @@ def determinant(m: PolyMatrix) -> MultiPoly:
 
     Terms are summed exactly and may cancel; the tests use it as the oracle
     for the generator's path systems, which never cancel, and for the
-    remark's power minors, which _remark_decision expands through the same
+    remark's power minors, which the tests also expand through the same
     _packed_det without building a PolyMatrix.
 
     The entries' variables, in _var_key order, each get a field of

@@ -58,15 +58,16 @@ from typing import Iterable, NamedTuple
 from .errors import (
     BadExponent,
     BadProbeInput,
+    BadRange,
     DegenerateSample,
     InconsistentIndexing,
     NotApplicable,
     NotNilpotent,
     NotSquare,
 )
-from .generator import _descriptor_generator, _ladder, _shape_numbers
+from .generator import _descriptor_generator, _shape_numbers
 from .hypersurface import HypersurfaceDescriptor
-from .polyalg import PolyMatrix, _packed_det, _unpacker, poly_eval
+from .polyalg import PolyMatrix, _unpacker, poly_eval
 from .rs import _recordings, rs_inverse
 from .tableaux import Partition, StandardTableau, TauSet, _tau_chains, dual_partition
 
@@ -798,7 +799,8 @@ def remark_minor(d: HypersurfaceDescriptor) -> tuple[PolyMatrix, int, int]:
     k = lambda_I - 1 is one less than the number of its chains of length
     >= I, and r, the rank bound of lambda at k, the total length of all
     but the k longest (_shape_numbers). Returns (top-right r x r corner of
-    x_R^k, k, r), unpacked from the packed corner remark_check decides on.
+    x_R^k, k, r), unpacked from the packed corner (_packed_minor) that the
+    tests expand as the oracle of remark_check.
     """
     corner, variables, w, k, r = _packed_minor(*d.window_problem)
     unpack = _unpacker(variables, w)
@@ -807,124 +809,78 @@ def remark_minor(d: HypersurfaceDescriptor) -> tuple[PolyMatrix, int, int]:
 
 def remark_check(d: HypersurfaceDescriptor, *, seed=0) -> RemarkResult:
     """Does det of the power minor reproduce f, and does the chain pattern
-    predict it?
+    predict it? Decided in closed form from the window's chain lengths:
+    det(M) == +-f exactly when the chain condition holds, so the result is
+    RemarkResult(cc, cc) with cc the chain condition. `seed` is accepted
+    and ignored: the check draws no random numbers.
 
-    Equality is decided exactly, up to one global sign: det(M) == f or
-    det(M) == -f as polynomials. f is never zero, because the generator
-    raises InconsistentIndexing when the window determinant vanishes. Two
-    exact facts decide most window problems with no expansion: for k = 1,
-    M is the window matrix at t = 0 and det(M) is f; otherwise det(M) is 0
-    or homogeneous of degree r*k and f of degree l(lambda), so they differ
-    when those do. Only where neither decides are det(M) and f expanded
-    and compared on packed exponent keys (_remark_decision). The chain
-    condition asks that the interior chains of the projected Richardson
-    tableau all be shorter, or all longer, than the thickness. `seed` is
-    accepted and ignored: the check draws no random numbers.
+    M is the top-right r x r corner of x_R^k on the window problem
+    (remark_minor) and f the generator. The window [a, b] cuts d.tau into
+    chains of lengths (I, c_1, ..., c_m, I), I the thickness: it runs from
+    the start of a chain of length I to the end of the nearest later one,
+    and a chain ends at m exactly when m is not in tau. Anything else
+    raises InconsistentIndexing, and a window off 1 <= a <= b <= n raises
+    TauSet.restrict's BadRange. Call an interior chain short if c < I and
+    long if c > I; the chain condition asks that all be short or all long.
+    With S the total length of the short chains and m_long the number of
+    long ones, _shape_numbers reads k = m_long + 1, r = I + S and
+    l(lambda) = (m_long + 1)*I + S off the lengths.
 
-    The outcome depends on d only through d.window_problem, tau restricted
-    to the window and the thickness, and is the same for the problem's
-    reversal partner; so it is decided once per reversal orbit and
-    memoized per window problem (_remark_window).
+    f is the t^(size - I - l(lambda)) rung of the window determinant, whose
+    terms are systems of I vertex-disjoint increasing paths from the first
+    chain to the last, each step x_uv to a later chain (the generator
+    module docstring); such a system with e edges is a term of m_e, with
+    distinct systems giving distinct monomials, so no term cancels. A path
+    meets a chain at most once, so a chain of length L hosts at most
+    min(L, I) path vertices and a term has at most l(lambda) edges. Path p
+    may take the p-th label of every chain of length >= p, which gives
+    l(lambda) edges: f is not zero, and homogeneous of degree l(lambda).
+
+    Short class, every interior chain short (m = 0 included): k = 1,
+    r = size - I = l(lambda), so f is the t^0 rung. M is rows 1..size-I and
+    columns I+1..size of x_R, the window matrix at t = 0, so det(M) = f.
+
+    Mixed class, short and long interior chains: every entry of x_R^k is 0
+    or homogeneous of degree k, so det(M) is 0 or homogeneous of degree
+    r*k, and r*k - l(lambda) = S*m_long > 0. As f is not zero, det(M) is
+    not +-f.
+
+    Long class, every interior chain long (m >= 1): k = m + 1, r = I and
+    l(lambda) = (m + 1)*I. A term of f has l(lambda) edges, so each chain
+    hosts I path vertices and each of the I paths meets every chain, once:
+    the paths are layered, one vertex per chain. Entry (i, j) of M sums
+    the walks of k steps, each to a later chain, from label i of the
+    first chain to label j of the last; with m + 1 gaps between chains,
+    these are the same layered paths. By the Lindstrom-Gessel-Viennot
+    lemma (Lindstrom 1973; Gessel & Viennot 1985) on the graph layered by
+    chain, det(M) is the sum of sgn(pi) x^P over the systems P of I
+    vertex-disjoint layered paths, the path from source i ending at sink
+    pi(i): the tail swap at the first shared vertex, which keeps both
+    paths layered, cancels every other tuple. These are f's terms, with
+    monomials distinct. f's sign for P is that of its bijection sigma
+    from rows 1..size-I to columns I+1..size. Extended to a permutation of
+    1..size that sends the j-th label of the last chain back to j, sigma
+    gains I*(size - I) inversions, and runs along path i and back to
+    source pi(i): a cycle of pi of length c becomes one of length
+    c*(m + 2), of sign (-1)^(c - 1) * (-1)^(c*(m + 1)). So f's sign for P
+    is sgn(pi) * (-1)^(I*(size - I) + I*(m + 1)), one sign for every P, and
+    det(M) = +-f.
     """
-    return _remark_window(*d.window_problem)
-
-
-@lru_cache(maxsize=None)
-def _remark_window(tau_w: TauSet, i_thick: int) -> RemarkResult:
-    """remark_check on the window problem (tau_w, i_thick), decided on
-    whichever of it and its reversal partner has the smaller sorted tau.
-
-    With s = tau_w.n, the partner is ({s - i : i in tau_w}, i_thick), and
-    both give the same RemarkResult:
-    - theta(X) = J X^T J, with J the s x s antidiagonal permutation, is an
-      anti-automorphism: theta(XY) = theta(Y) theta(X), so
-      theta(X^k) = theta(X)^k.
-    - theta maps each chain lo..hi of tau_w to s+1-hi..s+1-lo, the chains of
-      the partner, so it maps m_tau to m_tau* and the generic matrix x_R
-      of tau_w to that of the partner under the renaming
-      rho: x_rc -> x_{s+1-c, s+1-r}.
-    - The chain lengths come in reverse order, so the Richardson shape
-      lambda, and with it k and r, are unchanged.
-    - theta maps the top-right corner of a matrix to the anti-transpose
-      of the same corner, which has the same determinant. So the
-      partner's power minor has det M* = rho(det M), and, through the
-      window matrix x_R + t*id (t is fixed by theta), f* = rho(f). rho is a
-      one-to-one renaming, so det M* = +-f* exactly when det M = +-f.
-    - The interior chain lengths are the same set, so the chain condition
-      is unchanged.
-    The delegation goes through this cache, so a hit costs what it did,
-    and each orbit is decided once (_remark_decision).
-    """
-    partner = TauSet(frozenset(tau_w.n - i for i in tau_w.indices), tau_w.n)
-    if partner.sorted() < tau_w.sorted():
-        return _remark_window(partner, i_thick)
-    return _remark_decision(tau_w, i_thick)
-
-
-def _remark_decision(tau_w: TauSet, i_thick: int) -> RemarkResult:
-    """remark_check on the window problem (tau_w, i_thick), decided afresh,
-    by identity or by degree where either decides, else by expansion
-    (_remark_expanded). l(lambda), k and r are read off tau_w's chains
-    (_shape_numbers), as the generator and _packed_minor read them; size
-    is tau_w.n and target = size - i_thick - l(lambda) is f's power of t.
-
-    Identity, k = 1. The first and last chains have length i_thick, and
-    k + 1 counts the chains of length >= i_thick, so k = 1 exactly when
-    every interior chain is shorter than i_thick. Then no chain is longer
-    than i_thick, which is checked as a witness: every x_{r, r+i_thick}
-    with r <= size - i_thick is free, as r and r+i_thick lie in different
-    chains. So lambda has i_thick rows, and r and l(lambda) are both
-    size - i_thick: target = 0. M is the top-right r x r corner of x_R,
-    rows 1..r and columns i_thick+1..size: the window matrix (cmin_window)
-    at t = 0, so det M is the window determinant's t^0 rung, which is f.
-    The system sigma(r) = r + i_thick of the witnesses takes no t, so that
-    rung is nonempty, all _ladder's consistency check asks when target = 0;
-    without the witness InconsistentIndexing is raised. Nothing is expanded.
-
-    Degree, r*k != l(lambda). Every entry of x_R^k is 0 or homogeneous of
-    degree k in the x's, so det M is 0 or homogeneous of degree r*k. f is
-    the t^target coefficient of a determinant of side size - i_thick, so
-    each of its terms takes size - i_thick - target = l(lambda) x's: f is
-    homogeneous of degree l(lambda), and not zero once _ladder's check
-    passes. So det M != +-f, and M is never formed; f's walk runs only for
-    that check, which reads whether the rungs are empty and not their keys.
-    """
-    chains = _tau_chains(tau_w)
-    l_lambda, k, r = _shape_numbers(chains, i_thick)
-    if k == 1:
-        if any(len(c) > i_thick for c in chains):
-            raise InconsistentIndexing(
-                f"k = 1 but a chain is longer than the thickness {i_thick}: "
-                f"some x_(r, r+{i_thick}) is not free"
-            )
-        return RemarkResult(True, _chain_condition(chains, i_thick))
-    if r * k != l_lambda:
-        _ladder(tau_w, i_thick, lambda row, col: 0, f_only=True)
-        return RemarkResult(False, _chain_condition(chains, i_thick))
-    return _remark_expanded(tau_w, i_thick)
-
-
-def _remark_expanded(tau_w: TauSet, i_thick: int) -> RemarkResult:
-    """_remark_decision by expansion, on any window problem.
-
-    The packed corner is expanded by determinant's core (_packed_det), and
-    f's path systems are walked with each x_ab named by its field's lowest
-    bit, so f comes out packed into the same fields. f is multilinear, so
-    the packing is one-to-one on both sides, and det(M) == +-f is two dict
-    comparisons, with no term unpacked.
-    """
-    corner, variables, w, _, _ = _packed_minor(tau_w, i_thick)
-    det_m = _packed_det(corner)
-    bit = {v: 1 << m * w for m, v in enumerate(variables)}
-    l_lambda, buckets = _ladder(tau_w, i_thick, lambda r, c: bit[r, c], f_only=True)
-    f = buckets[tau_w.n - i_thick - l_lambda]
-    return RemarkResult(
-        detm_equals_f=det_m == f or det_m == {key: -c for key, c in f.items()},
-        chain_condition=_chain_condition(_tau_chains(tau_w), i_thick),
-    )
-
-
-def _chain_condition(chains: list[range], i_thick: int) -> bool:
-    """The interior chains all shorter, or all longer, than the thickness."""
-    interior = chains[1:-1]
-    return all(len(c) < i_thick for c in interior) or all(len(c) > i_thick for c in interior)
+    a, b = d.window
+    if type(a) is not int or type(b) is not int or not 1 <= a <= b <= d.tau.n:
+        raise BadRange(f"need 1 <= a <= b <= {d.tau.n}, got a={a!r}, b={b!r}")
+    i_thick = d.thickness
+    indices = d.tau.indices
+    lengths = []
+    lo = a
+    for m in range(a, b):
+        if m not in indices:
+            lengths.append(m + 1 - lo)
+            lo = m + 1
+    lengths.append(b + 1 - lo)
+    interior = lengths[1:-1]
+    if len(lengths) < 2 or lengths[0] != i_thick or lengths[-1] != i_thick or i_thick in interior:
+        pattern = f"({i_thick}, ..., {i_thick}) with no interior {i_thick}"
+        raise InconsistentIndexing(f"window {d.window} cuts chains {lengths}, not {pattern}")
+    cc = not interior or max(interior) < i_thick or min(interior) > i_thick
+    return RemarkResult(cc, cc)

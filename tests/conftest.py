@@ -16,9 +16,17 @@ whole tableau of every box drop, weight_of adds up the root weights of
 every term of a polynomial (the oracle of the generator's window weight),
 and per_prime_report runs each verify trial under one prime at a time,
 from the oracles above and the public probes and none of the trial's own
-steps. They choke past small sizes, which is the point; they exist only
-to cross-check the fast code. matrix_rank is no oracle: it ranks any
-square matrix with the program's own elimination, for minor_rank to check.
+steps. remark_by_expansion decides the power-minor remark by expanding
+det M and f on packed keys, the oracle of remark_check's closed form;
+remark_class and degree_gap read the class and the mixed class's degree
+gap off the chain lengths, and ladder_support the ladder's support, the
+one chain-length fact that closed form's proof rests on (f is not zero
+and of degree l(lambda)). f_variables and f_term_count read f's variables
+and term count off the chains, to cross-check the generator's walk and
+nothing in the proof. They choke past small sizes,
+which is the point; they exist only to cross-check the fast code.
+matrix_rank is no oracle: it ranks any square matrix with the program's
+own elimination, for minor_rank to check.
 """
 
 import random
@@ -26,7 +34,7 @@ import re
 from bisect import insort
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import prod
+from math import factorial, perm, prod
 
 from orbital import (
     DegenerateSample,
@@ -50,7 +58,10 @@ from orbital import (
     validate_syt,
     variety_dim,
 )
-from orbital.verify import VerificationReport, _window_ranks
+from orbital.generator import _generator
+from orbital.polyalg import _packed_det
+from orbital.tableaux import _tau_chains
+from orbital.verify import RemarkResult, VerificationReport, _packed_minor, _window_ranks
 
 
 def pytest_runtest_logreport(report):
@@ -441,3 +452,75 @@ def mono_weight(mono, rank: int) -> tuple[int, ...]:
         for a in range(i, j):
             coords[a - 1] += e
     return tuple(coords)
+
+
+def remark_class(tau_w, i_thick: int) -> str:
+    """The window problem's class by its interior chains: "short" if all
+    are shorter than the thickness (none at all included), "long" if all
+    are longer, else "mixed"."""
+    interior = [len(c) for c in _tau_chains(tau_w)[1:-1]]
+    if all(length < i_thick for length in interior):
+        return "short"
+    return "long" if all(length > i_thick for length in interior) else "mixed"
+
+
+def degree_gap(tau_w, i_thick: int) -> int:
+    """S * m_long: the total length of the interior chains shorter than the
+    thickness, times the number of those longer."""
+    interior = [len(c) for c in _tau_chains(tau_w)[1:-1]]
+    return sum(L for L in interior if L < i_thick) * sum(L > i_thick for L in interior)
+
+
+def packed_minor_and_f(tau_w, i_thick: int) -> tuple[dict, dict]:
+    """(det M, f) of the window problem, both as packed term dicts on the
+    fields of the power minor's corner (_packed_minor): the corner is
+    expanded by determinant's core, and each term of the generator's f is
+    packed by setting the lowest bit of each of its variables' fields. f is
+    multilinear, so the packing is one-to-one on both sides."""
+    corner, variables, w, _, _ = _packed_minor(tau_w, i_thick)
+    bit = {(v, 1): 1 << m * w for m, v in enumerate(variables)}.__getitem__
+    f = {sum(map(bit, mono)): c for mono, c in _generator(tau_w, i_thick).terms.items()}
+    return _packed_det(corner), f
+
+
+def remark_by_expansion(tau_w, i_thick: int) -> RemarkResult:
+    """remark_check's outcome on the window problem (tau_w, i_thick), by
+    expansion: whether det M is f or -f, two comparisons of packed term
+    dicts, and whether the interior chains are all short or all long."""
+    det_m, f = packed_minor_and_f(tau_w, i_thick)
+    return RemarkResult(
+        detm_equals_f=det_m == f or det_m == {key: -c for key, c in f.items()},
+        chain_condition=remark_class(tau_w, i_thick) != "mixed",
+    )
+
+
+def ladder_support(tau_w, i_thick: int) -> range:
+    """The j with m_j != 0 on the window problem's ladder: I <= j <=
+    l(lambda), with l(lambda) the sum of min(L, I) over the chain lengths
+    L, minus I."""
+    l_lambda = sum(min(len(c), i_thick) for c in _tau_chains(tau_w)) - i_thick
+    return range(i_thick, l_lambda + 1)
+
+
+def f_variables(tau_w, i_thick: int) -> list[tuple[int, int]]:
+    """The variables of f, in _var_key order: x_rc, r < c, with r and c in
+    different chains and every chain strictly between them shorter than
+    the thickness."""
+    chain_list = _tau_chains(tau_w)
+    of = {label: k for k, c in enumerate(chain_list) for label in c}
+    size = tau_w.n
+    return [
+        (r, c)
+        for r in range(1, size + 1)
+        for c in range(r + 1, size + 1)
+        if of[r] < of[c] and all(len(between) < i_thick for between in chain_list[of[r] + 1 : of[c]])
+    ]
+
+
+def f_term_count(tau_w, i_thick: int) -> int:
+    """The number of terms of f: I! times, over the interior chains,
+    L!/(L - I)! for a chain of length L > I and I!/(I - L)! for L < I."""
+    interior = [len(c) for c in _tau_chains(tau_w)[1:-1]]
+    return factorial(i_thick) * prod(
+        perm(length, i_thick) if length > i_thick else perm(i_thick, length) for length in interior
+    )

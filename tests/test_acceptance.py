@@ -228,8 +228,8 @@ def test_criterion_7_minor_remark():
 
     # the nine-box minor misses f by the quadratic cofactor
     # x36*x47 - x46*x37: confirmed at twenty random points. Its degree is
-    # the gap r*k - l(lambda) between det M's degree and f's, which is
-    # what lets remark_check decide without expanding det M
+    # the gap r*k - l(lambda) = S*m_long between det M's degree and f's,
+    # which is what lets remark_check decide the mixed class in closed form
     corner, k, r = remark_minor(d9)
     det_m = determinant(corner)
     report9 = generator_report(d9)

@@ -27,7 +27,7 @@ from orbital import (
     variety_dim,
     x,
 )
-from orbital.generator import _descriptor_generator, _generator, _ladder, _named, _path_systems
+from orbital.generator import _descriptor_generator, _generator, _ladder, _path_systems
 from orbital.tableaux import _tau_chains
 from conftest import FIVE_BOX, SIX_BOX, TWELVE_BOX, print_key, shifted, tab, weight_of
 
@@ -132,9 +132,9 @@ def _fake_l_lambda(monkeypatch, d, chains) -> list:
     own = _tau_chains(d.window_problem[0])
     calls = []
 
-    def counted(_, thickness, max_ts, names):
+    def counted(_, thickness, max_ts, shift):
         calls.append((thickness, max_ts))
-        return _path_systems(own, thickness, max_ts, names)
+        return _path_systems(own, thickness, max_ts, shift)
 
     monkeypatch.setattr("orbital.generator._tau_chains", lambda _: chains)
     monkeypatch.setattr("orbital.generator._path_systems", counted)
@@ -167,12 +167,12 @@ def test_f_only_walk_matches_the_full_ladder():
     assert len(problems) == 137
     for tau_w, i_thick in problems:
         f = _generator(tau_w, i_thick)
-        l_lambda, ladder = _ladder(tau_w, i_thick, _named(0))
+        l_lambda, ladder = _ladder(tau_w, i_thick, 0)
         target = tau_w.n - i_thick - l_lambda
         assert f.terms == ladder[target]
         # f's rung is the lowest one that survives, and no system carrying
         # more t's than f's terms is walked
-        buckets = _path_systems(_tau_chains(tau_w), i_thick, target, _named(0))
+        buckets = _path_systems(_tau_chains(tau_w), i_thick, target, 0)
         assert buckets[target] == f.terms
         assert not any(buckets[:target]) and not any(buckets[target + 1:])
 
@@ -186,7 +186,7 @@ def test_every_rung_lists_its_terms_in_print_order():
     assert len(problems) == 79
     for tau_w, i_thick in problems:
         for shift in (0, 3):
-            for rung in _ladder(tau_w, i_thick, _named(shift))[1]:
+            for rung in _ladder(tau_w, i_thick, shift)[1]:
                 assert list(rung) == sorted(rung, key=print_key), (tau_w, i_thick, shift)
 
 
@@ -345,7 +345,7 @@ def test_lemma2_threshold_reports_what_the_checked_walk_rejects():
     # expanded window matrix
     assert lemma2_threshold({1}, 2, (1, 2), 1) == (0, [(1, True)])
     with pytest.raises(InconsistentIndexing, match="vanished identically"):
-        _ladder(TauSet(frozenset({1}), 2), 1, _named(0))
+        _ladder(TauSet(frozenset({1}), 2), 1, 0)
     windows, rejected = 0, 0
     for n in range(2, 7):
         for tau in (set(c) for k in range(n) for c in combinations(range(1, n), k)):
@@ -360,7 +360,7 @@ def test_lemma2_threshold_reports_what_the_checked_walk_rejects():
                             for j in range(i_thick, top + 1)
                         ], (tau, n, a, b, i_thick)
                         try:
-                            _ladder(TauSet(frozenset(tau), n).restrict(a, b), i_thick, _named(0))
+                            _ladder(TauSet(frozenset(tau), n).restrict(a, b), i_thick, 0)
                         except InconsistentIndexing:
                             rejected += 1
     assert (windows, rejected) == (982, 278)

@@ -9,9 +9,11 @@ from orbital import (
     BadExponent,
     BadProbeInput,
     BadRange,
+    BadVariable,
     MissingVariable,
     MultiPoly,
     NotSquare,
+    OrbitalError,
     PolyMatrix,
     WeightVector,
     cmin_window,
@@ -126,12 +128,14 @@ def test_non_int_operands_raise_typed_errors(call, error, message):
 
 
 # neither "t" nor a pair: 5 and (1,) raised a raw TypeError or ValueError
-# from unpacking, and (1, 2, 3) a raw ValueError
+# from unpacking, and (1, 2, 3) a raw ValueError. BadVariable is an
+# OrbitalError and still a ValueError, as the rejection always was
 @pytest.mark.parametrize("var", [5, (1, 2, 3), (1,), None, (1.0, 2)])
 def test_variable_that_is_no_int_pair_raises_typed_error(var):
     message = f"matrix variable must be an int pair, got {var!r}"
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(BadVariable, match=re.escape(message)) as caught:
         MultiPoly.variable(var)
+    assert isinstance(caught.value, OrbitalError) and isinstance(caught.value, ValueError)
 
 
 def test_json_round_trip():

@@ -1,5 +1,6 @@
 """Finite-field probes: ranks, Jordan types, samplers, the conjecture checks."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,8 +18,10 @@ from orbital import (
     SECOND_PRIME,
     BadExponent,
     BadProbeInput,
+    BadRange,
     DegenerateSample,
     FieldMatrix,
+    InconsistentIndexing,
     MultiPoly,
     NotApplicable,
     NotNilpotent,
@@ -55,6 +58,10 @@ from conftest import (
     NINE_BOX,
     SIX_BOX,
     all_syt,
+    degree_gap,
+    f_term_count,
+    f_variables,
+    ladder_support,
     leibniz_det,
     matrix_rank,
     minor_rank,
@@ -63,7 +70,10 @@ from conftest import (
     naive_mat_mul,
     naive_power_rank,
     naive_variety_point,
+    packed_minor_and_f,
     per_prime_report,
+    remark_by_expansion,
+    remark_class,
     same_up_to_sign,
     slide_project,
     sliced_power_rank,
@@ -923,41 +933,17 @@ def _window_problems(n_max: int) -> dict:
 
 
 def test_packed_remark_matches_dense_oracles():
-    # the decision runs on packed keys; the corner it expands, unpacked, must
-    # be the dense power's, and its outcome that of determinant against f,
-    # on every window problem with n <= 10, without the memo or the orbit
+    # the expansion oracle runs on packed keys; the corner it expands,
+    # unpacked, must be the dense power's, and its outcome that of
+    # determinant against f, on every window problem with n <= 10
     problems = _window_problems(10)
     for (tau_w, i_thick), d in problems.items():
         corner, k, r = remark_minor(d)
         full = generic_richardson_matrix(tau_w, tau_w.n).power(k).top_right(r)
         assert corner == full, d.descriptor_id
         f = _generator(tau_w, i_thick)
-        decided = orbital.verify._remark_decision(tau_w, i_thick)
+        decided = remark_by_expansion(tau_w, i_thick)
         assert decided.detm_equals_f == same_up_to_sign(determinant(full), f), d.descriptor_id
-    assert len(problems) == 79
-
-
-def test_remark_walks_f_already_packed(monkeypatch):
-    # the expansion walks f's path systems with int names, one field bit
-    # per variable; the f it compares must be the tuple f packed term by
-    # term into the same fields, in the same order, on every window problem
-    # with n <= 10
-    walks = []
-
-    def recorded(*args, **kwargs):
-        walks.append(_ladder(*args, **kwargs))
-        return walks[-1]
-
-    monkeypatch.setattr(orbital.verify, "_ladder", recorded)
-    problems = _window_problems(10)
-    for tau_w, i_thick in problems:
-        walks.clear()
-        orbital.verify._remark_expanded(tau_w, i_thick)
-        [(l_lambda, buckets)] = walks
-        _, variables, w, _, _ = orbital.verify._packed_minor(tau_w, i_thick)
-        bit = {(v, 1): 1 << m * w for m, v in enumerate(variables)}.__getitem__
-        packed = {sum(map(bit, mono)): c for mono, c in _generator(tau_w, i_thick).terms.items()}
-        assert list(buckets[tau_w.n - i_thick - l_lambda].items()) == list(packed.items())
     assert len(problems) == 79
 
 
@@ -980,66 +966,110 @@ def test_shape_numbers_read_the_richardson_shape():
     assert len(problems) == 239
 
 
-def _recording(calls: list, fn):
-    """fn, appending the arguments of each call to calls."""
-    def wrapped(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-    return wrapped
-
-
-def test_remark_shortcuts_match_the_expansion(monkeypatch):
-    # the decision skips the expansion where k = 1 (det M is f) or where
-    # det M and f differ in degree; on every window problem with n <= 10,
-    # without the memo or the orbit, it must give the expansion's result,
-    # and each shortcut must rest on what it claims
-    expand = orbital.verify._remark_expanded
-    expansions, walks = [], []
-    monkeypatch.setattr(orbital.verify, "_remark_expanded", _recording(expansions, expand))
-    monkeypatch.setattr(orbital.verify, "_ladder", _recording(walks, _ladder))
+def test_remark_classes_match_the_expansion():
+    # remark_check decides in closed form by the class of the interior
+    # chains: short (det M is f, k = 1), mixed (det M and f differ in
+    # degree by S*m_long) or long (det M = +-f by Lindstrom-Gessel-Viennot).
+    # On every window problem with n <= 10 it must give the expansion's
+    # result, and each class must rest on what its proof claims
     problems = _window_problems(10)
-    branches = Counter()
+    classes = Counter()
     for (tau_w, i_thick), d in problems.items():
-        expansions.clear()
-        walks.clear()
-        decided = orbital.verify._remark_decision(tau_w, i_thick)
-        branch = "expanded" if expansions else "degree" if walks else "identity"
-        branches[branch] += 1
-        assert decided == expand(tau_w, i_thick), (tau_w, i_thick)
+        cls = remark_class(tau_w, i_thick)
+        classes[cls] += 1
+        decided = remark_check(d)
+        assert decided == remark_by_expansion(tau_w, i_thick), (tau_w, i_thick)
         size = tau_w.n
         k, r, l_lambda = _shape_readings(tau_w, i_thick)
-        if branch == "identity":
+        if cls == "short":
+            assert decided == (True, True)
             assert (k, r, size - i_thick - l_lambda) == (1, size - i_thick, 0)
             window = cmin_window(tau_w, size, (1, size), i_thick).entries
             assert remark_minor(d)[0].entries == tuple(
                 tuple(t_coefficient(e, 0) for e in row) for row in window
             ), (tau_w, i_thick)
-        elif branch == "degree":
-            assert r * k != l_lambda and not decided.detm_equals_f
+        elif cls == "mixed":
+            assert r * k - l_lambda == degree_gap(tau_w, i_thick) > 0, (tau_w, i_thick)
+            assert decided == (False, False)
             det_m = determinant(remark_minor(d)[0])
             assert all(sum(e for _, e in mono) == r * k for mono in det_m.terms)
         else:
-            assert r * k == l_lambda
+            assert r * k == l_lambda and decided == (True, True)
     assert len(problems) == 79
-    assert branches == {"identity": 24, "degree": 16, "expanded": 39}
+    assert classes == {"short": 24, "mixed": 16, "long": 39}
 
 
-def test_remark_expands_30_of_61_decisions_at_n_10(monkeypatch):
-    # the 732 descriptors at n = 10 (remark-survey's pass) name 79 window
-    # problems in 61 reversal orbits; the shortcuts decide 31 of those
-    decisions, expansions = [], []
-    monkeypatch.setattr(
-        orbital.verify, "_remark_decision", _recording(decisions, orbital.verify._remark_decision)
-    )
-    monkeypatch.setattr(
-        orbital.verify, "_remark_expanded", _recording(expansions, orbital.verify._remark_expanded)
-    )
-    orbital.verify._remark_window.cache_clear()
-    for d in iter_descriptors(10):
-        if d.n == 10:
-            remark_check(d)
-    orbital.verify._remark_window.cache_clear()
-    assert (len(decisions), len(expansions)) == (61, 30)
+def test_closed_form_remark_matches_the_expansion_at_n_12():
+    # the closed form against the expansion on every window problem with
+    # n <= 12; in the long class det M is f times the sign the docstring's
+    # proof gives, (-1)^(I*(size - I) + I*(m + 1)) with m interior chains
+    problems = _window_problems(12)
+    for (tau_w, i_thick), d in problems.items():
+        assert remark_check(d) == remark_by_expansion(tau_w, i_thick), (tau_w, i_thick)
+        if remark_class(tau_w, i_thick) == "long":
+            det_m, f = packed_minor_and_f(tau_w, i_thick)
+            size, m = tau_w.n, len(_tau_chains(tau_w)) - 2
+            sign = (-1) ** (i_thick * (size - i_thick) + i_thick * (m + 1))
+            assert det_m == {key: sign * c for key, c in f.items()}, (tau_w, i_thick)
+    assert len(problems) == 239
+
+
+def test_ladder_support_reads_off_the_chains():
+    # fact 1: m_j != 0 exactly for I <= j <= l(lambda), on the whole ladder
+    # of every window problem with n <= 12
+    problems = _window_problems(12)
+    for tau_w, i_thick in problems:
+        _, buckets = _ladder(tau_w, i_thick, 0)
+        support = sorted(tau_w.n - i_thick - t for t, m in enumerate(buckets) if m)
+        assert support == list(ladder_support(tau_w, i_thick)), (tau_w, i_thick)
+    assert len(problems) == 239
+
+
+def test_f_variables_and_term_count_read_off_the_chains():
+    # fact 2: x_rc is a variable of f exactly when r and c lie in different
+    # chains with only short chains between them; fact 3: f's term count is
+    # a product over the chains. Every window problem with n <= 12
+    problems = _window_problems(12)
+    terms = 0
+    for tau_w, i_thick in problems:
+        f = _generator(tau_w, i_thick)
+        assert f.variables() == f_variables(tau_w, i_thick), (tau_w, i_thick)
+        assert len(f.terms) == f_term_count(tau_w, i_thick), (tau_w, i_thick)
+        terms += len(f.terms)
+    assert (len(problems), terms) == (239, 109593)
+
+
+def test_remark_check_rejects_a_window_off_the_chain_pattern():
+    # the window must cut tau into chains of lengths (I, ..., I) with no
+    # interior chain of length I; a thickness one too large, a window
+    # shifted right by one or cut short by one, or one reaching back past
+    # the nearest earlier chain of length I to the one before it, breaks
+    # that, and the check raises a typed error, also under python -O. A
+    # window reaching past n, or not of ints, raises the BadRange that
+    # remark_minor raises through TauSet.restrict
+    broken = Counter()
+    for d in iter_descriptors(8):
+        a, b = d.window
+        for window in ((a, d.n + 1), (float(a), b), (a, float(b))):
+            e = dataclasses.replace(d, window=window)
+            for check in (remark_check, remark_minor):
+                with pytest.raises(BadRange, match="need 1 <= a <= b"):
+                    check(e)
+            broken["off range"] += 1
+        bad = {"thicker": dataclasses.replace(d, thickness=d.thickness + 1)}
+        bad["shorter"] = dataclasses.replace(d, window=(a, b - 1))
+        if b < d.n:
+            bad["shifted"] = dataclasses.replace(d, window=(a + 1, b + 1))
+        earlier = [c[0] for c in _tau_chains(d.tau) if len(c) == d.thickness and c[-1] < a]
+        if earlier:
+            bad["wider"] = dataclasses.replace(d, window=(earlier[-1], b))
+        for how, e in bad.items():
+            with pytest.raises(InconsistentIndexing, match="cuts chains"):
+                remark_check(e)
+            broken[how] += 1
+    assert broken == {
+        "thicker": 198, "shorter": 198, "shifted": 110, "wider": 59, "off range": 594
+    }
 
 
 def test_remark_degree_gap_is_the_cofactor_degree():
@@ -1065,16 +1095,16 @@ def test_remark_degree_gap_is_the_cofactor_degree():
 
 
 def test_remark_is_invariant_under_reversal():
-    # remark_check decides one window problem per reversal orbit: the
-    # partner of every window problem with n <= 10 is a window problem too,
-    # with the same outcome and f renamed by x_rc -> x_{s+1-c, s+1-r}
+    # the partner of every window problem with n <= 10, tau reversed by
+    # i -> s - i, is a window problem too, with the same expanded outcome
+    # and f renamed by x_rc -> x_{s+1-c, s+1-r}
     problems = _window_problems(10)
-    decide = orbital.verify._remark_decision
     orbits = set()
     for tau_w, i_thick in problems:
         partner = TauSet(frozenset(tau_w.n - i for i in tau_w.indices), tau_w.n)
         assert (partner, i_thick) in problems, (tau_w, i_thick)
-        assert decide(tau_w, i_thick) == decide(partner, i_thick), (tau_w, i_thick)
+        same = remark_by_expansion(tau_w, i_thick) == remark_by_expansion(partner, i_thick)
+        assert same, (tau_w, i_thick)
         s = tau_w.n
         renamed = {
             tuple(sorted(((s + 1 - c, s + 1 - r), e) for (r, c), e in mono)): coeff
@@ -1083,34 +1113,3 @@ def test_remark_is_invariant_under_reversal():
         assert _generator(partner, i_thick).terms == renamed, (tau_w, i_thick)
         orbits.add(frozenset({(tau_w, i_thick), (partner, i_thick)}))
     assert (len(problems), len(orbits)) == (79, 61)
-
-
-def test_remark_check_works_once_per_window(monkeypatch):
-    # the outcome depends on a descriptor only through its projected window
-    # tableau, and the 198 descriptors with n <= 8 share 26 of them; a window
-    # problem and its reversal partner share the outcome, so the 26 fall in
-    # 23 orbits, and each is decided once, on the same representative in
-    # either order. Each problem still misses the cache once; in the
-    # backward order each of the 3 that delegate finds its partner's outcome
-    # cached, 3 more hits than the 172 repeat sightings
-    memo = orbital.verify._remark_window
-    decide = orbital.verify._remark_decision
-    decided = []
-
-    def counted(tau_w, i_thick):
-        decided.append((tau_w, i_thick))
-        return decide(tau_w, i_thick)
-
-    monkeypatch.setattr(orbital.verify, "_remark_decision", counted)
-    descriptors = list(iter_descriptors(8))
-    memo.cache_clear()
-    backward = [remark_check(d, seed=3) for d in reversed(descriptors)]
-    info = memo.cache_info()
-    assert (info.misses, info.hits) == (26, 175)
-    assert len(decided) == len(set(decided)) == 23
-    backward_decided = set(decided)
-    decided.clear()
-    memo.cache_clear()
-    forward = [remark_check(d) for d in descriptors]
-    assert len(decided) == 23 and set(decided) == backward_decided
-    assert forward == backward[::-1]
