@@ -8,11 +8,9 @@ coefficients. Coefficients never overflow and nothing is ever floated.
 
 determinant packs each monomial into one int internally, with a bit field
 per variable, so multiplying two monomials is adding two ints; what it
-returns is an ordinary MultiPoly. Its expansion on packed keys
-(_packed_det) also serves the tests' expansion of the remark's packed
-power minor, and its unpacking (_unpacker) remark_minor. PolyMatrix is
-the dense oracle: power(k).top_right(r) is the corner the packed one is
-tested against.
+returns is an ordinary MultiPoly. PolyMatrix is dense: power(k) and
+top_right(r) build the remark's power minor (remark_minor), which the
+tests expand with determinant.
 
 The weight of x_{ij} is the root-lattice vector alpha_i + ... + alpha_{j-1};
 t is weight-neutral. Weight-homogeneous polynomials (every construction in
@@ -23,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Mapping, TypeVar, Union
 
 from .errors import BadExponent, BadProbeInput, BadRange, BadVariable, MissingVariable, NotSquare
 
@@ -514,9 +512,8 @@ def determinant(m: PolyMatrix) -> MultiPoly:
     (_packed_det), on packed exponent keys.
 
     Terms are summed exactly and may cancel; the tests use it as the oracle
-    for the generator's path systems, which never cancel, and for the
-    remark's power minors, which the tests also expand through the same
-    _packed_det without building a PolyMatrix.
+    for the generator's path systems, which never cancel, and to expand
+    the remark's power minors (remark_minor) against f.
 
     The entries' variables, in _var_key order, each get a field of
     w = max(D, 1).bit_length() bits of one int, where D sums each row's
@@ -524,7 +521,9 @@ def determinant(m: PolyMatrix) -> MultiPoly:
     from each of its rows, so its degree, and with it every exponent it
     carries, is at most D < 2^w. No field can carry into the next, so
     adding two keys is exactly multiplying the two monomials. Only the
-    final terms are unpacked (_unpacker).
+    final terms are unpacked. Keys share low and high halves, so each half
+    is unpacked once (_Unpacked) and a monomial is the two halves joined,
+    low field first, which is the canonical order.
     """
     if m.nrows != m.ncols:
         raise NotSquare(f"determinant of a {m.nrows}x{m.ncols} matrix")
@@ -551,7 +550,14 @@ def determinant(m: PolyMatrix) -> MultiPoly:
         ]
         for row in m.entries
     ]
-    return _unpacker(variables, w)(_packed_det(ent))
+    half = len(variables) // 2
+    cut = half * w
+    low = (1 << cut) - 1
+    lows = _Unpacked(variables[:half], w)
+    highs = _Unpacked(variables[half:], w)
+    return MultiPoly._raw(
+        {lows[key & low] + highs[key >> cut]: c for key, c in _packed_det(ent).items()}
+    )
 
 
 def _packed_det(ent: list[list[dict[int, int]]]) -> dict[int, int]:
@@ -588,26 +594,6 @@ def _packed_det(ent: list[list[dict[int, int]]]) -> dict[int, int]:
         return out
 
     return det((1 << n) - 1)
-
-
-def _unpacker(variables: Sequence[VarId], w: int) -> Callable[[dict[int, int]], MultiPoly]:
-    """Packed terms -> MultiPoly, for keys with a field of w bits per
-    variable from the lowest, the variables in _var_key order. Keys share
-    low and high halves, so each half is unpacked once across every call
-    and a monomial is the two halves joined, low field first, which is the
-    canonical order."""
-    half = len(variables) // 2
-    cut = half * w
-    low = (1 << cut) - 1
-    lows = _Unpacked(variables[:half], w)
-    highs = _Unpacked(variables[half:], w)
-
-    def unpack(terms: dict[int, int]) -> MultiPoly:
-        return MultiPoly._raw(
-            {lows[key & low] + highs[key >> cut]: c for key, c in terms.items()}
-        )
-
-    return unpack
 
 
 class _Unpacked(dict):

@@ -65,11 +65,11 @@ from .errors import (
     NotNilpotent,
     NotSquare,
 )
-from .generator import _descriptor_generator, _shape_numbers
+from .generator import _descriptor_generator, _shape_numbers, generic_richardson_matrix
 from .hypersurface import HypersurfaceDescriptor
-from .polyalg import PolyMatrix, _unpacker, poly_eval
+from .polyalg import PolyMatrix, poly_eval
 from .rs import _recordings, rs_inverse
-from .tableaux import Partition, StandardTableau, TauSet, _tau_chains, dual_partition
+from .tableaux import Partition, StandardTableau, _tau_chains, dual_partition
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1
 SECOND_PRIME = 2147483629  # largest prime below it
@@ -744,53 +744,6 @@ class RemarkResult(NamedTuple):
     chain_condition: bool
 
 
-def _packed_minor(tau_w: TauSet, i_thick: int):
-    """remark_minor's corner on the window problem (tau_w, i_thick), on
-    packed exponent keys: (corner, variables, w, k, r), the corner as r
-    rows of r packed term dicts.
-
-    Each free position of x_R, in free_positions order, which is _var_key
-    order, gets a field of w = max(r*k, 1).bit_length() bits. An entry of
-    x_R^k has degree k and the corner's determinant degree r*k, so no
-    exponent of either reaches 2^w, and adding two keys multiplies two
-    monomials, as in determinant. x_R's entries are single variables, so
-    entry (i, c) of x_R^j sums, over the free x_{mc} of column c, entry
-    (i, m) of x_R^(j-1) with x_{mc}'s bit added to every key. Only rows
-    1..r are formed, and the last product forms only the corner's
-    columns. Every coefficient is positive, so no term cancels.
-    """
-    n = tau_w.n
-    _, k, r = _shape_numbers(_tau_chains(tau_w), i_thick)
-    variables = tau_w.free_positions
-    w = max(r * k, 1).bit_length()
-    column: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for m, (a, b) in enumerate(variables):
-        column[b - 1].append((a - 1, 1 << m * w))
-    rows = [[{} for _ in range(n)] for _ in range(r)]
-    for c, bits in enumerate(column):
-        for i, bit in bits:
-            if i < r:
-                rows[i][c] = {bit: 1}
-    for j in range(2, k + 1):
-        rows = [
-            [_times_variables(row, column[c]) for c in range(n - r if j == k else 0, n)]
-            for row in rows
-        ]
-    return [row[-r:] for row in rows], variables, w, k, r
-
-
-def _times_variables(row: list[dict[int, int]], bits: list[tuple[int, int]]) -> dict[int, int]:
-    """The sum over (m, bit) in bits of row[m] with bit added to every key:
-    one entry of a packed row times a column of single variables."""
-    acc: dict[int, int] = {}
-    get = acc.get
-    for m, bit in bits:
-        for key, c in row[m].items():
-            key += bit
-            acc[key] = get(key, 0) + c
-    return acc
-
-
 def remark_minor(d: HypersurfaceDescriptor) -> tuple[PolyMatrix, int, int]:
     """Symbolic minor matching the generator on the window problem.
 
@@ -799,12 +752,13 @@ def remark_minor(d: HypersurfaceDescriptor) -> tuple[PolyMatrix, int, int]:
     k = lambda_I - 1 is one less than the number of its chains of length
     >= I, and r, the rank bound of lambda at k, the total length of all
     but the k longest (_shape_numbers). Returns (top-right r x r corner of
-    x_R^k, k, r), unpacked from the packed corner (_packed_minor) that the
-    tests expand as the oracle of remark_check.
+    x_R^k, k, r), x_R the window's generic_richardson_matrix. A window off
+    the chain pattern raises remark_check's error.
     """
-    corner, variables, w, k, r = _packed_minor(*d.window_problem)
-    unpack = _unpacker(variables, w)
-    return PolyMatrix(tuple(tuple(map(unpack, row)) for row in corner)), k, r
+    remark_check(d)
+    tau_w, i_thick = d.window_problem
+    _, k, r = _shape_numbers(_tau_chains(tau_w), i_thick)
+    return generic_richardson_matrix(tau_w, tau_w.n).power(k).top_right(r), k, r
 
 
 def remark_check(d: HypersurfaceDescriptor, *, seed=0) -> RemarkResult:

@@ -17,14 +17,15 @@ every term of a polynomial (the oracle of the generator's window weight),
 and per_prime_report runs each verify trial under one prime at a time,
 from the oracles above and the public probes and none of the trial's own
 steps. remark_by_expansion decides the power-minor remark by expanding
-det M and f on packed keys, the oracle of remark_check's closed form;
-remark_class and degree_gap read the class and the mixed class's degree
-gap off the chain lengths, and ladder_support the ladder's support, the
-one chain-length fact that closed form's proof rests on (f is not zero
-and of degree l(lambda)). f_variables and f_term_count read f's variables
-and term count off the chains, to cross-check the generator's walk and
-nothing in the proof. They choke past small sizes,
-which is the point; they exist only to cross-check the fast code.
+det M with determinant and comparing it with f, the oracle of
+remark_check's closed form; remark_class and degree_gap read the class
+and the mixed class's degree gap off the chain lengths, and
+ladder_support the ladder's support, the one chain-length fact that
+closed form's proof rests on (f is not zero and of degree l(lambda)).
+f_variables and f_term_count read f's variables and term count off the
+chains, to cross-check the generator's walk and nothing in the proof.
+They choke past small sizes, which is the point; they exist only to
+cross-check the fast code.
 matrix_rank is no oracle: it ranks any square matrix with the program's
 own elimination, for minor_rank to check.
 """
@@ -47,7 +48,9 @@ from orbital import (
     WeightVector,
     chains,
     check_power_rank,
+    determinant,
     generator_report,
+    generic_richardson_matrix,
     jordan_type,
     poly_eval,
     projected_shape,
@@ -58,10 +61,9 @@ from orbital import (
     validate_syt,
     variety_dim,
 )
-from orbital.generator import _generator
-from orbital.polyalg import _packed_det
+from orbital.generator import _generator, _shape_numbers
 from orbital.tableaux import _tau_chains
-from orbital.verify import RemarkResult, VerificationReport, _packed_minor, _window_ranks
+from orbital.verify import RemarkResult, VerificationReport, _window_ranks
 
 
 def pytest_runtest_logreport(report):
@@ -471,25 +473,22 @@ def degree_gap(tau_w, i_thick: int) -> int:
     return sum(L for L in interior if L < i_thick) * sum(L > i_thick for L in interior)
 
 
-def packed_minor_and_f(tau_w, i_thick: int) -> tuple[dict, dict]:
-    """(det M, f) of the window problem, both as packed term dicts on the
-    fields of the power minor's corner (_packed_minor): the corner is
-    expanded by determinant's core, and each term of the generator's f is
-    packed by setting the lowest bit of each of its variables' fields. f is
-    multilinear, so the packing is one-to-one on both sides."""
-    corner, variables, w, _, _ = _packed_minor(tau_w, i_thick)
-    bit = {(v, 1): 1 << m * w for m, v in enumerate(variables)}.__getitem__
-    f = {sum(map(bit, mono)): c for mono, c in _generator(tau_w, i_thick).terms.items()}
-    return _packed_det(corner), f
+def minor_det_and_f(tau_w, i_thick: int) -> tuple[MultiPoly, MultiPoly]:
+    """(det M, f) of the window problem: M the top-right r x r corner of
+    x_R^k, with k and r read off the chain lengths, expanded by
+    determinant, and f the generator."""
+    _, k, r = _shape_numbers(_tau_chains(tau_w), i_thick)
+    corner = generic_richardson_matrix(tau_w, tau_w.n).power(k).top_right(r)
+    return determinant(corner), _generator(tau_w, i_thick)
 
 
 def remark_by_expansion(tau_w, i_thick: int) -> RemarkResult:
     """remark_check's outcome on the window problem (tau_w, i_thick), by
-    expansion: whether det M is f or -f, two comparisons of packed term
-    dicts, and whether the interior chains are all short or all long."""
-    det_m, f = packed_minor_and_f(tau_w, i_thick)
+    expansion: whether det M is f or -f, and whether the interior chains
+    are all short or all long."""
+    det_m, f = minor_det_and_f(tau_w, i_thick)
     return RemarkResult(
-        detm_equals_f=det_m == f or det_m == {key: -c for key, c in f.items()},
+        detm_equals_f=det_m == f or det_m == -f,
         chain_condition=remark_class(tau_w, i_thick) != "mixed",
     )
 

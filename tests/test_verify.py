@@ -64,13 +64,13 @@ from conftest import (
     ladder_support,
     leibniz_det,
     matrix_rank,
+    minor_det_and_f,
     minor_rank,
     naive_jordan_parts,
     naive_hypersurface_point,
     naive_mat_mul,
     naive_power_rank,
     naive_variety_point,
-    packed_minor_and_f,
     per_prime_report,
     remark_by_expansion,
     remark_class,
@@ -911,8 +911,9 @@ def test_remark_check_matches_leibniz_oracle():
 
 
 def test_power_corner_matches_full_power():
-    # remark_minor forms only rows 1..r of each power of x_R; its corner
-    # must be the full power's, at every k the descriptors meet
+    # remark_minor builds its corner from d.window_problem; it must be the
+    # full power's corner on the window reached by projecting d's tableau
+    # and classifying the result, at every k the descriptors meet
     ks = Counter()
     for d in iter_descriptors(8):
         corner, k, r = remark_minor(d)
@@ -932,21 +933,6 @@ def _window_problems(n_max: int) -> dict:
     return problems
 
 
-def test_packed_remark_matches_dense_oracles():
-    # the expansion oracle runs on packed keys; the corner it expands,
-    # unpacked, must be the dense power's, and its outcome that of
-    # determinant against f, on every window problem with n <= 10
-    problems = _window_problems(10)
-    for (tau_w, i_thick), d in problems.items():
-        corner, k, r = remark_minor(d)
-        full = generic_richardson_matrix(tau_w, tau_w.n).power(k).top_right(r)
-        assert corner == full, d.descriptor_id
-        f = _generator(tau_w, i_thick)
-        decided = remark_by_expansion(tau_w, i_thick)
-        assert decided.detm_equals_f == same_up_to_sign(determinant(full), f), d.descriptor_id
-    assert len(problems) == 79
-
-
 def _shape_readings(tau_w: TauSet, i_thick: int) -> tuple[int, int, int]:
     """(k, r, l(lambda)) of the window problem, read off its Richardson
     shape lambda: k = lambda_I - 1, r the rank bound at k, and
@@ -964,6 +950,20 @@ def test_shape_numbers_read_the_richardson_shape():
         k, r, l_lambda = _shape_readings(tau_w, i_thick)
         assert _shape_numbers(_tau_chains(tau_w), i_thick) == (l_lambda, k, r), (tau_w, i_thick)
     assert len(problems) == 239
+
+
+def test_remark_minor_reads_its_window_problem():
+    # remark_minor depends on d only through d.window_problem: every
+    # descriptor naming one window problem gets the same corner, and its
+    # k and r are the Richardson shape's, with k >= 1 and the corner r x r
+    seen: dict = {}
+    for d in iter_descriptors(10):
+        corner, k, r = remark_minor(d)
+        problem = d.window_problem
+        assert (k, r) == _shape_readings(*problem)[:2], d.descriptor_id
+        assert k >= 1 and corner.nrows == corner.ncols == r >= 1, d.descriptor_id
+        assert seen.setdefault(problem, (corner, k, r)) == (corner, k, r), d.descriptor_id
+    assert len(seen) == 79
 
 
 def test_remark_classes_match_the_expansion():
@@ -1007,10 +1007,10 @@ def test_closed_form_remark_matches_the_expansion_at_n_12():
     for (tau_w, i_thick), d in problems.items():
         assert remark_check(d) == remark_by_expansion(tau_w, i_thick), (tau_w, i_thick)
         if remark_class(tau_w, i_thick) == "long":
-            det_m, f = packed_minor_and_f(tau_w, i_thick)
+            det_m, f = minor_det_and_f(tau_w, i_thick)
             size, m = tau_w.n, len(_tau_chains(tau_w)) - 2
             sign = (-1) ** (i_thick * (size - i_thick) + i_thick * (m + 1))
-            assert det_m == {key: sign * c for key, c in f.items()}, (tau_w, i_thick)
+            assert det_m == sign * f, (tau_w, i_thick)
     assert len(problems) == 239
 
 
@@ -1044,9 +1044,9 @@ def test_remark_check_rejects_a_window_off_the_chain_pattern():
     # interior chain of length I; a thickness one too large, a window
     # shifted right by one or cut short by one, or one reaching back past
     # the nearest earlier chain of length I to the one before it, breaks
-    # that, and the check raises a typed error, also under python -O. A
-    # window reaching past n, or not of ints, raises the BadRange that
-    # remark_minor raises through TauSet.restrict
+    # that, and both the check and the minor raise a typed error, also
+    # under python -O. A window reaching past n, or not of ints, raises
+    # BadRange
     broken = Counter()
     for d in iter_descriptors(8):
         a, b = d.window
@@ -1064,8 +1064,9 @@ def test_remark_check_rejects_a_window_off_the_chain_pattern():
         if earlier:
             bad["wider"] = dataclasses.replace(d, window=(earlier[-1], b))
         for how, e in bad.items():
-            with pytest.raises(InconsistentIndexing, match="cuts chains"):
-                remark_check(e)
+            for check in (remark_check, remark_minor):
+                with pytest.raises(InconsistentIndexing, match="cuts chains"):
+                    check(e)
             broken[how] += 1
     assert broken == {
         "thicker": 198, "shorter": 198, "shifted": 110, "wider": 59, "off range": 594
