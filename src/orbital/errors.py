@@ -66,6 +66,13 @@ class BadVariable(OrbitalError, ValueError):
     too, as its rejection always was."""
 
 
+class BadWeight(OrbitalError, ValueError):
+    """WeightVector.simple or WeightVector.root got an index or a rank that
+    is not an int or lies outside 1 <= u <= v <= rank, or __add__ two
+    weights of different ranks; a ValueError too, as their rejections
+    always were."""
+
+
 class NotSquare(OrbitalError, ValueError):
     """A determinant, a matrix power or a FieldMatrix was given rows that do
     not make a square matrix; a ValueError too, as FieldMatrix's rejection

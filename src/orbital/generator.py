@@ -43,6 +43,7 @@ k < I of the roots alpha_{a+k} + ... + alpha_{b-1-k}.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 
 from .errors import BadWindow, InconsistentIndexing
@@ -52,6 +53,8 @@ from .polyalg import (
     MultiPoly,
     PolyMatrix,
     WeightVector,
+    _json_terms,
+    _JsonNames,
     t_poly,
     x,
 )
@@ -116,7 +119,9 @@ def cmin_window(tau, n: int, window: tuple[int, int], thickness: int) -> PolyMat
 class GeneratorReport:
     """The window determinant unpacked: the ladder of all m_j, l(lambda),
     and the weight of the generator. The generator f is the ladder's rung
-    j = l(lambda), read from it."""
+    j = l(lambda), read from it. Each rung lists its terms in print order,
+    as the walk emits them (_path_systems), and to_json writes them in
+    that order."""
 
     m_sequence: tuple[tuple[int, MultiPoly], ...]
     l_lambda: int
@@ -129,8 +134,14 @@ class GeneratorReport:
         return self.m_sequence[self.l_lambda - self.thickness][1]
 
     def to_json(self) -> dict:
-        # f's term list is serialized once and appears under both keys
-        rungs = [{"j": j, "poly": m.to_json()} for j, m in self.m_sequence]
+        # every rung is already in print order, so it is written as it
+        # stands, each variable named once for the whole ladder; f's term
+        # list is serialized once and appears under both keys
+        name = _JsonNames().__getitem__
+        rungs = [
+            {"j": j, "poly": _json_terms(m.terms, m.terms, name)}
+            for j, m in self.m_sequence
+        ]
         return {
             "window": list(self.window),
             "thickness": self.thickness,
@@ -159,8 +170,9 @@ def _path_systems(
     finds it unused takes t, and an entry past max_ts t's is dropped. The
     sign is (-1)^(inversions of sigma), one per used column right of each
     new one. Entries grow by their row's moves in column order, so buckets
-    keep depth-first order, _print_order's; no two systems share a
-    monomial (module docstring), so they are the exact coefficients.
+    keep depth-first order, _print_order's, which GeneratorReport.to_json
+    relies on to write each rung without sorting it; no two systems share
+    a monomial (module docstring), so they are the exact coefficients.
     """
     size = chains[-1][-1]
     first, last = 1 + thickness, size - thickness
@@ -237,11 +249,17 @@ def _ladder(tau_w: TauSet, i_thick: int, shift: int, f_only=False) -> tuple[int,
 def _window_weight(n: int, window: tuple[int, int], thickness: int) -> WeightVector:
     """The weight of every term of the window determinant, the sum over
     k < thickness of alpha_{a+k} + ... + alpha_{b-1-k} (module docstring):
-    alpha_m is in the roots with k <= min(m - a, b - 1 - m)."""
+    alpha_m is in the roots with k <= min(m - a, b - 1 - m), so its
+    coefficient is max(0, min(thickness, m - a + 1, b - m)). As
+    2*thickness <= b - a + 1, that is a trapezoid: zeros up to alpha_{a-1},
+    1 .. I-1 rising, I from alpha_{a+I-1} to alpha_{b-I}, I-1 .. 1 falling
+    and zeros from alpha_b on."""
     a, b = window
-    return WeightVector(tuple(
-        max(0, min(thickness, m - a + 1, b - m)) for m in range(1, n)
-    ))
+    rise = tuple(range(1, thickness))
+    return WeightVector._raw(
+        (0,) * (a - 1) + rise + (thickness,) * (b - a + 2 - 2 * thickness)
+        + rise[::-1] + (0,) * (n - b)
+    )
 
 
 def generator_report(d: HypersurfaceDescriptor) -> GeneratorReport:
@@ -322,17 +340,24 @@ def char_poly(d: HypersurfaceDescriptor) -> CharPoly:
     """Factor multiset: one linear weight per root forced to zero by tau,
     plus the weight of the non-linear generator f, which is the weight of
     its window (generator_report's weight). The factor count always equals
-    the codimension of the component."""
+    the codimension of the component.
+
+    The factors run by height, their coefficient sum, then by their first
+    simple root; a root alpha_u + ... + alpha_v has height v - u + 1 and
+    starts at u, and wt(f), of height I*(size - I) with size = b - a + 1
+    (the sum of its thickness roots, of heights size - 1, size - 3, ..),
+    starts at a.
+    Height and start name a root, so this is the order of the key
+    (coefficient sum, first nonzero index, coefficients). No root ties
+    wt(f): a root that starts at a lies in a's chain, d.prev_chain, of
+    length I, so its height is at most I - 1, below I*(size - I) as
+    size >= 2*I."""
     rank = d.n - 1
-    factors = [WeightVector.root(u, v, rank) for u, v in d.tau.positive_roots]
-    factors.append(_window_weight(d.n, d.window, d.thickness))
-    factors.sort(
-        key=lambda w: (
-            sum(w.coeffs),
-            next((k for k, c in enumerate(w.coeffs) if c), len(w.coeffs)),
-            w.coeffs,
-        )
-    )
+    (a, b), i_thick = d.window, d.thickness
+    roots = sorted((v - u + 1, u, v) for u, v in d.tau.positive_roots)
+    factors = [WeightVector.root(u, v, rank) for _, u, v in roots]
+    at = bisect(roots, (i_thick * (b - a + 1 - i_thick), a))
+    factors.insert(at, _window_weight(d.n, d.window, i_thick))
     codim = d.n * (d.n - 1) // 2 - variety_dim(d.tableau.shape, d.n)
     if len(factors) != codim:
         raise InconsistentIndexing(

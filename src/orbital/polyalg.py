@@ -23,7 +23,15 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Mapping, TypeVar, Union
 
-from .errors import BadExponent, BadProbeInput, BadRange, BadVariable, MissingVariable, NotSquare
+from .errors import (
+    BadExponent,
+    BadProbeInput,
+    BadRange,
+    BadVariable,
+    BadWeight,
+    MissingVariable,
+    NotSquare,
+)
 
 T_VAR = "t"
 VarId = Union[tuple[int, int], str]
@@ -197,11 +205,7 @@ class MultiPoly:
 
     def to_json(self) -> list[dict]:
         order, exp = _print_order(self.terms, _json_exp)
-        terms = self.terms
-        return [
-            {"coeff": str(terms[mono]), "exps": dict(map(exp.__getitem__, mono))}
-            for mono in order
-        ]
+        return _json_terms(self.terms, order, exp.__getitem__)
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "MultiPoly":
@@ -273,6 +277,26 @@ def _var_str(var: VarId) -> str:
 
 def _json_exp(var: VarId, e: int) -> tuple[str, int]:
     return (T_VAR if var == T_VAR else f"{var[0]},{var[1]}", e)
+
+
+class _JsonNames(dict):
+    """(var, e) -> _json_exp(var, e), each pair named on its first lookup,
+    for serializers that name the variables of many polynomials once."""
+
+    def __missing__(self, pair: tuple[VarId, int]) -> tuple[str, int]:
+        name = self[pair] = _json_exp(*pair)
+        return name
+
+
+def _json_terms(
+    terms: Mapping[Monomial, int],
+    order: Iterable[Monomial],
+    name: Callable[[tuple[VarId, int]], tuple[str, int]],
+) -> list[dict]:
+    """The JSON term list of terms, one {"coeff", "exps"} per monomial of
+    order, each (var, e) pair named by name: MultiPoly.to_json's, and
+    GeneratorReport.to_json's on terms already in print order."""
+    return [{"coeff": str(terms[mono]), "exps": dict(map(name, mono))} for mono in order]
 
 
 def _factor_str(var: VarId, e: int) -> str:
@@ -389,26 +413,34 @@ class WeightVector:
         return len(self.coeffs)
 
     @classmethod
+    def _raw(cls, coeffs: tuple[int, ...]) -> "WeightVector":
+        """Internal: coeffs already a tuple of ints, so __post_init__'s
+        check is skipped."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "coeffs", coeffs)
+        return w
+
+    @classmethod
     def zero(cls, rank: int) -> "WeightVector":
         return cls((0,) * rank)
 
     @classmethod
     def simple(cls, i: int, rank: int) -> "WeightVector":
-        if not 1 <= i <= rank:
-            raise ValueError(f"alpha_{i} outside rank {rank}")
-        return cls(tuple(1 if k == i else 0 for k in range(1, rank + 1)))
+        if not (type(i) is type(rank) is int and 1 <= i <= rank):
+            raise BadWeight(f"alpha_{i!r} outside rank {rank!r}")
+        return cls._raw((0,) * (i - 1) + (1,) + (0,) * (rank - i))
 
     @classmethod
     def root(cls, u: int, v: int, rank: int) -> "WeightVector":
         """alpha_u + alpha_{u+1} + ... + alpha_v."""
-        if not 1 <= u <= v <= rank:
-            raise ValueError(f"alpha({u},{v}) outside rank {rank}")
-        return cls(tuple(1 if u <= k <= v else 0 for k in range(1, rank + 1)))
+        if not (type(u) is type(v) is type(rank) is int and 1 <= u <= v <= rank):
+            raise BadWeight(f"alpha({u!r},{v!r}) outside rank {rank!r}")
+        return cls._raw((0,) * (u - 1) + (1,) * (v - u + 1) + (0,) * (rank - v))
 
     def __add__(self, other: "WeightVector") -> "WeightVector":
         if self.rank != other.rank:
-            raise ValueError("weight vectors of different ranks")
-        return WeightVector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+            raise BadWeight(f"weight vectors of different ranks {self.rank} and {other.rank}")
+        return WeightVector._raw(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     @property
     def is_zero(self) -> bool:

@@ -773,9 +773,11 @@ def remark_check(d: HypersurfaceDescriptor, *, seed=0) -> RemarkResult:
     chains of lengths (I, c_1, ..., c_m, I), I the thickness: it runs from
     the start of a chain of length I to the end of the nearest later one,
     and a chain ends at m exactly when m is not in tau. Anything else
-    raises InconsistentIndexing, and a window off 1 <= a <= b <= n raises
-    TauSet.restrict's BadRange. Call an interior chain short if c < I and
-    long if c > I; the chain condition asks that all be short or all long.
+    raises InconsistentIndexing, and a window off 1 <= a <= b <= n, or
+    with a bound that is not an int, raises BadRange, with the message
+    TauSet.restrict gives, before any chain is read. Call an interior
+    chain short if c < I and long if c > I; the chain condition asks that
+    all be short or all long.
     With S the total length of the short chains and m_long the number of
     long ones, _shape_numbers reads k = m_long + 1, r = I + S and
     l(lambda) = (m_long + 1)*I + S off the lengths.

@@ -14,6 +14,10 @@ inverse, naive_hypersurface_point solves each draw with randrange and two
 values of f per variable, naive_descendants rebuilds and re-checks the
 whole tableau of every box drop, weight_of adds up the root weights of
 every term of a polynomial (the oracle of the generator's window weight),
+minmax_window_weight reads the window weight coordinate by coordinate,
+naive_char_poly adds p_V's factors up root by root and sorts them by a key
+that scans their coefficients, ladder_payload serializes a generator
+report rung by rung with MultiPoly.to_json, which sorts each rung itself,
 and per_prime_report runs each verify trial under one prime at a time,
 from the oracles above and the public probes and none of the trial's own
 steps. remark_by_expansion decides the power-minor remark by expanding
@@ -30,6 +34,7 @@ matrix_rank is no oracle: it ranks any square matrix with the program's
 own elimination, for minor_rank to check.
 """
 
+import json
 import random
 import re
 from bisect import insort
@@ -38,6 +43,7 @@ from itertools import combinations, permutations
 from math import factorial, perm, prod
 
 from orbital import (
+    CharPoly,
     DegenerateSample,
     Failure,
     FieldMatrix,
@@ -454,6 +460,50 @@ def mono_weight(mono, rank: int) -> tuple[int, ...]:
         for a in range(i, j):
             coords[a - 1] += e
     return tuple(coords)
+
+
+def minmax_window_weight(n: int, window: tuple[int, int], thickness: int) -> WeightVector:
+    """wt(f) coordinate by coordinate: alpha_m lies in the window roots
+    alpha_{a+k} + ... + alpha_{b-1-k} with k < thickness and
+    k <= min(m - a, b - 1 - m)."""
+    a, b = window
+    return WeightVector(tuple(
+        max(0, min(thickness, m - a + 1, b - m)) for m in range(1, n)
+    ))
+
+
+def naive_char_poly(d) -> CharPoly:
+    """p_V from its definition: WeightVector.root of each positive root of
+    tau, and wt(f) as the sum of the thickness window roots
+    alpha_{a+k} + ... + alpha_{b-1-k}, sorted by (coefficient sum, index
+    of the first nonzero coefficient, coefficients)."""
+    rank = d.n - 1
+    a, b = d.window
+    factors = [WeightVector.root(u, v, rank) for u, v in d.tau.positive_roots]
+    wt_f = WeightVector.zero(rank)
+    for k in range(d.thickness):
+        wt_f = wt_f + WeightVector.root(a + k, b - 1 - k, rank)
+    factors.append(wt_f)
+    factors.sort(key=lambda w: (
+        sum(w.coeffs),
+        next((k for k, c in enumerate(w.coeffs) if c), len(w.coeffs)),
+        w.coeffs,
+    ))
+    return CharPoly(tuple(factors))
+
+
+def ladder_payload(rep) -> str:
+    """The bytes of GeneratorReport.to_json, each rung serialized by
+    MultiPoly.to_json, which sorts its terms into print order."""
+    rungs = [{"j": j, "poly": m.to_json()} for j, m in rep.m_sequence]
+    return json.dumps({
+        "window": list(rep.window),
+        "thickness": rep.thickness,
+        "l_lambda": rep.l_lambda,
+        "f": rep.f.to_json(),
+        "weight": rep.weight.to_json(),
+        "m_sequence": rungs,
+    })
 
 
 def remark_class(tau_w, i_thick: int) -> str:

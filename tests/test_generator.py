@@ -1,5 +1,6 @@
 """Window matrices, the determinant ladder m_j, the generator f, p_V."""
 
+import json
 import re
 from dataclasses import replace
 from itertools import combinations
@@ -27,9 +28,26 @@ from orbital import (
     variety_dim,
     x,
 )
-from orbital.generator import _descriptor_generator, _generator, _ladder, _path_systems
+from orbital.generator import (
+    _descriptor_generator,
+    _generator,
+    _ladder,
+    _path_systems,
+    _window_weight,
+)
 from orbital.tableaux import _tau_chains
-from conftest import FIVE_BOX, SIX_BOX, TWELVE_BOX, print_key, shifted, tab, weight_of
+from conftest import (
+    FIVE_BOX,
+    SIX_BOX,
+    TWELVE_BOX,
+    ladder_payload,
+    minmax_window_weight,
+    naive_char_poly,
+    print_key,
+    shifted,
+    tab,
+    weight_of,
+)
 
 F_SIX = (
     x(1, 2) * x(2, 4) * x(4, 6)
@@ -393,6 +411,36 @@ def test_char_poly_twelve_box():
     )
     assert len(cp.factors) == 66 - 57 == 9
 
+
+
+def test_payload_matches_its_oracles_on_every_descriptor_to_n_10():
+    # the --generator payload's library half against the oracles it
+    # replaced, on every descriptor with n <= 10: the ladder written in walk
+    # order is byte for byte the ladder MultiPoly.to_json sorts rung by
+    # rung; p_V, sorted by (height, start) with wt(f) placed by the same
+    # rule, is p_V sorted by a key that scans the coefficients; and the
+    # closed-form window weight is the min/max formula
+    count = 0
+    for d in iter_descriptors(10):
+        count += 1
+        rep = generator_report(d)
+        assert json.dumps(rep.to_json()) == ladder_payload(rep), d.descriptor_id
+        assert char_poly(d) == naive_char_poly(d), d.descriptor_id
+    assert count == 1235
+
+
+def test_window_weight_is_the_min_max_formula():
+    # every window [a, b] with n <= 12 and every thickness it leaves room for
+    windows = 0
+    for n in range(2, 13):
+        for a in range(1, n + 1):
+            for b in range(a + 1, n + 1):
+                for i_thick in range(1, (b - a + 1) // 2 + 1):
+                    windows += 1
+                    got = _window_weight(n, (a, b), i_thick)
+                    assert got == minmax_window_weight(n, (a, b), i_thick), (n, a, b, i_thick)
+                    assert type(got.coeffs) is tuple and len(got.coeffs) == n - 1
+    assert windows == 581
 
 
 def test_char_poly_rejects_factor_count_off_codimension():

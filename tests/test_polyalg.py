@@ -10,6 +10,7 @@ from orbital import (
     BadProbeInput,
     BadRange,
     BadVariable,
+    BadWeight,
     MissingVariable,
     MultiPoly,
     NotSquare,
@@ -235,7 +236,38 @@ def test_weight_vector_basics():
     assert str(w) == "a4 + 2a5"
     assert w == WeightVector.simple(4, 5) + WeightVector.simple(5, 5) + WeightVector.simple(5, 5)
     assert WeightVector.root(2, 4, 5).coeffs == (0, 1, 1, 1, 0)
+    assert WeightVector.root(1, 5, 5).coeffs == (1, 1, 1, 1, 1)
+    assert WeightVector.simple(1, 1).coeffs == (1,)
     assert w.to_json() == [0, 0, 0, 1, 2]
+
+
+# a root or simple root off 1 <= u <= v <= rank, or with an index or rank
+# that is no int, and a sum of weights of different ranks: the first two
+# raised a plain ValueError, 1.5 and True were read as numbers, and the
+# sum a plain ValueError. BadWeight is an OrbitalError and still a
+# ValueError, as the rejection always was
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: WeightVector.simple(0, 3), "alpha_0 outside rank 3"),
+        (lambda: WeightVector.simple(4, 3), "alpha_4 outside rank 3"),
+        (lambda: WeightVector.simple(True, 3), "alpha_True outside rank 3"),
+        (lambda: WeightVector.simple(2, 3.0), "alpha_2 outside rank 3.0"),
+        (lambda: WeightVector.root(2, 1, 3), "alpha(2,1) outside rank 3"),
+        (lambda: WeightVector.root(0, 2, 3), "alpha(0,2) outside rank 3"),
+        (lambda: WeightVector.root(2, 4, 3), "alpha(2,4) outside rank 3"),
+        (lambda: WeightVector.root(1.5, 2, 3), "alpha(1.5,2) outside rank 3"),
+        (lambda: WeightVector.root(1, True, 3), "alpha(1,True) outside rank 3"),
+        (
+            lambda: WeightVector.root(1, 2, 3) + WeightVector.root(1, 2, 4),
+            "weight vectors of different ranks 3 and 4",
+        ),
+    ],
+)
+def test_bad_weight_raises_typed_error(call, message):
+    with pytest.raises(BadWeight, match=f"^{re.escape(message)}$") as caught:
+        call()
+    assert isinstance(caught.value, OrbitalError) and isinstance(caught.value, ValueError)
 
 
 def test_weight_of():
