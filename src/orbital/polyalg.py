@@ -422,7 +422,9 @@ class WeightVector:
 
     @classmethod
     def zero(cls, rank: int) -> "WeightVector":
-        return cls((0,) * rank)
+        if not (type(rank) is int and rank >= 0):
+            raise BadWeight(f"rank {rank!r} is not a nonnegative int")
+        return cls._raw((0,) * rank)
 
     @classmethod
     def simple(cls, i: int, rank: int) -> "WeightVector":

@@ -27,22 +27,27 @@ each prime, and reduction mod p is a ring map, so each prime's reduction
 of the one point has the law of a point drawn over GF(p) alone.
 
 The rest of a trial's ring arithmetic is done once modulo M as well, and
-each prime only tests its residues for zero. f is evaluated once at the
-variety point. Each prime keeps its own hypersurface stream. In one loop
+each prime only tests its residues for zero. f is compiled once per call
+(_compile) into its terms over m_tau's free coordinates, each a
+coefficient and the indices of its variables in d.tau.free_positions, so
+that a trial works on flat lists only. f is evaluated once at the variety
+point. Each prime keeps its own hypersurface stream, drawn in batches that
+give exactly the values of one draw at a time (_draws). In one loop
 (_hypersurface_lift), each round combines by CRT the next draw of every
 prime still unsolved, evaluates the coefficients h and g of each
-variable once mod M, and lets each of those primes solve for the first
-variable with g % p != 0; a prime that solves keeps its draw, and the
-others draw again in the next round. The one-prime sampler is that loop
-with M = p. The hypersurface points are lifted by CRT to one matrix mod
-M and swept once: the fraction-free elimination and the power carry use
-only ring operations and branch only on whether an entry is zero, and an
-entry that is 0 or a unit mod M is zero under every prime or under none.
-So every prime takes the same branches and reads the same tables, unless
-the elimination would take a pivot whose leading entry is not a unit:
-the one fallback, where each prime sweeps its own point. For a single
-prime M = p, and that never happens. Each prime's result, and so every
-report, is exactly what that prime alone computes.
+variable, both in one pass over the terms, once mod M, and lets each of
+those primes solve for the first variable with g % p != 0; a prime that
+solves keeps its draw, and the others draw again in the next round. The
+one-prime sampler is that loop with M = p. The hypersurface points are
+lifted by CRT to one matrix mod M and swept once: the fraction-free
+elimination and the power carry use only ring operations and branch only
+on whether an entry is zero, and an entry that is 0 or a unit mod M is
+zero under every prime or under none. So every prime takes the same
+branches and reads the same tables, unless the elimination would take a
+pivot whose leading entry is not a unit: the one fallback, where each
+prime sweeps its own point. For a single prime M = p, and that never
+happens. Each prime's result, and so every report, is exactly what that
+prime alone computes.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import accumulate, chain, compress, repeat
 from math import gcd, prod
 from operator import gt, mul
 from typing import Iterable, NamedTuple
@@ -67,9 +72,9 @@ from .errors import (
 )
 from .generator import _descriptor_generator, _shape_numbers, generic_richardson_matrix
 from .hypersurface import HypersurfaceDescriptor
-from .polyalg import PolyMatrix, poly_eval
+from .polyalg import PolyMatrix
 from .rs import _recordings, rs_inverse
-from .tableaux import Partition, StandardTableau, _tau_chains, dual_partition
+from .tableaux import Partition, StandardTableau, _tau_chains
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1
 SECOND_PRIME = 2147483629  # largest prime below it
@@ -123,6 +128,11 @@ class FieldMatrix:
         return self.rows[i - 1][j - 1]
 
     def is_strictly_upper(self) -> bool:
+        return self._upper
+
+    @cached_property
+    def _upper(self) -> bool:
+        """Read once per matrix: _sweeps and check_power_rank both ask."""
         return not any(any(row[: r + 1]) for r, row in enumerate(self.rows))
 
     @cached_property
@@ -141,9 +151,12 @@ class FieldMatrix:
         """
         n, p = self.n, self.prime
         cols = list(zip(*self.rows))
-        # column j of a strictly upper X vanishes from row j on, so the
-        # product of a vector that vanishes before column c is 0 up to c
-        upper = self.is_strictly_upper()
+        # column j of a strictly upper X vanishes from row j on, so it is
+        # cut there, and the product of a vector that vanishes before
+        # column c is 0 up to c: it is computed from column c + 1 on
+        upper = self._upper
+        if upper:
+            cols = [col[:j] for j, col in enumerate(cols)]
         pairs = [(i, row) for i, row in enumerate(self.rows) if any(row)]
         pairs.reverse()
         tables = []
@@ -202,30 +215,32 @@ def _window_ranks(pairs, n: int, p: int) -> tuple[list, list]:
 
     Elimination is fraction-free: a row whose leading entry v meets the
     basis vector with leading entry e becomes e * row - v * vector, so no
-    inverse mod p is ever taken and no vector is rescaled.
+    inverse mod p is ever taken and no vector is rescaled. Both vanish
+    before that column and the result vanishes at it, so only the entries
+    after it are computed.
     """
-    pivots: dict[int, list[int]] = {}  # pivot column -> its basis vector
+    pivots: dict[int, tuple] = {}  # pivot column -> (leading entry, the rest)
     basis = []
-    counts = (0,) * n  # counts[j]: pivots in columns <= j so far
-    ranks = [counts] * n
+    marks = [0] * n  # marks[j]: 1 once column j holds a pivot
+    ranks = [(0,) * n] * n
     for i, row in pairs:
-        if not any(row):
-            continue
-        for c in range(n):
+        row = list(row)
+        # the iterator reads row as it is changed in place: each c is the
+        # next column where the row, reduced so far, is nonzero
+        for c in compress(range(n), row):
             v = row[c]
-            if not v:
-                continue
-            vec = pivots.get(c)
-            if vec is None:
+            pivot = pivots.get(c)
+            if pivot is None:
                 if gcd(v, p) != 1:
                     raise _NonUnit(f"leading entry {v} shares a factor with {p}")
-                pivots[c] = row
+                pivots[c] = v, row[c + 1 :]
                 basis.append((i, c, row))
-                counts = counts[:c] + tuple(k + 1 for k in counts[c:])
-                ranks[: i + 1] = [counts] * (i + 1)
+                marks[c] = 1
+                ranks[: i + 1] = [tuple(accumulate(marks))] * (i + 1)
                 break
-            e = vec[c]
-            row = [(a * e - v * b) % p for a, b in zip(row, vec)]
+            e, rest = pivot
+            row[c] = 0
+            row[c + 1 :] = [(a * e - v * b) % p for a, b in zip(row[c + 1 :], rest)]
     return ranks, basis
 
 
@@ -287,8 +302,9 @@ def jordan_type(x: FieldMatrix) -> Partition:
     ranks = [n] + [rk[0][-1] for rk in sweeps] + [0]
     if len(sweeps) == n:
         raise NotNilpotent(f"rank sequence stabilised at {ranks[-2]}")
-    cols = tuple(ranks[k - 1] - ranks[k] for k in range(1, len(ranks)))
-    return dual_partition(Partition(cols))
+    # cols[k - 1], the kernel increment at power k, counts the parts >= k
+    cols = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+    return Partition(tuple(sum(c >= j for c in cols) for j in range(1, cols[0] + 1)))
 
 
 class Violation(NamedTuple):
@@ -353,16 +369,21 @@ def _word_span(t: StandardTableau) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _below(getrandbits, n: int) -> int:
-    """A draw from [0, n), n >= 1, exactly as random.Random.randrange(n)
-    makes it from the same generator (CPython's
-    _randbelow_with_getrandbits), without randrange's argument handling;
-    randrange(1, n) is 1 + _below(getrandbits, n - 1)."""
+def _draws(getrandbits, n: int, count: int) -> list[int]:
+    """count draws from [0, n), n >= 1, exactly as count calls of
+    random.Random.randrange(n) make them from the same generator (CPython's
+    _randbelow_with_getrandbits), which then ends in the same state.
+
+    randrange draws n.bit_length() bits until the value is below n. Every
+    draw for one n takes that many bits, so the raw draws of count calls
+    are one stream: this takes as many raw draws as values are still
+    missing and keeps those below n, in order, until it has count. It
+    never draws past the last value kept."""
     k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
+    out: list[int] = []
+    while len(out) < count:
+        out += [r for r in map(getrandbits, repeat(k, count - len(out))) if r < n]
+    return out
 
 
 @lru_cache(maxsize=1)
@@ -373,26 +394,29 @@ def _variety_rows(t: StandardTableau, seed: str, modulus: int) -> tuple[tuple[in
 
     U fills the positions (a, b) with w(a) < w(b), for the involution
     w = rs_inverse(t, t), uniformly; N is uniform unipotent upper
-    triangular (the module docstring says why that is B's law). X = N U
-    N^-1 is the unique solution of X N = C with C = N U, and both C and X
-    are strictly upper, so X is solved row by row by back-substitution:
-    X[i][j] = C[i][j] - sum over i < k < j of X[i][k] N[k][j], as N[j][j]
-    is 1. C[i][j] and the sum are each one dot product, of row i of N with
-    the part of U's column j above the diagonal, and of the row solved so
-    far with the same part of N's column j (its terms k <= i vanish). No
-    inverse is taken, so the modulus need not be prime.
+    triangular (the module docstring says why that is B's law). Both are
+    drawn in one batch (_draws), U's entries and then N's, row by row. X
+    = N U N^-1 is the unique solution of X N = C with C = N U, and both C
+    and X are strictly upper, so X is solved row by row by
+    back-substitution: X[i][j] = C[i][j] - sum over i < k < j of X[i][k]
+    N[k][j], as N[j][j] is 1. C[i][j] and the sum are each one dot
+    product, of row i of N with the part of U's column j above the
+    diagonal, and of the row solved so far with the same part of N's
+    column j (its terms k <= i vanish). No inverse is taken, so the
+    modulus need not be prime.
     """
     n = t.n
+    span = _word_span(t)
     bits = random.Random(f"variety:{seed}:{modulus}").getrandbits
-    u = [[0] * n for _ in range(n)]
-    for a, b in _word_span(t):
-        u[a][b] = _below(bits, modulus)
-    nmat = [[0] * n for _ in range(n)]
+    draws = _draws(bits, modulus, len(span) + n * (n - 1) // 2)
+    ucols = [[0] * j for j in range(n)]  # U's columns above the diagonal
+    for (a, b), v in zip(span, draws):
+        ucols[b][a] = v
+    nmat = []
+    at = len(span)
     for i in range(n):
-        nmat[i][i] = 1
-        for j in range(i + 1, n):
-            nmat[i][j] = _below(bits, modulus)
-    ucols = [col[:j] for j, col in enumerate(zip(*u))]
+        nmat.append([0] * i + [1] + draws[at : at + n - 1 - i])
+        at += n - 1 - i
     ncols = [col[:j] for j, col in enumerate(zip(*nmat))]
     x = []
     for i, nrow in enumerate(nmat):
@@ -442,28 +466,60 @@ def sample_hypersurface_point(
     check_modulus rejects.
     """
     check_modulus(prime)
-    f = _descriptor_generator(d)
-    z, degenerate = _hypersurface_lift(d, f, f.variables(), seed, (prime,))
+    terms, fvars = _compile(_descriptor_generator(d), d.tau.free_positions)
+    z, degenerate = _hypersurface_lift(d, terms, fvars, seed, (prime,))
     if degenerate:
         raise degenerate[prime]
     return z
 
 
-def _solve_draw(f, fvars, vals: dict, primes, modulus: int) -> dict:
-    """{p: (variable, value)} for each prime p under which the draw vals
-    solves f = 0. vals holds a residue mod modulus, a multiple of every
-    prime, at each free position; variable is the first whose linear
-    coefficient is nonzero mod p, and value makes f vanish mod p there.
+def _compile(f, free) -> tuple[list, list[int]]:
+    """(terms, fvars): f's terms as (coefficient, indices into free) pairs,
+    free the positions of m_tau's free coordinates, and fvars the indices
+    of f's variables in increasing order, which is f.variables()'s (both
+    read positions row by row). f is multilinear (the generator module
+    docstring), so a monomial is the set of its variables. A trial then
+    reads a point as the list of its values at free."""
+    index = {pos: i for i, pos in enumerate(free)}
+    terms = [(c, tuple(index[var] for var, _ in mono)) for mono, c in f.terms.items()]
+    return terms, sorted({i for _, idx in terms for i in idx})
 
-    f = g * var + h is multilinear in var, and h = f|var=0 and g =
-    f|var=1 - h are evaluated once mod modulus for each variable in turn.
+
+def _value(terms, vals: list, modulus: int) -> int:
+    """f at the point vals, a value per free position, mod modulus."""
+    get = vals.__getitem__
+    return sum([c * prod(map(get, idx)) for c, idx in terms]) % modulus
+
+
+def _solve_draw(terms, fvars, vals: list, primes, modulus: int) -> dict:
+    """{p: (variable, value)} for each prime p under which the draw vals
+    solves f = 0. f is compiled once per call over m_tau's free
+    coordinates (_compile) into terms and fvars, and vals holds a residue
+    mod modulus, a multiple of every prime, at each of them: the CRT lift
+    of one batch of draws per prime (_hypersurface_lift). variable is the
+    index of the first variable whose linear coefficient is nonzero mod p,
+    and value makes f vanish mod p there.
+
+    f = g * var + h is multilinear in var, and one pass over the terms
+    gives both h = f|var=0 and g = f|var=1 - h, for each variable in turn:
+    with var set to 1, a term that holds var adds its value to g and any
+    other term adds its value to h. Both are reduced mod modulus.
     Reduction mod p is a ring map, so h % p and g % p are what p alone
     would evaluate, and every prime of one modulus is solved at once.
     """
     solved: dict = {}
+    point = vals.copy()  # vals with var set to 1, so a term that holds var reads the rest
+    get = point.__getitem__
     for var in fvars:
-        h = poly_eval(f, {**vals, var: 0}, prime=modulus)
-        g = poly_eval(f, {**vals, var: 1}, prime=modulus) - h
+        h = g = 0
+        point[var] = 1
+        for c, idx in terms:
+            if var in idx:
+                g += c * prod(map(get, idx))
+            else:
+                h += c * prod(map(get, idx))
+        point[var] = vals[var]
+        h, g = h % modulus, g % modulus
         for p in primes:
             if p not in solved and g % p:
                 solved[p] = var, -h * pow(g, -1, p) % p
@@ -612,24 +668,24 @@ def verify_conjecture(
         check_modulus(p)
     if len(set(primes)) != len(primes):
         raise BadProbeInput(f"primes {primes} repeat a prime")
-    f = _descriptor_generator(d)
-    fvars = f.variables()
+    terms, fvars = _compile(_descriptor_generator(d), d.tau.free_positions)
     failures = chain.from_iterable(
-        _joint_trial(d, f, fvars, seed, trial, primes) for trial in range(trials)
+        _joint_trial(d, terms, fvars, seed, trial, primes) for trial in range(trials)
     )
     return VerificationReport(d.descriptor_id, trials, primes, tuple(failures))
 
 
-def _joint_trial(d: HypersurfaceDescriptor, f, fvars, seed, trial: int, primes):
+def _joint_trial(d: HypersurfaceDescriptor, terms, fvars, seed, trial: int, primes):
     """Yields the failures of one trial under every prime, by prime and
     then probe: for each prime in turn, the failures it alone would find
     at its reduction of the variety draw and at its own hypersurface
     point, with the ring arithmetic done once modulo M, the product of the
-    primes (module docstring). f is evaluated once at the variety draw mod
-    M, of which each prime's point is the reduction, and the hypersurface
-    points are solved and lifted to one matrix z mod M together, every
-    draw of every prime in the one loop of _hypersurface_lift. Each prime
-    only tests its residues.
+    primes (module docstring). f, compiled to terms and fvars (_compile),
+    is evaluated once at the variety draw mod M, of which each prime's
+    point is the reduction, and the hypersurface points are solved and
+    lifted to one matrix z mod M together, every draw of every prime in
+    the one loop of _hypersurface_lift. Each prime only tests its
+    residues.
 
     z is swept once, and its readings are those of its reduction mod every
     prime. Reduction mod p is a ring map, and _window_ranks and the power
@@ -647,8 +703,8 @@ def _joint_trial(d: HypersurfaceDescriptor, f, fvars, seed, trial: int, primes):
         for p in primes
     ]
     draw = _variety_rows(d.tableau, trial_seed, modulus)
-    value = poly_eval(f, {(a, b): draw[a - 1][b - 1] for a, b in fvars}, prime=modulus)
-    z, degenerate = _hypersurface_lift(d, f, fvars, trial_seed, primes)
+    value = _value(terms, [draw[a - 1][b - 1] for a, b in d.tau.free_positions], modulus)
+    z, degenerate = _hypersurface_lift(d, terms, fvars, trial_seed, primes)
     try:
         shared = _readings(z, d.tableau)
     except _NonUnit:
@@ -664,19 +720,23 @@ def _joint_trial(d: HypersurfaceDescriptor, f, fvars, seed, trial: int, primes):
         yield from _probe_failures(d, trial, p, value % p, x, readings)
 
 
-def _hypersurface_lift(d: HypersurfaceDescriptor, f, fvars, seed, primes):
+def _hypersurface_lift(d: HypersurfaceDescriptor, terms, fvars, seed, primes):
     """(z, degenerate): z is the matrix over Z/M, M the product of the
     primes, whose reduction mod each prime p is p's point of {f = 0}, and
     degenerate maps each prime left unsolved after fifty draws to its
     DegenerateSample (z holds its last draw mod it). For one prime M = p,
-    and this is sample_hypersurface_point.
+    and this is sample_hypersurface_point. f comes compiled once per call
+    over m_tau's free coordinates (_compile) as terms and fvars, and a
+    draw is the list of its values there.
 
-    Each prime draws from its own stream, as it does alone. Each round,
-    every prime still unsolved takes its next draw; the draws are combined
-    by CRT, each prime's coefficient c being 1 mod it and 0 mod the others
-    (_crt), and solved together by _solve_draw for the unsolved primes
-    only. So every prime solves its k-th draw for the variable it would
-    alone, and keeps that draw once it solves.
+    Each prime draws from its own stream as it does alone, a whole draw in
+    one batch (_draws) that holds exactly the values of one draw at a
+    time. Each round, every prime still unsolved takes its next draw; the
+    draws are combined by CRT, each prime's coefficient c being 1 mod it
+    and 0 mod the others (_crt), and solved together by _solve_draw for
+    the unsolved primes only, which reads each variable's h and g in one
+    pass over the terms. So every prime solves its k-th draw for the
+    variable it would alone, and keeps that draw once it solves.
     """
     modulus, coeffs = _crt(primes)
     free = d.tau.free_positions
@@ -684,13 +744,13 @@ def _hypersurface_lift(d: HypersurfaceDescriptor, f, fvars, seed, primes):
     draws, solved, unsolved = {}, {}, primes
     for _ in range(50):
         for p in unsolved:
-            bits = streams[p]
-            draws[p] = [_below(bits, p) for _ in free]
-        lifted = [0] * len(free)
-        for p, c in zip(primes, coeffs):
+            draws[p] = _draws(streams[p], p, len(free))
+        (p, c), *rest = zip(primes, coeffs)
+        lifted = [r * c for r in draws[p]]
+        for p, c in rest:
             lifted = [t + r * c for t, r in zip(lifted, draws[p])]
-        vals = {pos: t % modulus for pos, t in zip(free, lifted)}
-        solved.update(_solve_draw(f, fvars, vals, unsolved, modulus))
+        vals = [t % modulus for t in lifted]
+        solved.update(_solve_draw(terms, fvars, vals, unsolved, modulus))
         unsolved = [p for p in primes if p not in solved]
         if not unsolved:
             break
@@ -704,8 +764,9 @@ def _hypersurface_lift(d: HypersurfaceDescriptor, f, fvars, seed, primes):
             degenerate[p] = DegenerateSample(
                 f"no solvable coordinate for {d.descriptor_id} after 50 draws"
             )
-    rows = [[0] * d.n for _ in range(d.n)]
-    for (a, b), v in vals.items():
+    n = d.n
+    rows = [[0] * n for _ in range(n)]
+    for (a, b), v in zip(free, vals):
         rows[a - 1][b - 1] = v
     return FieldMatrix._reduced(rows, modulus), degenerate
 
@@ -723,7 +784,7 @@ def _probe_failures(d: HypersurfaceDescriptor, trial: int, p: int, value: int, x
     if value:
         yield Failure("f_vanishes_on_v", trial, p, "f nonzero at variety point")
     for u, v in d.tau.positive_roots:
-        if x.entry(u, v + 1):
+        if x.rows[u - 1][v]:  # x.entry(u, v + 1)
             yield Failure("linear_conditions", trial, p, f"x{u},{v + 1} nonzero at variety point")
             break
     if isinstance(readings, DegenerateSample):

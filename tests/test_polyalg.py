@@ -238,14 +238,16 @@ def test_weight_vector_basics():
     assert WeightVector.root(2, 4, 5).coeffs == (0, 1, 1, 1, 0)
     assert WeightVector.root(1, 5, 5).coeffs == (1, 1, 1, 1, 1)
     assert WeightVector.simple(1, 1).coeffs == (1,)
+    assert WeightVector.zero(3).coeffs == (0, 0, 0) and WeightVector.zero(0).coeffs == ()
     assert w.to_json() == [0, 0, 0, 1, 2]
 
 
 # a root or simple root off 1 <= u <= v <= rank, or with an index or rank
 # that is no int, and a sum of weights of different ranks: the first two
 # raised a plain ValueError, 1.5 and True were read as numbers, and the
-# sum a plain ValueError. BadWeight is an OrbitalError and still a
-# ValueError, as the rejection always was
+# sum a plain ValueError. The zero vector of a rank that is a bool, below
+# 0 or no int was of rank 1, empty, or a bare TypeError. BadWeight is an
+# OrbitalError and still a ValueError, as the rejection always was
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -262,6 +264,9 @@ def test_weight_vector_basics():
             lambda: WeightVector.root(1, 2, 3) + WeightVector.root(1, 2, 4),
             "weight vectors of different ranks 3 and 4",
         ),
+        (lambda: WeightVector.zero(True), "rank True is not a nonnegative int"),
+        (lambda: WeightVector.zero(-1), "rank -1 is not a nonnegative int"),
+        (lambda: WeightVector.zero(2.0), "rank 2.0 is not a nonnegative int"),
     ],
 )
 def test_bad_weight_raises_typed_error(call, message):

@@ -572,19 +572,25 @@ def test_verify_conjecture_reads_an_iterator_of_primes_once():
         verify_conjecture(d, trials=1, primes=iter([]))
 
 
-@pytest.mark.parametrize("p", [2**31 - 1, 2**31 - 19, 7, 3])
+@pytest.mark.parametrize("p", [2**31 - 1, 2**31 - 19, 7, 3, DEFAULT_PRIME * SECOND_PRIME])
 def test_inline_draw_is_randrange(p):
-    # the samplers draw with _below; the sample stream, and with it every
-    # pinned report, stays that of random.Random.randrange only while
-    # CPython draws the same way. 7 and 3 reject often, 2**31 - 1 and
-    # 2**31 - 19 (the default primes) rarely.
-    below = orbital.verify._below
+    # the samplers draw in batches with _draws; the sample stream, and with
+    # it every pinned report, stays that of random.Random.randrange only
+    # while CPython draws the same way, with as many bits for every draw
+    # below one bound. 7 and 3 reject often, 2**31 - 1 and 2**31 - 19 (the
+    # default primes) rarely; their 62-bit product takes two 32-bit words a
+    # draw. The generator must end where randrange leaves it
+    draws = orbital.verify._draws
     ref, ours = random.Random(f"below:{p}"), random.Random(f"below:{p}")
     bits = ours.getrandbits
-    assert [ref.randrange(p) for _ in range(10**4)] == [below(bits, p) for _ in range(10**4)]
+    assert draws(bits, p, 0) == []
+    assert [ref.randrange(p) for _ in range(10**4)] == draws(bits, p, 10**4)
+    for k in (1, 2, 3, 17):
+        assert [ref.randrange(p) for _ in range(k)] == draws(bits, p, k)
     assert [ref.randrange(1, p) for _ in range(10**4)] == [
-        1 + below(bits, p - 1) for _ in range(10**4)
+        1 + r for r in draws(bits, p - 1, 10**4)
     ]
+    assert draws(bits, p, 0) == []
     assert ref.getrandbits(32) == ours.getrandbits(32)
 
 
@@ -609,6 +615,55 @@ def test_sample_hypersurface_point_properties():
         sample_hypersurface_point(d, 4).rows
         == sample_hypersurface_point(d, 4).rows
     )
+
+
+def _replayed_solve(f, point, primes, modulus):
+    """_solve_draw's {p: (variable, value)} from two poly_evals of f per
+    variable, f|var=0 and f|var=1, over copied dicts."""
+    solved = {}
+    for var in f.variables():
+        h = poly_eval(f, {**point, var: 0}, prime=modulus)
+        g = poly_eval(f, {**point, var: 1}, prime=modulus) - h
+        for p in primes:
+            if p not in solved and g % p:
+                solved[p] = var, -h * pow(g, -1, p) % p
+    return solved
+
+
+def test_compiled_f_matches_poly_eval():
+    # a trial reads f compiled over m_tau's free coordinates (_compile):
+    # its value in one pass, and each variable's h and g in one pass. Both
+    # against poly_eval of generator_report's f, on every descriptor with
+    # n <= 8, for f and for f + 1 (the constant term the broken-probe hook
+    # adds), at seeded points mod 77 and mod the product of the default
+    # primes; mod 77 a prime often passes over a variable whose g it
+    # divides and solves for a later one, and _solve_draw leaves vals as
+    # it was
+    compile_f, value, solve = (
+        orbital.verify._compile, orbital.verify._value, orbital.verify._solve_draw
+    )
+    checked, later = 0, Counter()
+    for d in iter_descriptors(8):
+        free = d.tau.free_positions
+        f = generator_report(d).f
+        for g in (f, f + MultiPoly.const(1)):
+            terms, fvars = compile_f(g, free)
+            assert [free[i] for i in fvars] == g.variables()
+            for primes in ((7, 11), (DEFAULT_PRIME, SECOND_PRIME)):
+                modulus = math.prod(primes)
+                rng = random.Random(f"compiled:{d.descriptor_id}:{modulus}")
+                vals = [rng.randrange(modulus) for _ in free]
+                point = dict(zip(free, vals))
+                assert value(terms, vals, modulus) == poly_eval(g, point, prime=modulus)
+                got = solve(terms, fvars, vals, primes, modulus)
+                assert vals == list(point.values())
+                assert {p: (free[i], v) for p, (i, v) in got.items()} == _replayed_solve(
+                    g, point, primes, modulus
+                ), d.descriptor_id
+                checked += 1
+                later[modulus] += sum(i != fvars[0] for i, _ in got.values())
+    assert checked == 198 * 4
+    assert (later[77], later[DEFAULT_PRIME * SECOND_PRIME]) == (94, 0)
 
 
 def test_verify_conjecture_small_run():
